@@ -298,7 +298,8 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
     """Parse a CDR CSV into a RecordStore.
 
     Well-formed rows are kept; malformed rows (bad enum token, negative
-    or non-integer numerics, timestamp outside the window, ego==alter)
+    or non-integer numerics, timestamp outside the window, ego==alter,
+    an ego id with a comma, quote or line break)
     are tallied with their line numbers on ``store.rejected`` instead of
     being silently dropped. A missing or headerless file is fatal.
     """
@@ -344,6 +345,9 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
 def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):
     if not ego or not alter:
         return "empty id"
+    if "," in ego or '"' in ego or "\r" in ego or "\n" in ego:
+        # labels.csv and the score files write ego ids unquoted
+        return "ego_id contains a comma, quote or line break"
     if ego == alter:
         return "ego_id equals alter_id"
     if kind not in _KIND_CODE:

@@ -139,6 +139,12 @@ def _load_matrix(cfg: PipelineConfig, out: Path) -> matrix_mod.FeatureMatrix:
 
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
     mat = _load_matrix(cfg, out)
+    fmt = cfg._get("features.matrix_format")
+    matrix_path = out / ("matrix.cfm" if fmt == "binary" else "matrix.csv")
+    try:
+        mat.check_finite()  # split search needs a total order
+    except ValueError as exc:
+        raise ValueError(f"{matrix_path}: {exc}") from None
     labels = label_mod.read_labels(str(_require(out / "labels.csv",
                                                 "churnforge featurize")))
     tt = select_mod.univariate_ttest(mat, labels)
@@ -156,8 +162,6 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
     selected_path.write_text("".join(n + "\n" for n in tree.names()),
                              encoding="utf-8")
     outputs.append(selected_path)
-    fmt = cfg._get("features.matrix_format")
-    matrix_path = out / ("matrix.cfm" if fmt == "binary" else "matrix.csv")
     print(f"select: top {k} of {len(mat.feature_names)} features by "
           f"tree importance; best univariate r2 = "
           f"{r2.entries[0].name} ({r2.entries[0].score:.3f})")

@@ -8,6 +8,7 @@ exactly: CSV uses shortest-repr floats, the binary format raw bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -94,17 +95,28 @@ def save_binary(matrix: FeatureMatrix, path: str) -> None:
         fh.write(cols.tobytes())
 
 
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``, or ValueError naming the file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"{fh.name}: truncated {what}: "
+                         f"needs {n} bytes, {left} left")
+    return fh.read(n)
+
+
 def load_binary(path: str) -> FeatureMatrix:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected CFM1")
-        n_rows, n_cols = struct.unpack("<II", fh.read(8))
-        (ego_len,) = struct.unpack("<I", fh.read(4))
-        ego_blob = fh.read(ego_len).decode("utf-8")
-        (name_len,) = struct.unpack("<I", fh.read(4))
-        name_blob = fh.read(name_len).decode("utf-8")
-        data = np.frombuffer(fh.read(n_rows * n_cols * 8), dtype="<f8")
+        n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
+        (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
+        ego_blob = read_exact(fh, ego_len, "ego table").decode("utf-8")
+        (name_len,) = struct.unpack("<I",
+                                    read_exact(fh, 4, "name table size"))
+        name_blob = read_exact(fh, name_len, "name table").decode("utf-8")
+        data = np.frombuffer(read_exact(fh, n_rows * n_cols * 8, "values"),
+                             dtype="<f8")
     egos = ego_blob.split("\n") if ego_blob else []
     names = name_blob.split("\n") if name_blob else []
     values = data.reshape(n_cols, n_rows).T.copy() if n_rows * n_cols else \

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeling import LabelSet
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
-from .tree import BaggedForest, DecisionTree
+from .tree import BaggedForest, DecisionTree, rank_codes
 
 FAMILIES = ("linreg", "logreg", "linear_svm", "knn", "random_forest",
             "adaboost")
@@ -214,13 +214,14 @@ def _fit_linreg(Z, y, params):
 def _fit_adaboost(Z, y, params, seed):
     n = len(y)
     w = np.full(n, 1.0 / n)
+    codes = rank_codes(Z)
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     eps = 1e-12
     for m in range(params["rounds"]):
         tree = DecisionTree(max_depth=params["max_depth"], task="classify",
                             rng=np.random.default_rng([seed, m]))
-        tree.fit(Z, y, sample_weight=w)
+        tree.fit(Z, y, sample_weight=w, codes=codes)
         pred = tree.predict(Z)
         miss = pred != y
         err = float(w[miss].sum())
@@ -465,9 +466,13 @@ def _w_blob(fh, data: bytes) -> None:
     fh.write(data)
 
 
+def _r_pack(fh, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
+
+
 def _r_blob(fh) -> bytes:
-    (n,) = struct.unpack("<Q", fh.read(8))
-    return fh.read(n)
+    (n,) = _r_pack(fh, "<Q", "blob size")
+    return read_exact(fh, n, "blob")
 
 
 def _w_str(fh, s: str) -> None:
@@ -544,7 +549,7 @@ def load_model(path: str) -> TrainedModel:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a CFMD model file")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = _r_pack(fh, "<B", "version")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         family = _r_str(fh)
@@ -553,27 +558,27 @@ def load_model(path: str) -> TrainedModel:
         feature_names = names_blob.split("\n") if names_blob else []
         mean = _r_arr(fh, "<f8")
         sd = _r_arr(fh, "<f8")
-        (seed,) = struct.unpack("<q", fh.read(8))
+        (seed,) = _r_pack(fh, "<q", "seed")
         params = json.loads(_r_str(fh))
         model = TrainedModel(family=family, target=target,
                              feature_names=feature_names, mean=mean, sd=sd,
                              params=params, seed=seed, fitted={})
         if family in ("logreg", "linear_svm"):
             w = _r_arr(fh, "<f8")
-            (b,) = struct.unpack("<d", fh.read(8))
+            (b,) = _r_pack(fh, "<d", "intercept")
             model.fitted = {"w": w, "b": b}
         elif family == "linreg":
             beta = _r_arr(fh, "<f8")
-            (intercept,) = struct.unpack("<d", fh.read(8))
+            (intercept,) = _r_pack(fh, "<d", "intercept")
             model.fitted = {"beta": beta, "intercept": intercept}
         elif family == "knn":
-            (kk,) = struct.unpack("<Q", fh.read(8))
+            (kk,) = _r_pack(fh, "<Q", "k")
             yv = _r_arr(fh, "<f8")
-            rows, cols = struct.unpack("<QQ", fh.read(16))
+            rows, cols = _r_pack(fh, "<QQ", "shape")
             Z = _r_arr(fh, "<f8").reshape(rows, cols)
             model.fitted = {"k": int(kk), "y": yv, "Z": Z}
         elif family == "random_forest":
-            (n_trees,) = struct.unpack("<Q", fh.read(8))
+            (n_trees,) = _r_pack(fh, "<Q", "tree count")
             task = _r_str(fh)
             forest = BaggedForest(n_trees=max(1, n_trees), task=task,
                                   seed=seed)

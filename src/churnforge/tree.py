@@ -1,10 +1,14 @@
 """Weighted binary decision trees and bagged ensembles, built on numpy.
 
-Split search is vectorized across the sampled feature block at each
-node (one argsort plus prefix sums), which keeps deep trees usable at
-tens of thousands of candidate features. Trees support sample weights
-(for boosting), per-split feature subsampling (for bagging), and both
-Gini impurity (classification) and variance (regression) criteria.
+Every column is coded once per ensemble as dense ranks (``rank_codes``).
+At each node, split search gathers the node's codes for the sampled
+feature block, orders each column by a stable radix argsort of the
+codes, and scores every cut with prefix sums of the weights. A
+bootstrap is passed as integer row counts, not as copied rows. Trees
+support sample weights (for boosting), per-split feature subsampling
+(for bagging), and both Gini impurity (classification) and variance
+(regression) criteria. Thresholds are midpoints of adjacent distinct
+values, so the trees are exact CART trees.
 """
 
 from __future__ import annotations
@@ -12,6 +16,35 @@ from __future__ import annotations
 import numpy as np
 
 _LEAF = -1
+_UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
+_RANK_BLOCK = 1 << 20      # values ranked per block of columns
+
+
+def rank_codes(X: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its column.
+
+    Equal values share a code and codes keep the column's order, so a
+    stable argsort of a column's codes is the stable argsort of its
+    values. The dtype is uint16 up to 65,535 rows and uint32 above. The
+    result has X's shape, stored column by column (Fortran order).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    dtype = np.uint16 if n <= _UINT16_ROWS else np.uint32
+    codes = np.zeros((d, n), dtype=dtype)
+    if n == 0:
+        return codes.T
+    block = max(1, _RANK_BLOCK // n)
+    for start in range(0, d, block):
+        cols = np.ascontiguousarray(X[:, start:start + block].T)
+        order = np.argsort(cols, axis=1)
+        srt = np.take_along_axis(cols, order, axis=1)
+        if np.isnan(srt[:, -1]).any():  # nan sorts last
+            raise ValueError("rank codes need values without nan")
+        ranks = np.zeros(order.shape, dtype=dtype)
+        np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ranks[:, 1:])
+        np.put_along_axis(codes[start:start + block], order, ranks, axis=1)
+    return codes.T
 
 
 class DecisionTree:
@@ -37,12 +70,30 @@ class DecisionTree:
         self.importances_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray,
-            sample_weight: np.ndarray | None = None) -> "DecisionTree":
+            sample_weight: np.ndarray | None = None,
+            codes: np.ndarray | None = None,
+            counts: np.ndarray | None = None) -> "DecisionTree":
+        """Grow the tree on the rows of X.
+
+        ``codes`` is ``rank_codes(X)``; an ensemble computes it once and
+        passes it to every tree. ``counts`` gives each row an integer
+        multiplicity (a bootstrap draw) and leaves out rows counted 0:
+        the tree is the one grown on the rows repeated that many times,
+        bit for bit while the weighted label sums are integers.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, d = X.shape
         w = np.ones(n) if sample_weight is None else \
             np.asarray(sample_weight, dtype=np.float64)
+        if codes is None:
+            codes = rank_codes(X)
+        if counts is None:
+            root = np.arange(n)
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            root = np.flatnonzero(counts)
+            w = w * counts
         self.importances_ = np.zeros(d)
 
         feature, threshold, left, right, value = [], [], [], [], []
@@ -52,17 +103,19 @@ class DecisionTree:
         left.append(_LEAF)
         right.append(_LEAF)
         value.append(0.0)
-        stack = [(0, np.arange(n), 0)]
+        stack = [(0, root, 0)]
         while stack:
             node, rows, depth = stack.pop()
             yr, wr = y[rows], w[rows]
             wsum = wr.sum()
             value[node] = self._leaf_value(yr, wr, wsum)
             imp = self._impurity(yr, wr, wsum)
-            if (imp <= 1e-15 or len(rows) < 2 * self.min_samples_leaf
+            cr = None if counts is None else counts[rows]
+            n_rows = len(rows) if cr is None else int(cr.sum())
+            if (imp <= 1e-15 or n_rows < 2 * self.min_samples_leaf
                     or (self.max_depth is not None and depth >= self.max_depth)):
                 continue
-            split = self._best_split(X, rows, yr, wr, wsum)
+            split = self._best_split(X, codes, rows, yr, wr, wsum, cr, n_rows)
             if split is None:
                 continue
             feat, thr, decrease = split
@@ -106,25 +159,45 @@ class DecisionTree:
         mean = (w * y).sum() / wsum
         return float((w * (y - mean) ** 2).sum() / wsum)
 
-    def _best_split(self, X, rows, yr, wr, wsum):
+    def _best_split(self, X, codes, rows, yr, wr, wsum, cr, n_rows):
+        """Cheapest split over a sample of columns, or None.
+
+        Each sampled column's node rows are put in order by a stable
+        argsort of their rank codes (a radix sort for uint16), which is
+        the order a stable argsort of the values gives. Rows carry the
+        weights ``wr`` and, under a bootstrap, the counts ``cr``.
+        """
         d = X.shape[1]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
         else:
             feats = np.arange(d)
-        Xs = X[np.ix_(rows, feats)]
-        order = np.argsort(Xs, axis=0, kind="stable")
-        xs = np.take_along_axis(Xs, order, axis=0)
+        block = codes.T[feats][:, rows]  # (sampled columns, node rows)
+        order = np.argsort(block, axis=1, kind="stable")
+        cs = np.take_along_axis(block, order, axis=1)
+        valid = cs[:, 1:] > cs[:, :-1]  # a cut between two distinct values
+        # rows left of each cut, counted with multiplicity
+        if cr is None:
+            n_left = np.arange(1, len(rows))
+        else:
+            n_left = np.cumsum(cr[order], axis=1)[:, :-1]
+        if self.min_samples_leaf > 1:
+            valid &= (n_left >= self.min_samples_leaf) & \
+                     (n_rows - n_left >= self.min_samples_leaf)
+        # the valid cuts in (position, column) order, flat into `order`
+        pos, col = np.nonzero(valid.T)
+        if len(pos) == 0:
+            return None
+        cut = col * len(rows) + pos
         ws = wr[order]
         ys = yr[order]
 
-        cw = np.cumsum(ws, axis=0)
-        cwy = np.cumsum(ws * ys, axis=0)
-        n = len(rows)
-        lw = cw[:-1]
+        cw = np.cumsum(ws, axis=1)
+        cwy = np.cumsum(ws * ys, axis=1)
+        lw = cw.ravel()[cut]
         rw = wsum - lw
-        lwy = cwy[:-1]
-        rwy = cwy[-1] - lwy
+        lwy = cwy.ravel()[cut]
+        rwy = cwy[col, -1] - lwy
 
         with np.errstate(invalid="ignore", divide="ignore"):
             if self.task == "classify":
@@ -132,26 +205,31 @@ class DecisionTree:
                 pr = np.where(rw > 0, rwy / rw, 0.0)
                 cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
             else:
-                cwy2 = np.cumsum(ws * ys * ys, axis=0)
-                lwy2 = cwy2[:-1]
-                rwy2 = cwy2[-1] - lwy2
+                cwy2 = np.cumsum(ws * ys * ys, axis=1)
+                lwy2 = cwy2.ravel()[cut]
+                rwy2 = cwy2[col, -1] - lwy2
                 sse_l = lwy2 - np.where(lw > 0, lwy ** 2 / lw, 0.0)
                 sse_r = rwy2 - np.where(rw > 0, rwy ** 2 / rw, 0.0)
                 cost = sse_l + sse_r
 
-        valid = xs[1:] > xs[:-1]
-        if self.min_samples_leaf > 1:
-            pos = np.arange(1, n)[:, None]
-            valid &= (pos >= self.min_samples_leaf) & \
-                     (n - pos >= self.min_samples_leaf)
-        cost = np.where(valid & (lw > 0) & (rw > 0), cost, np.inf)
+        cost = np.where((lw > 0) & (rw > 0), cost, np.inf)
         if not np.isfinite(cost).any():
             return None
-        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+        # the first minimum by cut position, then by column in sampled order
+        k = int(np.argmin(cost))
+        if cr is not None:
+            # a position among in-bag rows is not a left count: ties go
+            # to the fewest left rows with multiplicity, then the column
+            tied = np.flatnonzero(cost == cost[k])
+            if len(tied) > 1:
+                k = int(tied[np.lexsort((col[tied],
+                                         n_left[col[tied], pos[tied]]))[0]])
+        i, j = pos[k], col[k]
         feat = int(feats[j])
-        thr = float((xs[i, j] + xs[i + 1, j]) / 2.0)
+        x = X[:, feat]
+        thr = float((x[rows[order[j, i]]] + x[rows[order[j, i + 1]]]) / 2.0)
         parent_cost = wsum * self._impurity(yr, wr, wsum)
-        decrease = float(parent_cost - cost[i, j])
+        decrease = float(parent_cost - cost[k])
         return feat, thr, max(decrease, 0.0)
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
@@ -207,14 +285,16 @@ class BaggedForest:
         y = np.asarray(y, dtype=np.float64)
         n, d = X.shape
         mf = self._resolve_max_features(d)
+        codes = rank_codes(X)
         self.trees = []
         raw = np.zeros(d)
         for t in range(self.n_trees):
             rng = np.random.default_rng([self.seed, t])
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n) \
+                if self.bootstrap else None
             tree = DecisionTree(max_depth=self.max_depth, max_features=mf,
                                 task=self.task, rng=rng)
-            tree.fit(X[rows], y[rows])
+            tree.fit(X, y, codes=codes, counts=counts)
             raw += tree.importances_
             self.trees.append(tree)
         total = raw.sum()

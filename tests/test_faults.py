@@ -1,0 +1,90 @@
+"""Bad inputs make a stage exit 2 and name the file, on configs/small.cfg.
+
+One pipeline run is shared; each test damages a copy of its output.
+"""
+
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from churnforge import matrix as matrix_mod
+from churnforge.cli import EXIT_DATA, main
+
+SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
+FAMILIES = ("linreg", "logreg", "linear_svm", "knn", "random_forest",
+            "adaboost")
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "out"
+    assert main(["pipeline", "--config", SMALL_CFG, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def run_copy(small_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(small_run, out)
+    return out
+
+
+def _stage(stage, out):
+    return main([stage, "--config", SMALL_CFG, "--out", str(out)])
+
+
+def _truncate(path, size):
+    data = path.read_bytes()
+    path.write_bytes(data[:size if size >= 0 else len(data) // 2])
+
+
+@pytest.mark.parametrize("size", [10, -1], ids=["10_bytes", "half"])
+def test_truncated_matrix_fails_select_with_path(run_copy, capsys, size):
+    path = run_copy / "matrix.cfm"
+    _truncate(path, size)
+    assert _stage("select", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("size", [6, -1], ids=["6_bytes", "half"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_truncated_model_fails_score_with_path(run_copy, capsys, family,
+                                               size):
+    path = run_copy / f"model_{family}.cfmd"
+    _truncate(path, size)
+    assert _stage("score", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and "truncated" in err
+
+
+def test_ego_id_with_comma_is_rejected(run_copy, capsys):
+    cdr = run_copy / "cdr.csv"
+    lines = cdr.read_text(encoding="utf-8").splitlines(keepends=True)
+    hit = [i for i, line in enumerate(lines) if line.startswith("S000001,")]
+    assert hit
+    for i in hit:
+        lines[i] = '"S0,001"' + lines[i][len("S000001"):]
+    cdr.write_text("".join(lines), encoding="utf-8")
+
+    assert _stage("featurize", run_copy) == 0
+    printed = capsys.readouterr().out
+    assert f"rejected {len(hit)} malformed rows" in printed
+    assert f"line {hit[0] + 1}, ego_id contains a comma" in printed
+    egos = [line.split(",")[0] for line in
+            (run_copy / "labels.csv").read_text().splitlines()[1:]]
+    assert "S0" not in egos and "S000001" not in egos
+    assert _stage("select", run_copy) == 0
+
+
+def test_nan_cell_fails_select_with_ego_and_feature(run_copy, capsys):
+    path = run_copy / "matrix.cfm"
+    mat = matrix_mod.load(str(path))
+    mat.values[3, 7] = np.nan
+    matrix_mod.save(mat, str(path), "binary")
+    assert _stage("select", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"ego {mat.ego_ids[3]}, feature {mat.feature_names[7]}" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from churnforge.tree import BaggedForest, DecisionTree
+from churnforge.tree import BaggedForest, DecisionTree, rank_codes
 
 
 def test_memorizes_training_data_without_bootstrap():
@@ -76,3 +76,242 @@ def test_invalid_task_rejected():
         DecisionTree(task="cluster")
     with pytest.raises(ValueError):
         BaggedForest(n_trees=0)
+
+
+# --- split search on rank codes against the float argsort it replaced ----
+
+class _ReferenceTree(DecisionTree):
+    """The tree grown by stable argsort of float values, rows repeated.
+
+    This is the split search that rank codes and bootstrap counts
+    replaced. The new trees must equal these bit for bit.
+    """
+
+    def fit(self, X, y, sample_weight=None, codes=None, counts=None):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if counts is not None:
+            rows = np.repeat(np.arange(len(X)), counts)
+            X, y = X[rows], y[rows]
+        n, d = X.shape
+        w = np.ones(n) if sample_weight is None else \
+            np.asarray(sample_weight, dtype=np.float64)
+        self.importances_ = np.zeros(d)
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+        stack = [(0, np.arange(n), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            yr, wr = y[rows], w[rows]
+            wsum = wr.sum()
+            value[node] = self._leaf_value(yr, wr, wsum)
+            imp = self._impurity(yr, wr, wsum)
+            if (imp <= 1e-15 or len(rows) < 2 * self.min_samples_leaf
+                    or (self.max_depth is not None and depth >= self.max_depth)):
+                continue
+            split = self._reference_split(X, rows, yr, wr, wsum)
+            if split is None:
+                continue
+            feat, thr, decrease = split
+            self.importances_[feat] += decrease
+            go_left = X[rows, feat] <= thr
+            feature[node] = feat
+            threshold[node] = thr
+            for child_rows, slot in ((rows[go_left], left),
+                                     (rows[~go_left], right)):
+                child = len(feature)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(0.0)
+                slot[node] = child
+                stack.append((child, child_rows, depth + 1))
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=np.float64)
+        return self
+
+    def _reference_split(self, X, rows, yr, wr, wsum):
+        d = X.shape[1]
+        if self.max_features is not None and self.max_features < d:
+            feats = self.rng.choice(d, size=self.max_features, replace=False)
+        else:
+            feats = np.arange(d)
+        Xs = X[np.ix_(rows, feats)]
+        order = np.argsort(Xs, axis=0, kind="stable")
+        xs = np.take_along_axis(Xs, order, axis=0)
+        ws = wr[order]
+        ys = yr[order]
+        cw = np.cumsum(ws, axis=0)
+        cwy = np.cumsum(ws * ys, axis=0)
+        n = len(rows)
+        lw = cw[:-1]
+        rw = wsum - lw
+        lwy = cwy[:-1]
+        rwy = cwy[-1] - lwy
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self.task == "classify":
+                pl = np.where(lw > 0, lwy / lw, 0.0)
+                pr = np.where(rw > 0, rwy / rw, 0.0)
+                cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
+            else:
+                cwy2 = np.cumsum(ws * ys * ys, axis=0)
+                lwy2 = cwy2[:-1]
+                rwy2 = cwy2[-1] - lwy2
+                sse_l = lwy2 - np.where(lw > 0, lwy ** 2 / lw, 0.0)
+                sse_r = rwy2 - np.where(rw > 0, rwy ** 2 / rw, 0.0)
+                cost = sse_l + sse_r
+        valid = xs[1:] > xs[:-1]
+        if self.min_samples_leaf > 1:
+            pos = np.arange(1, n)[:, None]
+            valid &= (pos >= self.min_samples_leaf) & \
+                     (n - pos >= self.min_samples_leaf)
+        cost = np.where(valid & (lw > 0) & (rw > 0), cost, np.inf)
+        if not np.isfinite(cost).any():
+            return None
+        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+        feat = int(feats[j])
+        thr = float((xs[i, j] + xs[i + 1, j]) / 2.0)
+        parent_cost = wsum * self._impurity(yr, wr, wsum)
+        decrease = float(parent_cost - cost[i, j])
+        return feat, thr, max(decrease, 0.0)
+
+
+def _reference_forest(X, y, n_trees, max_depth=12, max_features="sqrt",
+                      seed=0):
+    """Bootstrap trees fitted on copies X[rows], with the forest's RNG."""
+    n, d = X.shape
+    mf = max(1, int(np.sqrt(d))) if max_features == "sqrt" else max_features
+    trees, raw = [], np.zeros(d)
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        rows = rng.integers(0, n, size=n)
+        tree = _ReferenceTree(max_depth=max_depth, max_features=mf, rng=rng)
+        tree.fit(X[rows], y[rows])
+        raw += tree.importances_
+        trees.append(tree)
+    return trees, raw / raw.sum()
+
+
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value",
+                "importances_")
+
+
+def _assert_same_tree(got, want):
+    for name in _TREE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _tied(seed, n=90, d=12, levels=3):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    # a repeated and a mirrored column give equal costs across columns
+    X = np.hstack([X, X[:, :2], levels - 1 - X[:, :2]])
+    y = ((X[:, 0] + rng.integers(0, 2, size=n)) > 1).astype(float)
+    return X, y
+
+
+def _duplicated(seed, n=40, d=6):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, d)).round(1)
+    X = np.repeat(base, 3, axis=0)[rng.permutation(3 * n)]
+    y = (X[:, 1] + 0.3 * rng.normal(size=3 * n) > 0).astype(float)
+    return X, y
+
+
+@pytest.mark.parametrize("make", [_tied, _duplicated])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_equals_row_copy_reference(make, seed):
+    X, y = make(seed)
+    forest = BaggedForest(n_trees=6, seed=seed).fit(X, y)
+    trees, imp = _reference_forest(X, y, n_trees=6, seed=seed)
+    for got, want in zip(forest.trees, trees, strict=True):
+        _assert_same_tree(got, want)
+    assert np.array_equal(forest.feature_importances_, imp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_equals_reference_on_continuous_columns(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(120, 40))
+    X[:, 5] = np.where(X[:, 5] > 0, 0.0, -0.0)  # signed zeros tie
+    y = (X[:, 3] * X[:, 7] > 0).astype(float)
+    forest = BaggedForest(n_trees=5, max_depth=None, seed=seed).fit(X, y)
+    trees, imp = _reference_forest(X, y, n_trees=5, max_depth=None,
+                                   seed=seed)
+    for got, want in zip(forest.trees, trees, strict=True):
+        _assert_same_tree(got, want)
+    assert np.array_equal(forest.feature_importances_, imp)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_counts_equal_repeated_rows(seed, min_samples_leaf):
+    X, y = _tied(seed, n=50)
+    counts = np.bincount(np.random.default_rng(seed).integers(0, 50, 50),
+                         minlength=50)
+    got = DecisionTree(max_features=4, min_samples_leaf=min_samples_leaf,
+                       rng=np.random.default_rng(seed))
+    want = _ReferenceTree(max_features=4, min_samples_leaf=min_samples_leaf,
+                          rng=np.random.default_rng(seed))
+    _assert_same_tree(got.fit(X, y, counts=counts), want.fit(X, y, counts=counts))
+
+
+@pytest.mark.parametrize("max_depth", [1, 2])
+@pytest.mark.parametrize("make", [_tied, _duplicated])
+def test_adaboost_float_weights_equal_reference(monkeypatch, make,
+                                                max_depth):
+    from churnforge import models
+    X, y = make(4)
+    params = {"rounds": 12, "max_depth": max_depth}
+    got = models._fit_adaboost(X, y, params, seed=3)
+    monkeypatch.setattr(models, "DecisionTree", _ReferenceTree)
+    want = models._fit_adaboost(X, y, params, seed=3)
+    assert np.array_equal(got["alphas"], want["alphas"])
+    for a, b in zip(got["trees"], want["trees"], strict=True):
+        _assert_same_tree(a, b)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("make", [_tied, _duplicated])
+def test_regression_and_leaf_size_equal_reference(make, min_samples_leaf):
+    X, _ = make(5)
+    y = np.random.default_rng(5).normal(size=len(X))
+    for task, target in (("regress", y), ("classify", (y > 0).astype(float))):
+        got = DecisionTree(max_depth=6, min_samples_leaf=min_samples_leaf,
+                           task=task).fit(X, target)
+        want = _ReferenceTree(max_depth=6, min_samples_leaf=min_samples_leaf,
+                              task=task).fit(X, target)
+        _assert_same_tree(got, want)
+
+
+def test_rank_codes_share_ties_and_keep_order():
+    X, _ = _tied(0)
+    X[:, 0] = np.where(X[:, 0] > 0, X[:, 0], -0.0)
+    X[::2, 0] = np.abs(X[::2, 0])  # 0.0 and -0.0 in one column
+    codes = rank_codes(X)
+    assert codes.dtype == np.uint16 and codes.shape == X.shape
+    for j in range(X.shape[1]):
+        col, c = X[:, j], codes[:, j].astype(np.int64)
+        assert np.array_equal(col[:, None] == col[None, :],
+                              c[:, None] == c[None, :])
+        assert np.array_equal(np.argsort(c, kind="stable"),
+                              np.argsort(col, kind="stable"))
+        assert set(c) == set(range(len(np.unique(col))))
+
+
+def test_rank_codes_widen_past_uint16_rows():
+    tall = np.arange(70_000, 0, -1, dtype=np.float64)[:, None] / 7.0
+    codes = rank_codes(tall)
+    assert codes.dtype == np.uint32
+    assert np.array_equal(codes[:, 0], np.arange(69_999, -1, -1))
+    assert rank_codes(tall[:65_535]).dtype == np.uint16
+
+
+def test_rank_codes_refuse_nan():
+    X = np.ones((4, 3))
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="nan"):
+        rank_codes(X)
