@@ -1,4 +1,4 @@
-"""Call detail record model, CSV ingestion, and windowed access.
+"""Call detail record model and CSV ingestion.
 
 A dataset is a CDR CSV (one call or SMS event per line) plus a small
 key=value header sidecar declaring the study window. Events are grouped
@@ -14,7 +14,7 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,44 +96,11 @@ class StudyWindow:
         return 0 <= self.day_of(timestamp) < self.total_days
 
 
-@dataclass(frozen=True)
-class CdrRecord:
-    """One anonymized call or SMS event as seen from the ego side."""
-
-    ego_id: str
-    alter_id: str
-    timestamp: int
-    kind: str
-    direction: str
-    duration_s: int
-    alter_class: str
-
-    def validate(self, window: StudyWindow) -> str | None:
-        """Return a reason string if the record is malformed, else None."""
-        if not self.ego_id or not self.alter_id:
-            return "empty id"
-        if self.ego_id == self.alter_id:
-            return "ego_id equals alter_id"
-        if self.kind not in _KIND_CODE:
-            return f"unknown kind {self.kind!r}"
-        if self.direction not in _DIR_CODE:
-            return f"unknown direction {self.direction!r}"
-        if self.alter_class not in _ALTER_CLASS_CODE:
-            return f"unknown alter_class {self.alter_class!r}"
-        if self.duration_s < 0:
-            return "negative duration_s"
-        if self.kind == "SMS" and self.duration_s != 0:
-            return "nonzero duration_s for SMS"
-        if not window.contains(self.timestamp):
-            return "timestamp outside study window"
-        return None
-
-
 class SubscriberEvents:
     """All events of one ego, as parallel column arrays sorted by time.
 
     ``alter_idx`` points into ``alters`` so degree computations can work
-    on small integer codes; the string ids are kept for export.
+    on small integer codes.
     """
 
     __slots__ = ("ego_id", "ts", "kind", "direction", "duration_s",
@@ -188,40 +155,11 @@ class SubscriberEvents:
             alters=alters,
         )
 
-    def masked(self, mask: np.ndarray) -> "SubscriberEvents":
-        """New view with only the masked events; alter table is compacted."""
-        kept = self.alter_idx[mask]
-        uniq = np.unique(kept)
-        remap = np.full(len(self.alters), -1, dtype=np.int32)
-        remap[uniq] = np.arange(len(uniq), dtype=np.int32)
-        return SubscriberEvents(
-            ego_id=self.ego_id,
-            ts=self.ts[mask],
-            kind=self.kind[mask],
-            direction=self.direction[mask],
-            duration_s=self.duration_s[mask],
-            alter_class=self.alter_class[mask],
-            alter_idx=remap[kept],
-            alters=[self.alters[i] for i in uniq],
-        )
-
 
 @dataclass(frozen=True)
 class RejectedRow:
     line_no: int
     reason: str
-
-
-@dataclass
-class SummaryStats:
-    subscribers: int
-    days: int
-    calls: int
-    sms: int
-    calls_mean: float
-    calls_sd: float
-    sms_mean: float
-    sms_sd: float
 
 
 class RecordStore:
@@ -258,40 +196,6 @@ class RecordStore:
 
     def day_indices(self, sub: SubscriberEvents) -> np.ndarray:
         return ((sub.ts - self.window.start_epoch) // SECONDS_PER_DAY).astype(np.int64)
-
-    def slice(self, day_range: tuple[int, int]) -> "RecordStore":
-        """View of events whose day index lies in half-open ``day_range``.
-
-        Every subscriber is preserved (possibly with no events) so row
-        alignment downstream is stable. An empty range is a valid empty
-        view, not an error.
-        """
-        lo, hi = day_range
-        if lo < 0 or hi > self.window.total_days:
-            raise ValueError(f"day range {day_range} outside study window")
-        out = []
-        for sub in self.subscribers:
-            days = self.day_indices(sub)
-            out.append(sub.masked((days >= lo) & (days < hi)))
-        return RecordStore(self.window, out)
-
-    def summary_stats(self) -> SummaryStats:
-        per_calls = np.array(
-            [int(np.sum(s.kind == KIND_CALL)) for s in self.subscribers], dtype=float)
-        per_sms = np.array(
-            [int(np.sum(s.kind == KIND_SMS)) for s in self.subscribers], dtype=float)
-        if len(self.subscribers) == 0:
-            per_calls = per_sms = np.zeros(0)
-        return SummaryStats(
-            subscribers=len(self.subscribers),
-            days=self.window.total_days,
-            calls=int(per_calls.sum()),
-            sms=int(per_sms.sum()),
-            calls_mean=float(per_calls.mean()) if len(per_calls) else 0.0,
-            calls_sd=float(per_calls.std()) if len(per_calls) else 0.0,
-            sms_mean=float(per_sms.mean()) if len(per_sms) else 0.0,
-            sms_sd=float(per_sms.std()) if len(per_sms) else 0.0,
-        )
 
 
 def ingest(path: str, window: StudyWindow) -> RecordStore:
@@ -363,19 +267,6 @@ def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):
     if not (lo_ts <= ts < hi_ts):
         return "timestamp outside study window"
     return None
-
-
-def export(store: RecordStore, path: str) -> None:
-    """Write the store back to CDR CSV; re-ingesting yields an equal store."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for sub in store.subscribers:
-            for i in range(len(sub)):
-                fh.write(
-                    f"{sub.ego_id},{sub.alters[sub.alter_idx[i]]},"
-                    f"{sub.ts[i]},{KIND_TOKENS[sub.kind[i]]},"
-                    f"{DIRECTION_TOKENS[sub.direction[i]]},{sub.duration_s[i]},"
-                    f"{ALTER_CLASS_TOKENS[sub.alter_class[i]]}\n")
 
 
 def write_header_sidecar(window: StudyWindow, path: str) -> None:

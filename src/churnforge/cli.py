@@ -194,7 +194,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
         with open(cv_path, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        model = models_mod.train(spec, sub, labels, target="binary")
+        model = models_mod.train(spec, sub, labels)
         model_path = out / f"model_{family}.cfmd"
         models_mod.save_model(model, str(model_path))
         outputs.extend([cv_path, model_path])
@@ -211,7 +211,13 @@ def stage_score(cfg: PipelineConfig, out: Path) -> None:
     for family in cfg.roster():
         model_path = _require(out / f"model_{family}.cfmd", "churnforge train")
         model = models_mod.load_model(str(model_path))
-        scores = models_mod.predict_scores(model, sub)
+        if model.family != family:
+            raise ValueError(f"{model_path}: holds a {model.family} model, "
+                             f"not {family}")
+        try:
+            scores = models_mod.predict_scores(model, sub)
+        except ValueError as exc:  # e.g. a non-finite weight in the file
+            raise ValueError(f"{model_path}: {exc}") from None
         scores_path = out / f"scores_{family}.csv"
         models_mod.write_scores(sub.ego_ids, scores, str(scores_path))
         inputs.append(model_path)
@@ -250,7 +256,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         roc_path = out / f"roc_{family}.csv"
         metrics_mod.write_roc_csv(curve, str(roc_path))
         # score read as predicted inactive-day fraction vs the realized one
-        err_hist, _ = metrics_mod.error_distribution(
+        err_hist = metrics_mod.error_distribution(
             scores, labels.pct_inactive_eval, bins)
         err_path = out / f"error_hist_{family}.csv"
         metrics_mod.write_histogram_csv(err_hist, str(err_path))

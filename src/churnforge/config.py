@@ -14,7 +14,6 @@ from .cdr import StudyWindow
 from .features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS, MEASURES,
                        STATISTICS, TIMES_OF_DAY, WINDOWS, AxesConfig,
                        ConfigError)
-from .models import _DEFAULTS as MODEL_DEFAULTS
 from .models import FAMILIES
 
 _AXIS_KEYS = {
@@ -94,7 +93,7 @@ class PipelineConfig:
             if key.startswith("models."):
                 parts = key.split(".")
                 if len(parts) == 3 and parts[1] in FAMILIES \
-                        and parts[2] in MODEL_DEFAULTS[parts[1]]:
+                        and parts[2] in FAMILIES[parts[1]].params:
                     continue
             raise ConfigError(f"unknown config key {key!r}")
         # force type errors now rather than mid-pipeline
@@ -167,16 +166,15 @@ class PipelineConfig:
 
     def model_params(self, family: str) -> dict:
         out = {}
-        for pname, default in MODEL_DEFAULTS[family].items():
+        for pname, param in FAMILIES[family].params.items():
             key = f"models.{family}.{pname}"
             if key in self.raw:
-                typ = type(default) if default is not None else int
                 try:
-                    out[pname] = typ(self.raw[key])
+                    out[pname] = param.type(self.raw[key])
                 except ValueError:
                     raise ConfigError(
                         f"config key {key}={self.raw[key]!r} is not "
-                        f"{typ.__name__}")
+                        f"{param.type.__name__}")
         return out
 
     def canonical(self) -> str:

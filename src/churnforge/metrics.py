@@ -122,7 +122,7 @@ def _fixed_histogram(values: np.ndarray, bins: int) -> Histogram:
 
 
 def error_distribution(predicted, actual, bins: int):
-    """Histogram of |predicted - actual| plus the raw pairs for scatter."""
+    """Histogram of |predicted - actual|."""
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if len(predicted) != len(actual):
@@ -130,7 +130,7 @@ def error_distribution(predicted, actual, bins: int):
     if np.any((predicted < 0) | (predicted > 1) | (actual < 0) | (actual > 1)):
         raise ValueError("values must lie in [0, 1]")
     err = np.abs(predicted - actual)
-    return _fixed_histogram(err, bins), list(zip(actual, predicted))
+    return _fixed_histogram(err, bins)
 
 
 def inactivity_distribution(labels, bins: int) -> Histogram:

@@ -4,9 +4,11 @@ Six families trained from scratch on a standardized feature matrix:
 least squares with a ridge term, logistic regression by full-batch
 gradient descent, a linear SVM by stochastic subgradient (Pegasos),
 k-nearest neighbors, a bagged random forest, and SAMME AdaBoost over
-depth-limited trees. Every family emits a churn score in [0, 1]; only
-score ordering matters for ROC, so margin-based families are squashed
-through a sigmoid rather than calibrated.
+depth-limited trees. Every family learns the binary churn label and
+emits a churn score in [0, 1]; only score ordering matters for ROC, so
+margin-based families are squashed through a sigmoid rather than
+calibrated. Each family is one record in ``FAMILIES``: its
+hyperparameters, fit, score, and its part of the CFMD model file.
 
 Also provides the single-feature linear-discriminant baseline: an
 exhaustive threshold sweep on the training-window inactivity fraction.
@@ -17,78 +19,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .labeling import LabelSet
 from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
-from .tree import BaggedForest, DecisionTree, rank_codes
-
-FAMILIES = ("linreg", "logreg", "linear_svm", "knn", "random_forest",
-            "adaboost")
-
-_DEFAULTS = {
-    "linreg": {"ridge": 1e-4},
-    "logreg": {"lr": 0.1, "l2": 1e-4, "epochs": 200},
-    "linear_svm": {"lam": 1e-4, "epochs": 10},
-    "knn": {"k": 15},
-    "random_forest": {"n_trees": 100, "max_depth": 12},
-    "adaboost": {"rounds": 100, "max_depth": 2},
-}
-
-_PARAM_CHECKS = {
-    "ridge": lambda v: v >= 0,
-    "lr": lambda v: v > 0,
-    "l2": lambda v: v >= 0,
-    "epochs": lambda v: v >= 1,
-    "lam": lambda v: v > 0,
-    "k": lambda v: v >= 1,
-    "n_trees": lambda v: v >= 1,
-    "max_depth": lambda v: v is None or v >= 1,
-    "rounds": lambda v: v >= 1,
-}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        defaults = _DEFAULTS[self.family]
-        for key, value in self.params.items():
-            if key not in defaults:
-                raise ValueError(
-                    f"{self.family}: unknown hyperparameter {key!r}")
-            if not _PARAM_CHECKS[key](value):
-                raise ValueError(
-                    f"{self.family}: hyperparameter {key}={value!r} out of range")
-
-    def resolved(self) -> dict:
-        out = dict(_DEFAULTS[self.family])
-        out.update(self.params)
-        return out
-
-
-@dataclass
-class TrainedModel:
-    family: str
-    target: str                 # "binary" | "continuous"
-    feature_names: list[str]
-    mean: np.ndarray
-    sd: np.ndarray              # raw per-feature sd; 0 marks constant columns
-    params: dict
-    seed: int
-    fitted: dict
-    loss_history: list[float] | None = None
-
-    def standardize(self, X: np.ndarray) -> np.ndarray:
-        sd_safe = np.where(self.sd > 0, self.sd, 1.0)
-        return (X - self.mean) / sd_safe
+from .tree import LEAF, BaggedForest, DecisionTree, rank_codes
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -114,61 +52,90 @@ def logreg_gradient(w, b, Z, y, l2):
     return gw, gb
 
 
-def train(spec: ModelSpec, matrix: FeatureMatrix, labels: LabelSet,
-          target: str = "binary") -> TrainedModel:
-    """Fit one family on the matrix; features standardized internally."""
-    if target not in ("binary", "continuous"):
-        raise ValueError(f"unknown target {target!r}")
-    if target == "continuous" and spec.family not in ("linreg", "random_forest"):
-        raise ValueError(
-            f"continuous target is only supported for linreg and "
-            f"random_forest, not {spec.family}")
-    if matrix.ego_ids != labels.ego_ids:
-        raise ValueError("matrix rows and labels are not aligned")
-    X = matrix.values
-    if len(X) < 2:
-        raise ValueError("need at least 2 rows to train")
-    if not np.isfinite(X).all():
-        raise ValueError("matrix contains non-finite values")
-    if target == "binary":
-        y = labels.churned.astype(np.float64)
-        if y.min() == y.max():
-            raise ValueError("binary training data has a single class")
-    else:
-        y = labels.pct_inactive_eval.astype(np.float64)
+# ---------------------------------------------------------------------------
+# CFMD primitives: length-prefixed blobs, strings and arrays
+# ---------------------------------------------------------------------------
 
-    mean = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd_safe = np.where(sd > 0, sd, 1.0)
-    Z = (X - mean) / sd_safe
-    params = spec.resolved()
-
-    model = TrainedModel(family=spec.family, target=target,
-                         feature_names=list(matrix.feature_names),
-                         mean=mean, sd=sd, params=params, seed=spec.seed,
-                         fitted={})
-    if spec.family == "logreg":
-        model.fitted, model.loss_history = _fit_logreg(Z, y, params)
-    elif spec.family == "linear_svm":
-        model.fitted = _fit_svm(Z, y, params, spec.seed)
-    elif spec.family == "linreg":
-        model.fitted = _fit_linreg(Z, y, params)
-    elif spec.family == "knn":
-        model.fitted = {"Z": Z.copy(), "y": y.copy(), "k": params["k"]}
-    elif spec.family == "random_forest":
-        forest = BaggedForest(n_trees=params["n_trees"],
-                              max_depth=params["max_depth"],
-                              max_features="sqrt", bootstrap=True,
-                              task="classify" if target == "binary" else "regress",
-                              seed=spec.seed)
-        forest.fit(Z, y)
-        model.fitted = {"forest": forest}
-    elif spec.family == "adaboost":
-        model.fitted = _fit_adaboost(Z, y, params, spec.seed)
-    return model
+def _expect(fh, ok, what: str) -> None:
+    """A model file whose content is inconsistent is a data error."""
+    if not ok:
+        raise ValueError(f"{fh.name}: {what}")
 
 
-def _fit_logreg(Z, y, params):
+def _w_blob(fh, data: bytes) -> None:
+    fh.write(struct.pack("<Q", len(data)))
+    fh.write(data)
+
+
+def _r_pack(fh, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
+
+
+def _r_blob(fh) -> bytes:
+    (n,) = _r_pack(fh, "<Q", "blob size")
+    return read_exact(fh, n, "blob")
+
+
+def _w_str(fh, s: str) -> None:
+    _w_blob(fh, s.encode("utf-8"))
+
+
+def _r_str(fh) -> str:
+    try:
+        return _r_blob(fh).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{fh.name}: {exc}") from None
+
+
+def _w_arr(fh, arr: np.ndarray, dtype: str) -> None:
+    _w_blob(fh, np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+
+def _r_arr(fh, dtype: str) -> np.ndarray:
+    blob = _r_blob(fh)
+    _expect(fh, len(blob) % np.dtype(dtype).itemsize == 0,
+            f"array of {len(blob)} bytes is not a whole number of {dtype}")
+    return np.frombuffer(blob, dtype=dtype).copy()
+
+
+# ---------------------------------------------------------------------------
+# Model families
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """One hyperparameter: its default, its type in a config file, and
+    the range check a value must pass."""
+    default: object
+    type: type
+    ok: Callable[[object], bool]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One model family.
+
+    ``fit(Z, y, params, seed)`` returns the fitted dict that
+    ``score(fitted, Z)`` maps to churn scores in [0, 1]. ``dump(fh,
+    fitted)`` and ``load(fh, d)`` write and read it after the CFMD
+    header, where ``d`` is the feature count; ``load`` checks every
+    length and index it reads.
+    """
+    params: dict[str, Param]
+    fit: Callable
+    score: Callable
+    dump: Callable
+    load: Callable
+
+
+def _fit_linreg(Z, y, params, seed):
+    n, d = Z.shape
+    ym = float(y.mean())
+    lhs = Z.T @ Z / n + params["ridge"] * np.eye(d)
+    rhs = Z.T @ (y - ym) / n
+    return {"w": np.linalg.solve(lhs, rhs), "b": ym}
+
+
+def _fit_logreg(Z, y, params, seed):
     n, d = Z.shape
     w = np.zeros(d)
     b = 0.0
@@ -179,7 +146,7 @@ def _fit_logreg(Z, y, params):
         w -= lr * gw
         b -= lr * gb
         history.append(logreg_loss(w, b, Z, y, l2))
-    return {"w": w, "b": b}, history
+    return {"w": w, "b": b, "loss_history": history}
 
 
 def _fit_svm(Z, y, params, seed):
@@ -202,13 +169,105 @@ def _fit_svm(Z, y, params, seed):
     return {"w": w, "b": b}
 
 
-def _fit_linreg(Z, y, params):
-    n, d = Z.shape
-    ym = float(y.mean())
-    lhs = Z.T @ Z / n + params["ridge"] * np.eye(d)
-    rhs = Z.T @ (y - ym) / n
-    beta = np.linalg.solve(lhs, rhs)
-    return {"beta": beta, "intercept": ym}
+def _dump_linear(fh, f) -> None:
+    _w_arr(fh, f["w"], "<f8")
+    fh.write(struct.pack("<d", f["b"]))
+
+
+def _load_linear(fh, d: int) -> dict:
+    w = _r_arr(fh, "<f8")
+    (b,) = _r_pack(fh, "<d", "intercept")
+    _expect(fh, len(w) == d, f"{len(w)} weights for {d} features")
+    return {"w": w, "b": b}
+
+
+def _knn_scores(Ztr, ytr, k, Zte, block: int = 512) -> np.ndarray:
+    k = min(k, len(Ztr))
+    tr_norm = (Ztr ** 2).sum(axis=1)
+    out = np.empty(len(Zte))
+    for start in range(0, len(Zte), block):
+        B = Zte[start:start + block]
+        d2 = (B ** 2).sum(axis=1)[:, None] + tr_norm[None, :] - 2.0 * B @ Ztr.T
+        # stable sort keeps the lowest training index among tied distances
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start:start + block] = ytr[nearest].mean(axis=1)
+    return out
+
+
+def _dump_knn(fh, f) -> None:
+    fh.write(struct.pack("<Q", f["k"]))
+    _w_arr(fh, f["y"], "<f8")
+    fh.write(struct.pack("<QQ", *f["Z"].shape))
+    _w_arr(fh, f["Z"], "<f8")
+
+
+def _load_knn(fh, d: int) -> dict:
+    (k,) = _r_pack(fh, "<Q", "k")
+    y = _r_arr(fh, "<f8")
+    rows, cols = _r_pack(fh, "<QQ", "shape")
+    Z = _r_arr(fh, "<f8")
+    _expect(fh, k >= 1, "kNN with k=0")
+    _expect(fh, len(Z) == rows * cols and cols == d,
+            f"kNN matrix of {len(Z)} values is not {rows} x {d}")
+    _expect(fh, len(y) == rows >= 1,
+            f"kNN has {len(y)} labels for {rows} training rows")
+    return {"k": k, "y": y, "Z": Z.reshape(rows, cols)}
+
+
+_TREE_ARRAYS = (("feature", "<i8"), ("threshold", "<f8"), ("left", "<i8"),
+                ("right", "<i8"), ("value", "<f8"))
+
+
+def _dump_tree(fh, tree: DecisionTree) -> None:
+    _w_str(fh, "classify")
+    for name, dtype in _TREE_ARRAYS:
+        _w_arr(fh, getattr(tree, name), dtype)
+
+
+def _load_tree(fh, d: int) -> DecisionTree:
+    task = _r_str(fh)
+    _expect(fh, task == "classify", f"unsupported tree task {task!r}")
+    tree = DecisionTree()
+    for name, dtype in _TREE_ARRAYS:
+        setattr(tree, name, _r_arr(fh, dtype))
+    feat, left, right = tree.feature, tree.left, tree.right
+    n = len(feat)
+    _expect(fh, n >= 1 and all(len(getattr(tree, name)) == n
+                               for name, _ in _TREE_ARRAYS),
+            "tree arrays are empty or differ in length")
+    node = np.flatnonzero(feat != LEAF)
+    _expect(fh, ((feat[node] >= 0) & (feat[node] < d)).all(),
+            f"tree feature outside [0, {d})")
+    # the writer numbers children after their parent, so this also
+    # rules out cycles
+    _expect(fh, ((left[node] > node) & (left[node] < n)
+                 & (right[node] > node) & (right[node] < n)).all(),
+            f"tree child index outside its {n} nodes")
+    return tree
+
+
+def _fit_forest(Z, y, params, seed):
+    forest = BaggedForest(n_trees=params["n_trees"],
+                          max_depth=params["max_depth"], seed=seed)
+    return {"forest": forest.fit(Z, y)}
+
+
+def _dump_forest(fh, f) -> None:
+    trees = f["forest"].trees
+    fh.write(struct.pack("<Q", len(trees)))
+    _w_str(fh, "classify")
+    for tree in trees:
+        _dump_tree(fh, tree)
+
+
+def _load_forest(fh, d: int) -> dict:
+    (n_trees,) = _r_pack(fh, "<Q", "tree count")
+    task = _r_str(fh)
+    _expect(fh, task == "classify", f"unsupported forest task {task!r}")
+    _expect(fh, n_trees >= 1, "forest has no trees")
+    forest = BaggedForest(n_trees=n_trees)
+    forest.trees = [_load_tree(fh, d) for _ in range(n_trees)]
+    return {"forest": forest}
 
 
 def _fit_adaboost(Z, y, params, seed):
@@ -219,7 +278,7 @@ def _fit_adaboost(Z, y, params, seed):
     trees: list[DecisionTree] = []
     eps = 1e-12
     for m in range(params["rounds"]):
-        tree = DecisionTree(max_depth=params["max_depth"], task="classify",
+        tree = DecisionTree(max_depth=params["max_depth"],
                             rng=np.random.default_rng([seed, m]))
         tree.fit(Z, y, sample_weight=w, codes=codes)
         pred = tree.predict(Z)
@@ -242,6 +301,130 @@ def _fit_adaboost(Z, y, params, seed):
     return {"alphas": np.asarray(alphas), "trees": trees}
 
 
+def _score_adaboost(f, Z) -> np.ndarray:
+    signed = np.zeros(len(Z))
+    for alpha, tree in zip(f["alphas"], f["trees"]):
+        signed += alpha * (2.0 * tree.predict(Z) - 1.0)
+    return _sigmoid(signed)
+
+
+def _dump_adaboost(fh, f) -> None:
+    _w_arr(fh, f["alphas"], "<f8")
+    for tree in f["trees"]:
+        _dump_tree(fh, tree)
+
+
+def _load_adaboost(fh, d: int) -> dict:
+    alphas = _r_arr(fh, "<f8")
+    _expect(fh, len(alphas) >= 1, "adaboost has no trees")
+    return {"alphas": alphas, "trees": [_load_tree(fh, d) for _ in alphas]}
+
+
+def _score_sigmoid(f, Z):
+    return _sigmoid(Z @ f["w"] + f["b"])
+
+
+# The order is the default `models.roster`, which every config hash covers.
+FAMILIES: dict[str, Family] = {
+    "linreg": Family(
+        params={"ridge": Param(1e-4, float, lambda v: v >= 0)},
+        fit=_fit_linreg,
+        score=lambda f, Z: np.clip(Z @ f["w"] + f["b"], 0.0, 1.0),
+        dump=_dump_linear, load=_load_linear),
+    "logreg": Family(
+        params={"lr": Param(0.1, float, lambda v: v > 0),
+                "l2": Param(1e-4, float, lambda v: v >= 0),
+                "epochs": Param(200, int, lambda v: v >= 1)},
+        fit=_fit_logreg, score=_score_sigmoid,
+        dump=_dump_linear, load=_load_linear),
+    "linear_svm": Family(
+        params={"lam": Param(1e-4, float, lambda v: v > 0),
+                "epochs": Param(10, int, lambda v: v >= 1)},
+        fit=_fit_svm, score=_score_sigmoid,
+        dump=_dump_linear, load=_load_linear),
+    "knn": Family(
+        params={"k": Param(15, int, lambda v: v >= 1)},
+        # train standardizes into a new Z and y, so they are kept as is
+        fit=lambda Z, y, params, seed: {"Z": Z, "y": y, "k": params["k"]},
+        score=lambda f, Z: _knn_scores(f["Z"], f["y"], f["k"], Z),
+        dump=_dump_knn, load=_load_knn),
+    "random_forest": Family(
+        params={"n_trees": Param(100, int, lambda v: v >= 1),
+                "max_depth": Param(12, int, lambda v: v is None or v >= 1)},
+        fit=_fit_forest, score=lambda f, Z: f["forest"].predict_score(Z),
+        dump=_dump_forest, load=_load_forest),
+    "adaboost": Family(
+        params={"rounds": Param(100, int, lambda v: v >= 1),
+                "max_depth": Param(2, int, lambda v: v is None or v >= 1)},
+        fit=_fit_adaboost, score=_score_adaboost,
+        dump=_dump_adaboost, load=_load_adaboost),
+}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    family: str
+    params: dict = field(default_factory=dict)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown model family {self.family!r}")
+        known = FAMILIES[self.family].params
+        for key, value in self.params.items():
+            if key not in known:
+                raise ValueError(
+                    f"{self.family}: unknown hyperparameter {key!r}")
+            if not known[key].ok(value):
+                raise ValueError(
+                    f"{self.family}: hyperparameter {key}={value!r} out of range")
+
+    def resolved(self) -> dict:
+        out = {key: p.default
+               for key, p in FAMILIES[self.family].params.items()}
+        out.update(self.params)
+        return out
+
+
+@dataclass
+class TrainedModel:
+    family: str
+    feature_names: list[str]
+    mean: np.ndarray
+    sd: np.ndarray              # raw per-feature sd; 0 marks constant columns
+    params: dict
+    seed: int
+    fitted: dict
+
+    def standardize(self, X: np.ndarray) -> np.ndarray:
+        sd_safe = np.where(self.sd > 0, self.sd, 1.0)
+        return (X - self.mean) / sd_safe
+
+
+def train(spec: ModelSpec, matrix: FeatureMatrix,
+          labels: LabelSet) -> TrainedModel:
+    """Fit one family on the churn labels; features standardized internally."""
+    if matrix.ego_ids != labels.ego_ids:
+        raise ValueError("matrix rows and labels are not aligned")
+    X = matrix.values
+    if len(X) < 2:
+        raise ValueError("need at least 2 rows to train")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix contains non-finite values")
+    y = labels.churned.astype(np.float64)
+    if y.min() == y.max():
+        raise ValueError("binary training data has a single class")
+    mean = X.mean(axis=0)
+    sd = X.std(axis=0)
+    Z = (X - mean) / np.where(sd > 0, sd, 1.0)
+    params = spec.resolved()
+    fitted = FAMILIES[spec.family].fit(Z, y, params, spec.seed)
+    return TrainedModel(family=spec.family,
+                        feature_names=list(matrix.feature_names),
+                        mean=mean, sd=sd, params=params, seed=spec.seed,
+                        fitted=fitted)
+
+
 def predict_scores(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
     """Per-ego churn score in [0, 1] for every row of the matrix."""
     for i, (want, got) in enumerate(zip(model.feature_names,
@@ -255,40 +438,10 @@ def predict_scores(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
             f"feature count mismatch: model expects "
             f"{len(model.feature_names)}, matrix has {len(matrix.feature_names)}")
     Z = model.standardize(matrix.values)
-    f = model.fitted
-    if model.family == "logreg":
-        scores = _sigmoid(Z @ f["w"] + f["b"])
-    elif model.family == "linear_svm":
-        scores = _sigmoid(Z @ f["w"] + f["b"])
-    elif model.family == "linreg":
-        scores = np.clip(Z @ f["beta"] + f["intercept"], 0.0, 1.0)
-    elif model.family == "knn":
-        scores = _knn_scores(f["Z"], f["y"], f["k"], Z)
-    elif model.family == "random_forest":
-        scores = np.clip(f["forest"].predict_score(Z), 0.0, 1.0)
-    elif model.family == "adaboost":
-        signed = np.zeros(len(Z))
-        for alpha, tree in zip(f["alphas"], f["trees"]):
-            signed += alpha * (2.0 * tree.predict(Z) - 1.0)
-        scores = _sigmoid(signed)
-    else:
-        raise ValueError(f"unknown family {model.family!r}")
+    scores = FAMILIES[model.family].score(model.fitted, Z)
     if not np.isfinite(scores).all():
         raise ValueError("model produced non-finite scores")
     return scores
-
-
-def _knn_scores(Ztr, ytr, k, Zte, block: int = 512) -> np.ndarray:
-    k = min(k, len(Ztr))
-    tr_norm = (Ztr ** 2).sum(axis=1)
-    out = np.empty(len(Zte))
-    for start in range(0, len(Zte), block):
-        B = Zte[start:start + block]
-        d2 = (B ** 2).sum(axis=1)[:, None] + tr_norm[None, :] - 2.0 * B @ Ztr.T
-        # stable sort keeps the lowest training index among tied distances
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start:start + block] = ytr[nearest].mean(axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +525,7 @@ def kfold_cv(spec: ModelSpec, matrix: FeatureMatrix, labels: LabelSet,
             continue
         sub_train = _take(matrix, labels, train_idx)
         sub_test = _take(matrix, labels, test_idx)
-        model = train(spec, sub_train[0], sub_train[1], target="binary")
+        model = train(spec, sub_train[0], sub_train[1])
         scores = predict_scores(model, sub_test[0])
         rep = classification_metrics(scores, sub_test[1], threshold)
         _, auc = roc_auc(scores, sub_test[1])
@@ -405,7 +558,6 @@ _EPS = 1e-9
 class BaselineResult:
     threshold: float
     accuracy: float
-    curve: list[tuple[float, float]]  # (threshold, accuracy), ascending
 
 
 def threshold_baseline(train_inactivity, labels) -> BaselineResult:
@@ -435,10 +587,8 @@ def threshold_baseline(train_inactivity, labels) -> BaselineResult:
     candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
     candidates.append(1.0 + _EPS)
 
-    curve = []
     correct = int(y.sum())  # threshold below everything: all churners
     best_t, best_acc = candidates[0], correct / n
-    curve.append((candidates[0], correct / n))
     for gi in range(len(distinct)):
         group_churn = int(ys[starts[gi]:ends[gi]].sum())
         group_n = int(ends[gi] - starts[gi])
@@ -446,11 +596,9 @@ def threshold_baseline(train_inactivity, labels) -> BaselineResult:
         correct += (group_n - group_churn) - group_churn
         t = candidates[gi + 1]
         acc = correct / n
-        curve.append((float(t), acc))
         if acc > best_acc:
             best_acc, best_t = acc, float(t)
-    return BaselineResult(threshold=float(best_t), accuracy=float(best_acc),
-                          curve=curve)
+    return BaselineResult(threshold=float(best_t), accuracy=float(best_acc))
 
 
 # ---------------------------------------------------------------------------
@@ -461,136 +609,51 @@ _MAGIC = b"CFMD"
 _VERSION = 1
 
 
-def _w_blob(fh, data: bytes) -> None:
-    fh.write(struct.pack("<Q", len(data)))
-    fh.write(data)
-
-
-def _r_pack(fh, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
-
-
-def _r_blob(fh) -> bytes:
-    (n,) = _r_pack(fh, "<Q", "blob size")
-    return read_exact(fh, n, "blob")
-
-
-def _w_str(fh, s: str) -> None:
-    _w_blob(fh, s.encode("utf-8"))
-
-
-def _r_str(fh) -> str:
-    return _r_blob(fh).decode("utf-8")
-
-
-def _w_arr(fh, arr: np.ndarray, dtype: str) -> None:
-    _w_blob(fh, np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def _r_arr(fh, dtype: str) -> np.ndarray:
-    return np.frombuffer(_r_blob(fh), dtype=dtype).copy()
-
-
-def _w_tree(fh, tree: DecisionTree) -> None:
-    _w_str(fh, tree.task)
-    _w_arr(fh, tree.feature, "<i8")
-    _w_arr(fh, tree.threshold, "<f8")
-    _w_arr(fh, tree.left, "<i8")
-    _w_arr(fh, tree.right, "<i8")
-    _w_arr(fh, tree.value, "<f8")
-
-
-def _r_tree(fh) -> DecisionTree:
-    tree = DecisionTree(task=_r_str(fh))
-    tree.feature = _r_arr(fh, "<i8")
-    tree.threshold = _r_arr(fh, "<f8")
-    tree.left = _r_arr(fh, "<i8")
-    tree.right = _r_arr(fh, "<i8")
-    tree.value = _r_arr(fh, "<f8")
-    return tree
-
-
 def save_model(model: TrainedModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<B", _VERSION))
         _w_str(fh, model.family)
-        _w_str(fh, model.target)
+        _w_str(fh, "binary")  # the training target
         _w_str(fh, "\n".join(model.feature_names))
         _w_arr(fh, model.mean, "<f8")
         _w_arr(fh, model.sd, "<f8")
         fh.write(struct.pack("<q", model.seed))
         _w_str(fh, json.dumps(model.params, sort_keys=True))
-        f = model.fitted
-        if model.family in ("logreg", "linear_svm"):
-            _w_arr(fh, f["w"], "<f8")
-            fh.write(struct.pack("<d", f["b"]))
-        elif model.family == "linreg":
-            _w_arr(fh, f["beta"], "<f8")
-            fh.write(struct.pack("<d", f["intercept"]))
-        elif model.family == "knn":
-            fh.write(struct.pack("<Q", f["k"]))
-            _w_arr(fh, f["y"], "<f8")
-            fh.write(struct.pack("<QQ", *f["Z"].shape))
-            _w_arr(fh, f["Z"], "<f8")
-        elif model.family == "random_forest":
-            trees = f["forest"].trees
-            fh.write(struct.pack("<Q", len(trees)))
-            _w_str(fh, f["forest"].task)
-            for tree in trees:
-                _w_tree(fh, tree)
-        elif model.family == "adaboost":
-            _w_arr(fh, f["alphas"], "<f8")
-            for tree in f["trees"]:
-                _w_tree(fh, tree)
+        FAMILIES[model.family].dump(fh, model.fitted)
 
 
 def load_model(path: str) -> TrainedModel:
+    """Read a CFMD file; any content that save_model cannot have written
+    is a ValueError that names the file."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a CFMD model file")
         (version,) = _r_pack(fh, "<B", "version")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+        _expect(fh, version == _VERSION, f"unsupported version {version}")
         family = _r_str(fh)
+        _expect(fh, family in FAMILIES, f"unknown family {family!r}")
         target = _r_str(fh)
+        _expect(fh, target == "binary", f"unsupported target {target!r}")
         names_blob = _r_str(fh)
         feature_names = names_blob.split("\n") if names_blob else []
+        d = len(feature_names)
         mean = _r_arr(fh, "<f8")
         sd = _r_arr(fh, "<f8")
+        _expect(fh, len(mean) == d and len(sd) == d,
+                f"{len(mean)} means and {len(sd)} sds for {d} features")
         (seed,) = _r_pack(fh, "<q", "seed")
-        params = json.loads(_r_str(fh))
-        model = TrainedModel(family=family, target=target,
-                             feature_names=feature_names, mean=mean, sd=sd,
-                             params=params, seed=seed, fitted={})
-        if family in ("logreg", "linear_svm"):
-            w = _r_arr(fh, "<f8")
-            (b,) = _r_pack(fh, "<d", "intercept")
-            model.fitted = {"w": w, "b": b}
-        elif family == "linreg":
-            beta = _r_arr(fh, "<f8")
-            (intercept,) = _r_pack(fh, "<d", "intercept")
-            model.fitted = {"beta": beta, "intercept": intercept}
-        elif family == "knn":
-            (kk,) = _r_pack(fh, "<Q", "k")
-            yv = _r_arr(fh, "<f8")
-            rows, cols = _r_pack(fh, "<QQ", "shape")
-            Z = _r_arr(fh, "<f8").reshape(rows, cols)
-            model.fitted = {"k": int(kk), "y": yv, "Z": Z}
-        elif family == "random_forest":
-            (n_trees,) = _r_pack(fh, "<Q", "tree count")
-            task = _r_str(fh)
-            forest = BaggedForest(n_trees=max(1, n_trees), task=task,
-                                  seed=seed)
-            forest.trees = [_r_tree(fh) for _ in range(n_trees)]
-            model.fitted = {"forest": forest}
-        elif family == "adaboost":
-            alphas = _r_arr(fh, "<f8")
-            trees = [_r_tree(fh) for _ in range(len(alphas))]
-            model.fitted = {"alphas": alphas, "trees": trees}
-        else:
-            raise ValueError(f"{path}: unknown family {family!r}")
-    return model
+        try:
+            params = json.loads(_r_str(fh))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: params are not JSON: {exc}") from None
+        _expect(fh, isinstance(params, dict), "params are not a JSON object")
+        fitted = FAMILIES[family].load(fh, d)
+        extra = len(fh.read())
+        _expect(fh, extra == 0, f"{extra} trailing bytes after the model")
+    return TrainedModel(family=family, feature_names=feature_names,
+                        mean=mean, sd=sd, params=params, seed=seed,
+                        fitted=fitted)
 
 
 def write_scores(ego_ids: list[str], scores: np.ndarray, path: str) -> None:

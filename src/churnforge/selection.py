@@ -39,12 +39,6 @@ class FeatureRanking:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def score_of(self, name: str) -> float:
-        for e in self.entries:
-            if e.name == name:
-                return e.score
-        raise KeyError(name)
-
     def rank_of(self, name: str) -> int:
         for e in self.entries:
             if e.name == name:
@@ -136,9 +130,7 @@ def tree_select(matrix: FeatureMatrix, labels: LabelSet, n_trees: int = 100,
     order = np.argsort(np.asarray(matrix.ego_ids, dtype=object), kind="stable")
     X = matrix.values[order]
     y = labels.churned[order].astype(np.float64)
-    forest = BaggedForest(n_trees=n_trees, max_depth=max_depth,
-                          max_features="sqrt", bootstrap=True,
-                          task="classify", seed=seed)
+    forest = BaggedForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
     forest.fit(X, y)
     imp = forest.feature_importances_
     if imp.sum() <= 0:

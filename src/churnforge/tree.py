@@ -5,17 +5,17 @@ At each node, split search gathers the node's codes for the sampled
 feature block, orders each column by a stable radix argsort of the
 codes, and scores every cut with prefix sums of the weights. A
 bootstrap is passed as integer row counts, not as copied rows. Trees
-support sample weights (for boosting), per-split feature subsampling
-(for bagging), and both Gini impurity (classification) and variance
-(regression) criteria. Thresholds are midpoints of adjacent distinct
-values, so the trees are exact CART trees.
+classify 0/1 labels by Gini impurity and support sample weights (for
+boosting) and per-split feature subsampling (for bagging). Thresholds
+are midpoints of adjacent distinct values, so the trees are exact CART
+trees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_LEAF = -1
+LEAF = -1                  # feature of a leaf node
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
 _RANK_BLOCK = 1 << 20      # values ranked per block of columns
 
@@ -48,19 +48,13 @@ def rank_codes(X: np.ndarray) -> np.ndarray:
 
 
 class DecisionTree:
-    """Single CART-style tree over float features and 0/1 or real targets."""
+    """Single CART-style tree over float features and 0/1 targets."""
 
     def __init__(self, max_depth: int | None = None,
                  max_features: int | None = None,
-                 min_samples_leaf: int = 1,
-                 task: str = "classify",
                  rng: np.random.Generator | None = None):
-        if task not in ("classify", "regress"):
-            raise ValueError(f"unknown task {task!r}")
         self.max_depth = max_depth
         self.max_features = max_features
-        self.min_samples_leaf = min_samples_leaf
-        self.task = task
         self.rng = rng or np.random.default_rng(0)
         self.feature: np.ndarray | None = None
         self.threshold: np.ndarray | None = None
@@ -98,43 +92,40 @@ class DecisionTree:
 
         feature, threshold, left, right, value = [], [], [], [], []
         # stack of (node_id, row index array, depth)
-        feature.append(_LEAF)
+        feature.append(LEAF)
         threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
+        left.append(LEAF)
+        right.append(LEAF)
         value.append(0.0)
         stack = [(0, root, 0)]
         while stack:
             node, rows, depth = stack.pop()
             yr, wr = y[rows], w[rows]
             wsum = wr.sum()
-            value[node] = self._leaf_value(yr, wr, wsum)
-            imp = self._impurity(yr, wr, wsum)
-            cr = None if counts is None else counts[rows]
-            n_rows = len(rows) if cr is None else int(cr.sum())
-            if (imp <= 1e-15 or n_rows < 2 * self.min_samples_leaf
-                    or (self.max_depth is not None and depth >= self.max_depth)):
+            p = (wr * yr).sum() / wsum if wsum > 0 else 0.0
+            value[node] = float(p)
+            imp = 2.0 * p * (1.0 - p)  # Gini impurity
+            if imp <= 1e-15 or (self.max_depth is not None
+                                and depth >= self.max_depth):
                 continue
-            split = self._best_split(X, codes, rows, yr, wr, wsum, cr, n_rows)
+            cr = None if counts is None else counts[rows]
+            split = self._best_split(X, codes, rows, yr, wr, wsum, cr)
             if split is None:
                 continue
-            feat, thr, decrease = split
-            self.importances_[feat] += decrease
+            feat, thr, cost = split
+            self.importances_[feat] += max(float(wsum * imp - cost), 0.0)
             go_left = X[rows, feat] <= thr
             feature[node] = feat
             threshold[node] = thr
-            for child_rows, slot in ((rows[go_left], "l"),
-                                     (rows[~go_left], "r")):
+            for child_rows, slot in ((rows[go_left], left),
+                                     (rows[~go_left], right)):
                 child = len(feature)
-                feature.append(_LEAF)
+                feature.append(LEAF)
                 threshold.append(0.0)
-                left.append(_LEAF)
-                right.append(_LEAF)
+                left.append(LEAF)
+                right.append(LEAF)
                 value.append(0.0)
-                if slot == "l":
-                    left[node] = child
-                else:
-                    right[node] = child
+                slot[node] = child
                 stack.append((child, child_rows, depth + 1))
 
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -144,23 +135,9 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         return self
 
-    def _leaf_value(self, y, w, wsum):
-        if wsum <= 0:
-            return 0.0
-        mean = float((w * y).sum() / wsum)
-        return mean
-
-    def _impurity(self, y, w, wsum):
-        if wsum <= 0:
-            return 0.0
-        if self.task == "classify":
-            p = (w * y).sum() / wsum
-            return 2.0 * p * (1.0 - p)
-        mean = (w * y).sum() / wsum
-        return float((w * (y - mean) ** 2).sum() / wsum)
-
-    def _best_split(self, X, codes, rows, yr, wr, wsum, cr, n_rows):
-        """Cheapest split over a sample of columns, or None.
+    def _best_split(self, X, codes, rows, yr, wr, wsum, cr):
+        """(feature, threshold, cost) of the cheapest split over a sample
+        of columns, or None.
 
         Each sampled column's node rows are put in order by a stable
         argsort of their rank codes (a radix sort for uint16), which is
@@ -176,14 +153,6 @@ class DecisionTree:
         order = np.argsort(block, axis=1, kind="stable")
         cs = np.take_along_axis(block, order, axis=1)
         valid = cs[:, 1:] > cs[:, :-1]  # a cut between two distinct values
-        # rows left of each cut, counted with multiplicity
-        if cr is None:
-            n_left = np.arange(1, len(rows))
-        else:
-            n_left = np.cumsum(cr[order], axis=1)[:, :-1]
-        if self.min_samples_leaf > 1:
-            valid &= (n_left >= self.min_samples_leaf) & \
-                     (n_rows - n_left >= self.min_samples_leaf)
         # the valid cuts in (position, column) order, flat into `order`
         pos, col = np.nonzero(valid.T)
         if len(pos) == 0:
@@ -200,17 +169,9 @@ class DecisionTree:
         rwy = cwy[col, -1] - lwy
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            if self.task == "classify":
-                pl = np.where(lw > 0, lwy / lw, 0.0)
-                pr = np.where(rw > 0, rwy / rw, 0.0)
-                cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
-            else:
-                cwy2 = np.cumsum(ws * ys * ys, axis=1)
-                lwy2 = cwy2.ravel()[cut]
-                rwy2 = cwy2[col, -1] - lwy2
-                sse_l = lwy2 - np.where(lw > 0, lwy ** 2 / lw, 0.0)
-                sse_r = rwy2 - np.where(rw > 0, rwy ** 2 / rw, 0.0)
-                cost = sse_l + sse_r
+            pl = np.where(lw > 0, lwy / lw, 0.0)
+            pr = np.where(rw > 0, rwy / rw, 0.0)
+            cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
 
         cost = np.where((lw > 0) & (rw > 0), cost, np.inf)
         if not np.isfinite(cost).any():
@@ -222,18 +183,16 @@ class DecisionTree:
             # to the fewest left rows with multiplicity, then the column
             tied = np.flatnonzero(cost == cost[k])
             if len(tied) > 1:
-                k = int(tied[np.lexsort((col[tied],
-                                         n_left[col[tied], pos[tied]]))[0]])
+                n_left = np.cumsum(cr[order], axis=1)[col[tied], pos[tied]]
+                k = int(tied[np.lexsort((col[tied], n_left))[0]])
         i, j = pos[k], col[k]
         feat = int(feats[j])
         x = X[:, feat]
         thr = float((x[rows[order[j, i]]] + x[rows[order[j, i + 1]]]) / 2.0)
-        parent_cost = wsum * self._impurity(yr, wr, wsum)
-        decrease = float(parent_cost - cost[k])
-        return feat, thr, max(decrease, 0.0)
+        return feat, thr, cost[k]
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row: class-1 weight fraction or leaf mean."""
+        """Leaf value per row: the leaf's class-1 weight fraction."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(len(X))
         idx = np.arange(len(X))
@@ -242,7 +201,7 @@ class DecisionTree:
             node, rows_idx = stack.pop()
             if len(rows_idx) == 0:
                 continue
-            if self.feature[node] == _LEAF:
+            if self.feature[node] == LEAF:
                 out[rows_idx] = self.value[node]
                 continue
             go_left = X[rows_idx, self.feature[node]] <= self.threshold[node]
@@ -251,49 +210,35 @@ class DecisionTree:
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        vals = self.predict_value(X)
-        if self.task == "classify":
-            return (vals > 0.5).astype(np.float64)
-        return vals
+        return (self.predict_value(X) > 0.5).astype(np.float64)
 
 
 class BaggedForest:
     """Bootstrap-aggregated trees with per-split feature subsampling."""
 
     def __init__(self, n_trees: int = 100, max_depth: int | None = 12,
-                 max_features: str | int | None = "sqrt",
-                 bootstrap: bool = True, task: str = "classify",
                  seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.task = task
         self.seed = seed
         self.trees: list[DecisionTree] = []
         self.feature_importances_: np.ndarray | None = None
-
-    def _resolve_max_features(self, d: int) -> int | None:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        return self.max_features
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, d = X.shape
-        mf = self._resolve_max_features(d)
+        mf = max(1, int(np.sqrt(d)))  # columns sampled per split
         codes = rank_codes(X)
         self.trees = []
         raw = np.zeros(d)
         for t in range(self.n_trees):
             rng = np.random.default_rng([self.seed, t])
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n) \
-                if self.bootstrap else None
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             tree = DecisionTree(max_depth=self.max_depth, max_features=mf,
-                                task=self.task, rng=rng)
+                                rng=rng)
             tree.fit(X, y, codes=codes, counts=counts)
             raw += tree.importances_
             self.trees.append(tree)
@@ -302,7 +247,7 @@ class BaggedForest:
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
-        """Mean of tree votes (classification) or tree means (regression)."""
+        """Fraction of trees that vote churn."""
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += tree.predict(X)

@@ -2,9 +2,10 @@ import datetime
 
 import pytest
 
-from churnforge.cdr import (CSV_HEADER, CdrFormatError, CdrRecord, RecordStore,
-                            SECONDS_PER_DAY, StudyWindow, export, ingest,
-                            read_header_sidecar, write_header_sidecar)
+from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
+                            KIND_TOKENS, SECONDS_PER_DAY, CdrFormatError,
+                            StudyWindow, ingest, read_header_sidecar,
+                            write_header_sidecar)
 from conftest import WINDOW, make_store
 
 
@@ -93,72 +94,21 @@ class TestIngest:
         with pytest.raises(CdrFormatError):
             ingest(str(p), WINDOW)
 
-    def test_record_validate_mirrors_ingest(self):
-        good = CdrRecord("A", "B", ts(0), "CALL", "OUT", 30, "ONNET")
-        assert good.validate(WINDOW) is None
-        assert CdrRecord("A", "A", ts(0), "CALL", "OUT", 30,
-                         "ONNET").validate(WINDOW) is not None
-        assert CdrRecord("A", "B", ts(0), "SMS", "OUT", 3,
-                         "ONNET").validate(WINDOW) is not None
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_export_ingest_identity(self, tmp_path, seed):
+        # the rows of a from_rows store, written as CDR CSV, ingest to it
         store = make_store(seed=seed)
-        path = tmp_path / "roundtrip.csv"
-        export(store, str(path))
-        again = ingest(str(path), WINDOW)
+        rows = [f"{sub.ego_id},{sub.alters[a]},{t},{KIND_TOKENS[k]},"
+                f"{DIRECTION_TOKENS[d]},{dur},{ALTER_CLASS_TOKENS[ac]}"
+                for sub in store.subscribers
+                for t, k, d, dur, ac, a in zip(
+                    sub.ts, sub.kind, sub.direction, sub.duration_s,
+                    sub.alter_class, sub.alter_idx)]
+        again = ingest(write_cdr(tmp_path / "roundtrip.csv", rows), WINDOW)
         assert again == store
         assert again.rejected == []
-
-
-class TestSlice:
-    def test_full_range_is_identity(self, random_store):
-        assert random_store.slice((0, WINDOW.total_days)) == random_store
-
-    def test_empty_range_is_empty_view(self, random_store):
-        view = random_store.slice((50, 50))
-        assert view.n_records == 0
-        assert len(view) == len(random_store)  # subscribers preserved
-
-    def test_membership(self, tmp_path):
-        rows = [f"A,B,{ts(d)},CALL,OUT,60,ONNET" for d in (0, 10, 50)]
-        store = ingest(write_cdr(tmp_path / "c.csv", rows), WINDOW)
-        assert store.slice((0, 11)).n_records == 2
-
-    def test_disjoint_ranges_partition_counts(self, random_store):
-        full = random_store.slice((10, 120)).n_records
-        a = random_store.slice((10, 60)).n_records
-        b = random_store.slice((60, 120)).n_records
-        assert a + b == full
-
-    def test_range_outside_window_rejected(self, random_store):
-        with pytest.raises(ValueError):
-            random_store.slice((0, 999))
-
-
-class TestSummaryStats:
-    def test_empty_store(self):
-        stats = RecordStore(WINDOW, []).summary_stats()
-        assert (stats.subscribers, stats.calls, stats.sms) == (0, 0, 0)
-        assert stats.calls_sd == 0.0
-
-    def test_mean_and_population_sd(self, tmp_path):
-        rows = [f"A,B,{ts(0, minute=m)},CALL,OUT,60,ONNET" for m in (1, 2)]
-        rows += [f"B,C,{ts(1, minute=m)},CALL,OUT,60,ONNET" for m in (1, 2, 3, 4)]
-        store = ingest(write_cdr(tmp_path / "c.csv", rows), WINDOW)
-        stats = store.summary_stats()
-        assert stats.subscribers == 2
-        assert stats.calls == 6
-        assert stats.calls_mean == 3.0
-        assert stats.calls_sd == 1.0  # population SD of {2, 4}
-        assert stats.days == 183
-
-    def test_random_store_consistency(self, random_store):
-        stats = random_store.summary_stats()
-        assert stats.calls + stats.sms == random_store.n_records
-        assert stats.subscribers == len(random_store)
 
 
 def test_header_sidecar_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 One pipeline run is shared; each test damages a copy of its output.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -11,10 +12,9 @@ import pytest
 
 from churnforge import matrix as matrix_mod
 from churnforge.cli import EXIT_DATA, main
+from churnforge.models import FAMILIES, load_model, save_model
 
 SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
-FAMILIES = ("linreg", "logreg", "linear_svm", "knn", "random_forest",
-            "adaboost")
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,96 @@ def test_truncated_model_fails_score_with_path(run_copy, capsys, family,
     assert _stage("score", run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err and "truncated" in err
+
+
+def _big_feature(model):
+    model.fitted["forest"].trees[0].feature[0] = 10 ** 6
+
+
+def _big_child(model):
+    model.fitted["forest"].trees[0].left[0] = 10 ** 6
+
+
+def _negative_feature(model):
+    # numpy would read column -7 from the end
+    model.fitted["trees"][0].feature[0] = -7
+
+
+def _short_knn_labels(model):
+    model.fitted["y"] = model.fitted["y"][:-5]
+
+
+def _no_trees(model):
+    model.fitted["forest"].trees = []
+
+
+def _short_weights(model):
+    model.fitted["w"] = model.fitted["w"][:-1]
+
+
+def _short_mean(model):
+    model.mean = model.mean[:-1]
+
+
+def _nan_alpha(model):
+    model.fitted["alphas"][0] = np.nan
+
+
+@pytest.mark.parametrize("family,corrupt,message", [
+    ("random_forest", _big_feature, "tree feature outside"),
+    ("random_forest", _big_child, "tree child index outside"),
+    ("adaboost", _negative_feature, "tree feature outside"),
+    ("knn", _short_knn_labels, "labels for"),
+    ("random_forest", _no_trees, "forest has no trees"),
+    ("logreg", _short_weights, "weights for"),
+    ("linreg", _short_mean, "means and"),
+    ("adaboost", _nan_alpha, "non-finite scores"),
+], ids=["big_feature", "big_child", "negative_feature", "short_knn_labels",
+        "no_trees", "short_weights", "short_mean", "nan_alpha"])
+def test_corrupt_model_fails_score_with_path(run_copy, capsys, family,
+                                             corrupt, message):
+    path = run_copy / f"model_{family}.cfmd"
+    model = load_model(str(path))
+    corrupt(model)
+    save_model(model, str(path))
+    assert _stage("score", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("family", "utf-8"), ("target", "unsupported target"),
+    ("params", "params are not JSON")], ids=["family", "target", "params"])
+def test_corrupt_model_header_fails_score_with_path(run_copy, capsys, field,
+                                                    message):
+    path = run_copy / "model_logreg.cfmd"
+    data = path.read_bytes()
+    params = json.dumps(load_model(str(path)).params, sort_keys=True)
+    old, new = {"family": (b"logreg", b"\xfflogre"),
+                "target": (b"binary", b"BINARY"),
+                "params": (params.encode(), b"[" + params[1:].encode())}[field]
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    assert _stage("score", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+def test_model_of_another_family_fails_score(run_copy, capsys):
+    path = run_copy / "model_logreg.cfmd"
+    shutil.copyfile(run_copy / "model_knn.cfmd", path)
+    assert _stage("score", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and "holds a knn model" in err
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trailing_bytes_fail_score_with_path(run_copy, capsys, family):
+    path = run_copy / f"model_{family}.cfmd"
+    path.write_bytes(path.read_bytes() + b"garbage")
+    assert _stage("score", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and "7 trailing bytes" in err
 
 
 def test_ego_id_with_comma_is_rejected(run_copy, capsys):

@@ -85,6 +85,7 @@ class TestR2:
         pct = np.clip(0.5 + 0.3 * X[:, 2] + 0.1 * rng.normal(size=60), 0, 1)
         mat, labels = make_inputs(X, pct > 0.5, pct=pct)
         ranking = univariate_r2(mat, labels)
+        score = {e.name: e.score for e in ranking.entries}
         y = labels.pct_inactive_eval
         for j, name in enumerate(mat.feature_names):
             A = np.vstack([np.ones(60), X[:, j]]).T
@@ -93,7 +94,7 @@ class TestR2:
             ss_res = float(resid @ resid)
             ss_tot = float(((y - y.mean()) ** 2).sum())
             expected = 1.0 - ss_res / ss_tot
-            assert ranking.score_of(name) == pytest.approx(expected, abs=1e-12)
+            assert score[name] == pytest.approx(expected, abs=1e-12)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -153,7 +154,8 @@ class TestTreeSelect:
         X[:, 4] = churned.astype(float)
         mat, labels = make_inputs(X, churned)
         ranking = tree_select(mat, labels, n_trees=30, k=6, seed=0)
-        combined = ranking.score_of("f01") + ranking.score_of("f04")
+        score = {e.name: e.score for e in ranking.entries}
+        combined = score["f01"] + score["f04"]
         assert combined >= 0.95
 
     def test_all_constant_features_fatal(self):

@@ -13,10 +13,6 @@ def test_memorizes_training_data_without_bootstrap():
     tree = DecisionTree(max_depth=None, max_features=None)
     tree.fit(X, y)
     assert (tree.predict(X) == y).all()
-    forest = BaggedForest(n_trees=1, max_depth=None, max_features=None,
-                          bootstrap=False, seed=0)
-    forest.fit(X, y)
-    assert ((forest.predict_score(X) > 0.5) == (y > 0.5)).all()
 
 
 def test_depth_limit_respected():
@@ -36,16 +32,6 @@ def test_sample_weights_steer_the_split():
     tree = DecisionTree(max_depth=1)
     tree.fit(X, y, sample_weight=np.array([1.0, 1.0, 1.0, 1.0]))
     assert tree.feature[0] == 1
-
-
-def test_regression_mode_fits_means():
-    X = np.array([[0.0], [0.0], [1.0], [1.0]])
-    y = np.array([1.0, 2.0, 9.0, 11.0])
-    tree = DecisionTree(max_depth=1, task="regress")
-    tree.fit(X, y)
-    pred = tree.predict(X)
-    assert pred[0] == pred[1] == pytest.approx(1.5)
-    assert pred[2] == pred[3] == pytest.approx(10.0)
 
 
 def test_constant_features_yield_single_leaf():
@@ -71,17 +57,20 @@ def test_forest_determinism_and_importances():
     assert np.argmax(a.feature_importances_) == 3
 
 
-def test_invalid_task_rejected():
-    with pytest.raises(ValueError):
-        DecisionTree(task="cluster")
+def test_zero_trees_rejected():
     with pytest.raises(ValueError):
         BaggedForest(n_trees=0)
 
 
 # --- split search on rank codes against the float argsort it replaced ----
 
+def _gini(y, w, wsum):
+    p = (w * y).sum() / wsum
+    return 2.0 * p * (1.0 - p)
+
+
 class _ReferenceTree(DecisionTree):
-    """The tree grown by stable argsort of float values, rows repeated.
+    """The Gini tree grown by stable argsort of float values, rows repeated.
 
     This is the split search that rank codes and bootstrap counts
     replaced. The new trees must equal these bit for bit.
@@ -103,10 +92,10 @@ class _ReferenceTree(DecisionTree):
             node, rows, depth = stack.pop()
             yr, wr = y[rows], w[rows]
             wsum = wr.sum()
-            value[node] = self._leaf_value(yr, wr, wsum)
-            imp = self._impurity(yr, wr, wsum)
-            if (imp <= 1e-15 or len(rows) < 2 * self.min_samples_leaf
-                    or (self.max_depth is not None and depth >= self.max_depth)):
+            value[node] = float((wr * yr).sum() / wsum)
+            imp = _gini(yr, wr, wsum)
+            if imp <= 1e-15 or (self.max_depth is not None
+                                and depth >= self.max_depth):
                 continue
             split = self._reference_split(X, rows, yr, wr, wsum)
             if split is None:
@@ -146,35 +135,22 @@ class _ReferenceTree(DecisionTree):
         ys = yr[order]
         cw = np.cumsum(ws, axis=0)
         cwy = np.cumsum(ws * ys, axis=0)
-        n = len(rows)
         lw = cw[:-1]
         rw = wsum - lw
         lwy = cwy[:-1]
         rwy = cwy[-1] - lwy
         with np.errstate(invalid="ignore", divide="ignore"):
-            if self.task == "classify":
-                pl = np.where(lw > 0, lwy / lw, 0.0)
-                pr = np.where(rw > 0, rwy / rw, 0.0)
-                cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
-            else:
-                cwy2 = np.cumsum(ws * ys * ys, axis=0)
-                lwy2 = cwy2[:-1]
-                rwy2 = cwy2[-1] - lwy2
-                sse_l = lwy2 - np.where(lw > 0, lwy ** 2 / lw, 0.0)
-                sse_r = rwy2 - np.where(rw > 0, rwy ** 2 / rw, 0.0)
-                cost = sse_l + sse_r
+            pl = np.where(lw > 0, lwy / lw, 0.0)
+            pr = np.where(rw > 0, rwy / rw, 0.0)
+            cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
         valid = xs[1:] > xs[:-1]
-        if self.min_samples_leaf > 1:
-            pos = np.arange(1, n)[:, None]
-            valid &= (pos >= self.min_samples_leaf) & \
-                     (n - pos >= self.min_samples_leaf)
         cost = np.where(valid & (lw > 0) & (rw > 0), cost, np.inf)
         if not np.isfinite(cost).any():
             return None
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
         feat = int(feats[j])
         thr = float((xs[i, j] + xs[i + 1, j]) / 2.0)
-        parent_cost = wsum * self._impurity(yr, wr, wsum)
+        parent_cost = wsum * _gini(yr, wr, wsum)
         decrease = float(parent_cost - cost[i, j])
         return feat, thr, max(decrease, 0.0)
 
@@ -246,16 +222,13 @@ def test_forest_equals_reference_on_continuous_columns(seed):
     assert np.array_equal(forest.feature_importances_, imp)
 
 
-@pytest.mark.parametrize("min_samples_leaf", [1, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_counts_equal_repeated_rows(seed, min_samples_leaf):
+def test_counts_equal_repeated_rows(seed):
     X, y = _tied(seed, n=50)
     counts = np.bincount(np.random.default_rng(seed).integers(0, 50, 50),
                          minlength=50)
-    got = DecisionTree(max_features=4, min_samples_leaf=min_samples_leaf,
-                       rng=np.random.default_rng(seed))
-    want = _ReferenceTree(max_features=4, min_samples_leaf=min_samples_leaf,
-                          rng=np.random.default_rng(seed))
+    got = DecisionTree(max_features=4, rng=np.random.default_rng(seed))
+    want = _ReferenceTree(max_features=4, rng=np.random.default_rng(seed))
     _assert_same_tree(got.fit(X, y, counts=counts), want.fit(X, y, counts=counts))
 
 
@@ -274,17 +247,13 @@ def test_adaboost_float_weights_equal_reference(monkeypatch, make,
         _assert_same_tree(a, b)
 
 
-@pytest.mark.parametrize("min_samples_leaf", [1, 3])
 @pytest.mark.parametrize("make", [_tied, _duplicated])
-def test_regression_and_leaf_size_equal_reference(make, min_samples_leaf):
+def test_all_columns_equal_reference(make):
     X, _ = make(5)
-    y = np.random.default_rng(5).normal(size=len(X))
-    for task, target in (("regress", y), ("classify", (y > 0).astype(float))):
-        got = DecisionTree(max_depth=6, min_samples_leaf=min_samples_leaf,
-                           task=task).fit(X, target)
-        want = _ReferenceTree(max_depth=6, min_samples_leaf=min_samples_leaf,
-                              task=task).fit(X, target)
-        _assert_same_tree(got, want)
+    y = (np.random.default_rng(5).normal(size=len(X)) > 0).astype(float)
+    got = DecisionTree(max_depth=6).fit(X, y)
+    want = _ReferenceTree(max_depth=6).fit(X, y)
+    _assert_same_tree(got, want)
 
 
 def test_rank_codes_share_ties_and_keep_order():
