@@ -23,6 +23,7 @@ from . import labeling as label_mod
 from . import matrix as matrix_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
+from . import parallel
 from . import selection as select_mod
 from . import simgen as simgen_mod
 from .config import PipelineConfig
@@ -152,7 +153,8 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
     k = cfg._get("selection.k")
     tree = select_mod.tree_select(
         mat, labels, n_trees=cfg._get("selection.n_trees"), k=k,
-        seed=cfg.seed, max_depth=cfg._get("selection.max_depth"))
+        seed=cfg.seed, max_depth=cfg._get("selection.max_depth"),
+        workers=cfg.workers)
     outputs = []
     for name, ranking in (("rank_ttest.csv", tt), ("rank_r2.csv", r2),
                           ("rank_tree.csv", tree)):
@@ -183,18 +185,24 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
                                                 "churnforge featurize")))
     folds = cfg._get("cv.folds")
     threshold = cfg._get("evaluate.threshold")
-    outputs = []
-    for family in cfg.roster():
+
+    def fit(family):
         spec = models_mod.ModelSpec(family=family,
                                     params=cfg.model_params(family),
                                     seed=cfg.seed)
         report = models_mod.kfold_cv(spec, sub, labels, k=folds,
                                      seed=cfg.seed, threshold=threshold)
+        return report, models_mod.train(spec, sub, labels)
+
+    # one task per family; files are written here, in roster order
+    roster = cfg.roster()
+    outputs = []
+    for family, (report, model) in zip(
+            roster, parallel.map(fit, roster, cfg.workers)):
         cv_path = out / f"cv_{family}.json"
         with open(cv_path, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        model = models_mod.train(spec, sub, labels)
         model_path = out / f"model_{family}.cfmd"
         models_mod.save_model(model, str(model_path))
         outputs.extend([cv_path, model_path])

@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from . import parallel
 from .cdr import KIND_SMS, SECONDS_PER_DAY, RecordStore
 
 MEASURES = ("activity", "degree")
@@ -487,15 +488,6 @@ def _rows_for_range(store, plan, lo, hi):
     return out
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_chunk(args):
-    lo, hi = args
-    return lo, _rows_for_range(_WORKER_STATE["store"], _WORKER_STATE["plan"],
-                               lo, hi)
-
-
 def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
                    train_range: tuple[int, int] | None = None,
                    workers: int = 1):
@@ -515,30 +507,14 @@ def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
     names = [s.canonical_name for s in specs]
 
     if workers > 1 and n >= 2 * workers:
-        values = _compute_parallel(store, plan, n, workers)
+        bounds = np.linspace(0, n, workers * 4 + 1).astype(int)
+        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
+                  if a < b]
+        values = np.concatenate(parallel.map(
+            lambda chunk: _rows_for_range(store, plan, *chunk), chunks,
+            workers))
     else:
         values = _rows_for_range(store, plan, 0, n)
     return FeatureMatrix(ego_ids=list(store.ego_ids), feature_names=names,
                          values=values)
 
-
-def _compute_parallel(store, plan, n, workers):
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return _rows_for_range(store, plan, 0, n)
-    bounds = np.linspace(0, n, workers * 4 + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    _WORKER_STATE["store"] = store
-    _WORKER_STATE["plan"] = plan
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_worker_chunk, chunks)
-    finally:
-        _WORKER_STATE.clear()
-    values = np.empty((n, plan.n_cols))
-    for lo, block in parts:
-        values[lo:lo + len(block)] = block
-    return values

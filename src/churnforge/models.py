@@ -26,7 +26,7 @@ import numpy as np
 from .labeling import LabelSet
 from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
-from .tree import LEAF, BaggedForest, DecisionTree, rank_codes
+from .tree import LEAF, BaggedForest, DecisionTree, node_order, rank_codes
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -140,13 +140,11 @@ def _fit_logreg(Z, y, params, seed):
     w = np.zeros(d)
     b = 0.0
     lr, l2 = params["lr"], params["l2"]
-    history = [logreg_loss(w, b, Z, y, l2)]
     for _ in range(params["epochs"]):
         gw, gb = logreg_gradient(w, b, Z, y, l2)
         w -= lr * gw
         b -= lr * gb
-        history.append(logreg_loss(w, b, Z, y, l2))
-    return {"w": w, "b": b, "loss_history": history}
+    return {"w": w, "b": b}
 
 
 def _fit_svm(Z, y, params, seed):
@@ -274,12 +272,14 @@ def _fit_adaboost(Z, y, params, seed):
     n = len(y)
     w = np.full(n, 1.0 / n)
     codes = rank_codes(Z)
+    root_order = node_order(codes.T)  # each round's root has every row
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     eps = 1e-12
     for m in range(params["rounds"]):
         tree = DecisionTree(max_depth=params["max_depth"],
-                            rng=np.random.default_rng([seed, m]))
+                            rng=np.random.default_rng([seed, m]),
+                            root_order=root_order)
         tree.fit(Z, y, sample_weight=w, codes=codes)
         pred = tree.predict(Z)
         miss = pred != y

@@ -39,16 +39,12 @@ class FeatureRanking:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def rank_of(self, name: str) -> int:
-        for e in self.entries:
-            if e.name == name:
-                return e.rank
-        raise KeyError(name)
-
 
 def _ranked(names, scores, kind, degenerate=None) -> FeatureRanking:
     degenerate = degenerate if degenerate is not None else [False] * len(names)
-    order = sorted(range(len(names)), key=lambda i: (-scores[i], names[i]))
+    # by score descending, then name; np.array(names) compares code points
+    # as str does
+    order = np.lexsort((np.array(names), -np.asarray(scores, dtype=float)))
     entries = [RankedFeature(rank=r + 1, name=names[i], score=float(scores[i]),
                              degenerate=bool(degenerate[i]))
                for r, i in enumerate(order)]
@@ -113,13 +109,14 @@ def univariate_r2(matrix: FeatureMatrix, labels: LabelSet) -> FeatureRanking:
 
 
 def tree_select(matrix: FeatureMatrix, labels: LabelSet, n_trees: int = 100,
-                k: int = 100, seed: int = 0,
-                max_depth: int | None = 12) -> FeatureRanking:
+                k: int = 100, seed: int = 0, max_depth: int | None = 12,
+                workers: int = 1) -> FeatureRanking:
     """Top-k features by normalized Gini importance of a bagged ensemble.
 
-    Bootstrap rows, sqrt(d) random features per split. Rows are put in
-    ego order internally so the result does not depend on how the
-    caller happened to order the matrix.
+    Bootstrap rows, sqrt(d) random features per split, grown on up to
+    ``workers`` processes. Rows are put in ego order internally so the
+    result does not depend on how the caller happened to order the
+    matrix.
     """
     _check_alignment(matrix, labels)
     if n_trees < 1:
@@ -131,7 +128,7 @@ def tree_select(matrix: FeatureMatrix, labels: LabelSet, n_trees: int = 100,
     X = matrix.values[order]
     y = labels.churned[order].astype(np.float64)
     forest = BaggedForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
-    forest.fit(X, y)
+    forest.fit(X, y, workers)
     imp = forest.feature_importances_
     if imp.sum() <= 0:
         raise ValueError("no informative splits: all importances are zero")

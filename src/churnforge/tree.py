@@ -8,34 +8,38 @@ bootstrap is passed as integer row counts, not as copied rows. Trees
 classify 0/1 labels by Gini impurity and support sample weights (for
 boosting) and per-split feature subsampling (for bagging). Thresholds
 are midpoints of adjacent distinct values, so the trees are exact CART
-trees.
+trees. A forest ranks its columns and grows its trees on up to
+``workers`` forked processes, with the same result at any count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import parallel
+
 LEAF = -1                  # feature of a leaf node
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
 _RANK_BLOCK = 1 << 20      # values ranked per block of columns
 
 
-def rank_codes(X: np.ndarray) -> np.ndarray:
+def rank_codes(X: np.ndarray, workers: int = 1) -> np.ndarray:
     """Dense rank of each value within its column.
 
     Equal values share a code and codes keep the column's order, so a
     stable argsort of a column's codes is the stable argsort of its
     values. The dtype is uint16 up to 65,535 rows and uint32 above. The
     result has X's shape, stored column by column (Fortran order).
+    Blocks of columns are ranked on up to ``workers`` processes.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     dtype = np.uint16 if n <= _UINT16_ROWS else np.uint32
-    codes = np.zeros((d, n), dtype=dtype)
-    if n == 0:
-        return codes.T
+    if n == 0 or d == 0:
+        return np.zeros((d, n), dtype=dtype).T
     block = max(1, _RANK_BLOCK // n)
-    for start in range(0, d, block):
+
+    def rank(start):
         cols = np.ascontiguousarray(X[:, start:start + block].T)
         order = np.argsort(cols, axis=1)
         srt = np.take_along_axis(cols, order, axis=1)
@@ -43,19 +47,40 @@ def rank_codes(X: np.ndarray) -> np.ndarray:
             raise ValueError("rank codes need values without nan")
         ranks = np.zeros(order.shape, dtype=dtype)
         np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ranks[:, 1:])
-        np.put_along_axis(codes[start:start + block], order, ranks, axis=1)
-    return codes.T
+        codes = np.empty_like(ranks)
+        np.put_along_axis(codes, order, ranks, axis=1)
+        return codes
+
+    return np.concatenate(parallel.map(rank, range(0, d, block), workers)).T
+
+
+def node_order(block: np.ndarray) -> tuple:
+    """The weight-free part of a node's split search: (order, pos, col)
+    of a (columns, node rows) block of rank codes. ``order`` is each
+    column's stable code order; the valid cuts, each between two
+    distinct values, are listed in (position, column) order."""
+    order = np.argsort(block, axis=1, kind="stable")
+    cs = np.take_along_axis(block, order, axis=1)
+    pos, col = np.nonzero((cs[:, 1:] > cs[:, :-1]).T)
+    return order, pos, col
 
 
 class DecisionTree:
-    """Single CART-style tree over float features and 0/1 targets."""
+    """Single CART-style tree over float features and 0/1 targets.
+
+    ``root_order`` is ``node_order(codes.T)`` for the codes that ``fit``
+    will get. A tree over every column, fitted without counts, then
+    skips sorting its root: AdaBoost's rounds share one.
+    """
 
     def __init__(self, max_depth: int | None = None,
                  max_features: int | None = None,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 root_order: tuple | None = None):
         self.max_depth = max_depth
         self.max_features = max_features
         self.rng = rng or np.random.default_rng(0)
+        self.root_order = root_order
         self.feature: np.ndarray | None = None
         self.threshold: np.ndarray | None = None
         self.left: np.ndarray | None = None
@@ -109,7 +134,10 @@ class DecisionTree:
                                 and depth >= self.max_depth):
                 continue
             cr = None if counts is None else counts[rows]
-            split = self._best_split(X, codes, rows, yr, wr, wsum, cr)
+            presorted = self.root_order if node == 0 and counts is None \
+                else None
+            split = self._best_split(X, codes, rows, yr, wr, wsum, cr,
+                                     presorted)
             if split is None:
                 continue
             feat, thr, cost = split
@@ -135,7 +163,7 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         return self
 
-    def _best_split(self, X, codes, rows, yr, wr, wsum, cr):
+    def _best_split(self, X, codes, rows, yr, wr, wsum, cr, presorted):
         """(feature, threshold, cost) of the cheapest split over a sample
         of columns, or None.
 
@@ -143,21 +171,22 @@ class DecisionTree:
         argsort of their rank codes (a radix sort for uint16), which is
         the order a stable argsort of the values gives. Rows carry the
         weights ``wr`` and, under a bootstrap, the counts ``cr``.
+        ``presorted`` is ``node_order`` of this node over every column,
+        used when no columns are sampled.
         """
         d = X.shape[1]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
+            presorted = None
         else:
             feats = np.arange(d)
-        block = codes.T[feats][:, rows]  # (sampled columns, node rows)
-        order = np.argsort(block, axis=1, kind="stable")
-        cs = np.take_along_axis(block, order, axis=1)
-        valid = cs[:, 1:] > cs[:, :-1]  # a cut between two distinct values
-        # the valid cuts in (position, column) order, flat into `order`
-        pos, col = np.nonzero(valid.T)
+        if presorted is None:
+            # (sampled columns, node rows)
+            presorted = node_order(codes.T[feats][:, rows])
+        order, pos, col = presorted
         if len(pos) == 0:
             return None
-        cut = col * len(rows) + pos
+        cut = col * len(rows) + pos  # flat into `order`
         ws = wr[order]
         ys = yr[order]
 
@@ -226,22 +255,31 @@ class BaggedForest:
         self.trees: list[DecisionTree] = []
         self.feature_importances_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedForest":
+    def fit(self, X: np.ndarray, y: np.ndarray,
+            workers: int = 1) -> "BaggedForest":
+        """Grow the trees on up to ``workers`` processes.
+
+        Tree t draws only from its own ``[seed, t]`` stream, and the
+        importances are summed in tree order, so the forest is the same
+        bit for bit at any worker count.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, d = X.shape
         mf = max(1, int(np.sqrt(d)))  # columns sampled per split
-        codes = rank_codes(X)
-        self.trees = []
-        raw = np.zeros(d)
-        for t in range(self.n_trees):
+        codes = rank_codes(X, workers)
+
+        def grow(t):
             rng = np.random.default_rng([self.seed, t])
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             tree = DecisionTree(max_depth=self.max_depth, max_features=mf,
                                 rng=rng)
-            tree.fit(X, y, codes=codes, counts=counts)
+            return tree.fit(X, y, codes=codes, counts=counts)
+
+        self.trees = parallel.map(grow, range(self.n_trees), workers)
+        raw = np.zeros(d)
+        for tree in self.trees:
             raw += tree.importances_
-            self.trees.append(tree)
         total = raw.sum()
         self.feature_importances_ = raw / total if total > 0 else raw
         return self

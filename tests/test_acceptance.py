@@ -358,7 +358,8 @@ def test_criterion_09_end_to_end_benchmark(benchmark_run):
 def test_criterion_10_selection_sanity(benchmark_run):
     out = benchmark_run["out"]
     ranking = read_ranking(str(out / "rank_r2.csv"))
-    rank = ranking.rank_of("inactivity.full")
+    rank = next(e.rank for e in ranking.entries
+                if e.name == "inactivity.full")
     top3 = [(e.rank, e.name, round(e.score, 4)) for e in ranking.entries[:3]]
     _verdict(10, rank <= 3,
              f"training-window inactivity ranks {rank} by univariate r2; "

@@ -1,0 +1,130 @@
+"""Worker counts change how fast the tree layer runs, never what it makes."""
+
+import multiprocessing
+import os
+import shutil
+import signal
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from churnforge import parallel, tree
+from churnforge.cli import main
+from churnforge.tree import BaggedForest, rank_codes
+
+SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value",
+                "importances_")
+
+
+def _problem(seed=0, n=90, d=20):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)).round(1)  # rounding makes ties
+    y = (X[:, 1] - X[:, 4] + 0.5 * rng.normal(size=n) > 0).astype(float)
+    return X, y
+
+
+def test_map_keeps_item_order():
+    offset = 10  # a closure reaches the children by fork, not by pickle
+    for workers in (1, 2, 3):
+        assert parallel.map(lambda i: i + offset, range(7), workers) == \
+            list(range(10, 17))
+
+
+def test_map_raises_what_a_child_raises():
+    def fail(i):
+        if i == 3:
+            raise ValueError("item 3 is bad")
+        return i
+
+    with pytest.raises(ValueError, match="item 3 is bad"):
+        parallel.map(fail, range(5), 2)
+
+
+def test_map_runs_where_cpu_placement_is_refused(monkeypatch):
+    def refuse(pid, cpus):
+        raise PermissionError("affinity is not ours to set")
+
+    def give_up(signum, frame):
+        raise TimeoutError("pool children never started")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        assert parallel.map(lambda i: 2 * i, range(6), 2) == \
+            [0, 2, 4, 6, 8, 10]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_one_worker_or_one_item_creates_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    X, y = _problem()
+    BaggedForest(n_trees=4, seed=1).fit(X, y, workers=1)
+    assert parallel.map(lambda i: i, [5], 4) == [5]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forest_same_at_any_worker_count(seed):
+    X, y = _problem(seed)
+    forests = [BaggedForest(n_trees=7, max_depth=None, seed=seed).fit(
+        X, y, workers=workers) for workers in (1, 2, 3)]
+    for other in forests[1:]:
+        assert np.array_equal(other.feature_importances_,
+                              forests[0].feature_importances_)
+        for got, want in zip(other.trees, forests[0].trees, strict=True):
+            for name in _TREE_ARRAYS:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+
+
+def test_rank_codes_same_at_any_worker_count(monkeypatch):
+    X, _ = _problem(2, n=50, d=23)
+    monkeypatch.setattr(tree, "_RANK_BLOCK", 50 * 4)  # blocks of 4 columns
+    codes = [rank_codes(X, workers) for workers in (1, 2, 3)]
+    for other in codes[1:]:
+        assert other.dtype == codes[0].dtype
+        assert np.array_equal(other, codes[0])
+    monkeypatch.undo()
+    assert np.array_equal(rank_codes(X), codes[0])
+
+
+def test_forest_in_pool_child_runs_serially():
+    # a pool child is daemonic and may not start a pool of its own
+    X, y = _problem(3)
+
+    def importances(seed):
+        forest = BaggedForest(n_trees=4, seed=seed).fit(X, y, workers=2)
+        return forest.feature_importances_
+
+    got = parallel.map(importances, [0, 1], 2)
+    want = [BaggedForest(n_trees=4, seed=s).fit(X, y).feature_importances_
+            for s in (0, 1)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_select_and_train_write_same_files_at_any_worker_count(tmp_path):
+    base = tmp_path / "base"
+    for stage in ("generate", "featurize"):
+        assert main([stage, "--config", SMALL_CFG, "--out", str(base)]) == 0
+    outs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        shutil.copytree(base, out)
+        for stage in ("select", "train"):
+            assert main([stage, "--config", SMALL_CFG, "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest_train.json" in names and "model_adaboost.cfmd" in names
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (outs[0] / name).read_bytes(), name

@@ -5,9 +5,9 @@ import pytest
 
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
-from churnforge.selection import (FeatureRanking, read_ranking, tree_select,
-                                  univariate_r2, univariate_ttest,
-                                  write_ranking)
+from churnforge.selection import (FeatureRanking, _ranked, read_ranking,
+                                  tree_select, univariate_r2,
+                                  univariate_ttest, write_ranking)
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -184,6 +184,16 @@ class TestTreeSelect:
         assert [(e.name, e.score) for e in a.entries] != \
                [(e.name, e.score) for e in c.entries]
 
+    def test_same_ranking_at_any_worker_count(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(80, 30))
+        churned = X[:, 2] - X[:, 5] + 0.3 * rng.normal(size=80) > 0
+        mat, labels = make_inputs(X, churned)
+        got = {workers: [(e.rank, e.name, e.score) for e in tree_select(
+            mat, labels, n_trees=9, k=30, seed=2, workers=workers).entries]
+            for workers in (1, 2, 3)}
+        assert got[1] == got[2] == got[3]
+
     def test_importances_nonnegative_sum_to_one(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(60, 8))
@@ -205,3 +215,22 @@ def test_ranking_csv_round_trip(tmp_path):
     assert isinstance(again, FeatureRanking)
     assert [e.name for e in again.entries] == [e.name for e in ranking.entries]
     assert [e.score for e in again.entries] == [e.score for e in ranking.entries]
+
+
+def test_ranked_order_equals_python_sort():
+    """Score descending, then name, as ``sorted`` with key (-score, name)
+    gave: tied scores, infinities and signed zeros, names that prefix one
+    another and names outside ASCII."""
+    rng = np.random.default_rng(3)
+    names = [f"f{i}" for i in range(40)] + ["f1.x", "é", "e", "z/y", "Z"]
+    scores = rng.choice([0.0, -0.0, 1.5, 1.5, math.inf, -math.inf, 0.25],
+                        size=len(names))
+    perm = rng.permutation(len(names))
+    names = [names[i] for i in perm]
+    old = sorted(range(len(names)), key=lambda i: (-scores[i], names[i]))
+    ranking = _ranked(names, scores, "kind")
+    assert [e.name for e in ranking.entries] == [names[i] for i in old]
+    assert [e.rank for e in ranking.entries] == list(range(1, len(names) + 1))
+    # a signed zero keeps its sign in the score
+    assert [math.copysign(1, e.score) for e in ranking.entries] == \
+        [math.copysign(1, scores[i]) for i in old]
