@@ -1,9 +1,10 @@
 """Call detail record model and CSV ingestion.
 
 A dataset is a CDR CSV (one call or SMS event per line) plus a small
-key=value header sidecar declaring the study window. Events are grouped
-per subscriber (ego) and held as numpy column arrays so the feature
-engine can slice them without touching Python objects per record.
+key=value header sidecar declaring the study window. All events are held
+as one set of numpy column arrays sorted by subscriber (ego), so the
+feature engine works on blocks of subscribers without touching Python
+objects per record.
 
 Day arithmetic is timezone-free: day index = (timestamp - window start)
 // 86400 with the window start pinned to 00:00 UTC of ``start_day``.
@@ -89,72 +90,6 @@ class StudyWindow:
     def train_days(self) -> int:
         return self.month_ranges[self.train_months - 1][1]
 
-    def day_of(self, timestamp: int) -> int:
-        return (timestamp - self.start_epoch) // SECONDS_PER_DAY
-
-    def contains(self, timestamp: int) -> bool:
-        return 0 <= self.day_of(timestamp) < self.total_days
-
-
-class SubscriberEvents:
-    """All events of one ego, as parallel column arrays sorted by time.
-
-    ``alter_idx`` points into ``alters`` so degree computations can work
-    on small integer codes.
-    """
-
-    __slots__ = ("ego_id", "ts", "kind", "direction", "duration_s",
-                 "alter_class", "alter_idx", "alters")
-
-    def __init__(self, ego_id, ts, kind, direction, duration_s,
-                 alter_class, alter_idx, alters):
-        self.ego_id = ego_id
-        self.ts = ts
-        self.kind = kind
-        self.direction = direction
-        self.duration_s = duration_s
-        self.alter_class = alter_class
-        self.alter_idx = alter_idx
-        self.alters = alters
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubscriberEvents):
-            return NotImplemented
-        if self.ego_id != other.ego_id or self.alters != other.alters:
-            return False
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("ts", "kind", "direction", "duration_s",
-                      "alter_class", "alter_idx")
-        )
-
-    @classmethod
-    def from_rows(cls, ego_id: str, rows: list[tuple]) -> "SubscriberEvents":
-        """Build from (ts, kind, dir, dur, ac, alter_id, line_no) tuples."""
-        rows = sorted(rows, key=lambda r: (r[0], r[6]))
-        alters: list[str] = []
-        seen: dict[str, int] = {}
-        idx = np.empty(len(rows), dtype=np.int32)
-        for i, r in enumerate(rows):
-            a = r[5]
-            if a not in seen:
-                seen[a] = len(alters)
-                alters.append(a)
-            idx[i] = seen[a]
-        return cls(
-            ego_id=ego_id,
-            ts=np.array([r[0] for r in rows], dtype=np.int64),
-            kind=np.array([r[1] for r in rows], dtype=np.int8),
-            direction=np.array([r[2] for r in rows], dtype=np.int8),
-            duration_s=np.array([r[3] for r in rows], dtype=np.int32),
-            alter_class=np.array([r[4] for r in rows], dtype=np.int8),
-            alter_idx=idx,
-            alters=alters,
-        )
-
 
 @dataclass(frozen=True)
 class RejectedRow:
@@ -162,40 +97,33 @@ class RejectedRow:
     reason: str
 
 
+@dataclass(frozen=True, eq=False)
 class RecordStore:
-    """Immutable per-subscriber event store with deterministic ordering.
+    """Every accepted event as one set of column arrays.
 
-    Subscribers iterate in lexicographic ego_id order; within one
-    subscriber events are nondecreasing in timestamp (ties keep input
-    file order). Safe to share read-only across workers.
+    Rows are sorted by (ego, timestamp, file line). Subscriber ``i``,
+    ``ego_ids[i]`` in lexicographic order, owns rows
+    ``offsets[i]:offsets[i + 1]``. ``alter`` codes each counterparty by
+    its first appearance in the file.
     """
 
-    def __init__(self, window: StudyWindow,
-                 subscribers: list[SubscriberEvents],
-                 rejected: list[RejectedRow] | None = None):
-        self.window = window
-        self.subscribers = subscribers
-        self.rejected = rejected or []
-
-    @property
-    def ego_ids(self) -> list[str]:
-        return [s.ego_id for s in self.subscribers]
+    window: StudyWindow
+    ego_ids: list[str]
+    offsets: np.ndarray      # int64, len(ego_ids) + 1
+    ts: np.ndarray           # int64
+    kind: np.ndarray         # int8, KIND_TOKENS code
+    direction: np.ndarray    # int8, DIRECTION_TOKENS code
+    duration_s: np.ndarray   # int32
+    alter_class: np.ndarray  # int8, ALTER_CLASS_TOKENS code
+    alter: np.ndarray        # int32
+    rejected: list[RejectedRow]
 
     @property
     def n_records(self) -> int:
-        return sum(len(s) for s in self.subscribers)
+        return len(self.ts)
 
     def __len__(self) -> int:
-        return len(self.subscribers)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RecordStore):
-            return NotImplemented
-        return (self.window == other.window
-                and self.subscribers == other.subscribers)
-
-    def day_indices(self, sub: SubscriberEvents) -> np.ndarray:
-        return ((sub.ts - self.window.start_epoch) // SECONDS_PER_DAY).astype(np.int64)
+        return len(self.ego_ids)
 
 
 def ingest(path: str, window: StudyWindow) -> RecordStore:
@@ -211,7 +139,10 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise CdrFormatError(f"cannot read CDR file {path}: {exc}") from exc
-    groups: dict[str, list[tuple]] = {}
+    # egos and alters coded by first appearance; egos re-coded by rank below
+    ego_code: dict[str, int] = {}
+    alter_code: dict[str, int] = {}
+    egos, alters, tss, kinds, dirs, durs, acs = ([] for _ in range(7))
     rejected: list[RejectedRow] = []
     with fh:
         reader = csv.reader(fh)
@@ -239,11 +170,27 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
             if reason is not None:
                 rejected.append(RejectedRow(line_no, reason))
                 continue
-            groups.setdefault(ego, []).append(
-                (ts, _KIND_CODE[kind], _DIR_CODE[direction], dur,
-                 _ALTER_CLASS_CODE[ac], alter, line_no))
-    subs = [SubscriberEvents.from_rows(e, groups[e]) for e in sorted(groups)]
-    return RecordStore(window, subs, rejected)
+            egos.append(ego_code.setdefault(ego, len(ego_code)))
+            alters.append(alter_code.setdefault(alter, len(alter_code)))
+            tss.append(ts)
+            kinds.append(_KIND_CODE[kind])
+            dirs.append(_DIR_CODE[direction])
+            durs.append(dur)
+            acs.append(_ALTER_CLASS_CODE[ac])
+    ego_ids = sorted(ego_code)
+    rank = np.empty(len(ego_ids), dtype=np.int64)
+    rank[[ego_code[e] for e in ego_ids]] = np.arange(len(ego_ids))
+    ego = rank[np.array(egos, dtype=np.int64)]
+    ts = np.array(tss, dtype=np.int64)
+    order = np.lexsort((ts, ego))  # stable: equal times keep file order
+    offsets = np.zeros(len(ego_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ego, minlength=len(ego_ids)), out=offsets[1:])
+    kind, direction, duration_s, alter_class, alter = (
+        np.array(c, dtype=t)[order] for c, t in zip(
+            (kinds, dirs, durs, acs, alters),
+            (np.int8, np.int8, np.int32, np.int8, np.int32)))
+    return RecordStore(window, ego_ids, offsets, ts[order], kind, direction,
+                       duration_s, alter_class, alter, rejected)
 
 
 def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):

@@ -112,7 +112,7 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
               f"{store.rejected[0].reason})")
     axes = cfg.axes()
     specs = feat_mod.enumerate_features(axes, cfg.denominators())
-    mat = feat_mod.compute_matrix(store, specs, axes, workers=cfg.workers)
+    mat = feat_mod.compute_matrix(store, specs, axes)
     mat.check_finite()
 
     fmt = cfg._get("features.matrix_format")

@@ -8,23 +8,23 @@ under one pruning rule (monthly-trend statistics only make sense over
 the full window) yields the feature vocabulary; the matrix is one row
 per subscriber with those features evaluated over the training window.
 
-Values are computed in a single pass per subscriber: events are binned
-into an atomic (kind, direction, time, day type, class, month) count
-tensor, and every axis marginal (the ``any`` dimensions, kind unions,
-window unions) is a reduction of that tensor, so cost does not scale
-with the number of features. Degree works the same way on a 0/1
-presence tensor per counterparty: a counterparty is present in a
-marginal cell iff it is present in any constituent atomic cell.
+Values are computed over blocks of subscribers: events are binned into
+an atomic (subscriber, kind, direction, time, day type, class, month)
+count tensor, and every axis marginal (the ``any`` dimensions, kind
+unions, window unions) is a reduction of that tensor, so cost does not
+scale with the number of features. Degree works the same way on a 0/1
+presence tensor per (subscriber, counterparty) pair: a pair is present
+in a marginal cell iff it is present in any constituent atomic cell.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from . import parallel
 from .cdr import KIND_SMS, SECONDS_PER_DAY, RecordStore
 
 MEASURES = ("activity", "degree")
@@ -253,29 +253,37 @@ _KIND_GROUPS = [[0, 1], [2], [1], [0, 1, 2]]   # call, sms, short_call, any
 _BIN_GROUPS = [[0], [1], [0, 1]]               # x, y, any
 _AC_GROUPS = [[0], [1], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]]
 
+# Subscribers per block of compute_matrix. A block's degree presence
+# array holds one row of 3,024 bytes (four months) per distinct
+# (subscriber, counterparty) pair.
+_BLOCK = 32
 
-def _expand(arr: np.ndarray, axis: int, groups) -> np.ndarray:
-    parts = [arr.take(g, axis=axis).sum(axis=axis) for g in groups]
+
+def _expand(arr: np.ndarray, axis: int, groups, op) -> np.ndarray:
+    cells = np.moveaxis(arr, axis, 0)
+    parts = [functools.reduce(op, [cells[i] for i in g]) for g in groups]
     return np.stack(parts, axis=axis)
 
 
-def _expand_all(arr: np.ndarray, lead: int) -> np.ndarray:
-    """Expand the 5 filter axes (after ``lead`` leading axes) to marginals."""
-    arr = _expand(arr, lead + 0, _KIND_GROUPS)
-    arr = _expand(arr, lead + 1, _BIN_GROUPS)
-    arr = _expand(arr, lead + 2, _BIN_GROUPS)
-    arr = _expand(arr, lead + 3, _BIN_GROUPS)
-    arr = _expand(arr, lead + 4, _AC_GROUPS)
+def _expand_all(arr: np.ndarray, lead: int, op=np.add) -> np.ndarray:
+    """Expand the 5 filter axes (after ``lead`` leading axes) to marginals,
+    combining the atomic cells of a marginal with ``op``."""
+    arr = _expand(arr, lead + 0, _KIND_GROUPS, op)
+    arr = _expand(arr, lead + 1, _BIN_GROUPS, op)
+    arr = _expand(arr, lead + 2, _BIN_GROUPS, op)
+    arr = _expand(arr, lead + 3, _BIN_GROUPS, op)
+    arr = _expand(arr, lead + 4, _AC_GROUPS, op)
     return arr
 
 
 @dataclass
 class _Plan:
-    """Gather plan mapping spec list positions to plane offsets.
+    """Gather plan mapping spec list positions to source values.
 
-    Ratio operands are absolute indices into the concatenation of the
-    raveled planes in _SOURCE_ORDER, so a row fills with a handful of
-    vectorized gathers however many ratios are configured.
+    Every operand is an absolute index into a subscriber's source
+    values: the concatenation of the raveled planes in _SOURCE_ORDER.
+    A block of rows fills with one gather for the base features and two
+    for the ratios, however many ratios are configured.
     """
 
     n_months: int
@@ -287,8 +295,8 @@ class _Plan:
     day_lo: int
     day_hi: int
     start_weekday: int
-    # (positions, flat offsets) per source plane
-    gathers: dict
+    base_out: np.ndarray
+    base_src: np.ndarray
     ratio_out: np.ndarray
     ratio_num: np.ndarray
     ratio_den: np.ndarray
@@ -364,92 +372,106 @@ def _build_plan(specs, window, train_range, axes: AxesConfig) -> _Plan:
         bases[src] = base
         base += sizes[src]
 
-    by_source: dict = {src: ([], []) for src in _SOURCE_ORDER}
+    def source_index(spec):
+        src, off = _spec_source_offset(spec, n_months)
+        return bases[src] + off
+
+    base_out, base_src = [], []
     ratio_out, ratio_num, ratio_den = [], [], []
     for pos, spec in enumerate(specs):
         if isinstance(spec, RatioSpec):
             ratio_out.append(pos)
-            for operand, acc in ((spec.numerator, ratio_num),
-                                 (spec.denominator, ratio_den)):
-                src, off = _spec_source_offset(operand, n_months)
-                acc.append(bases[src] + off)
+            ratio_num.append(source_index(spec.numerator))
+            ratio_den.append(source_index(spec.denominator))
         else:
-            src, off = _spec_source_offset(spec, n_months)
-            by_source[src][0].append(pos)
-            by_source[src][1].append(off)
-    gathers = {src: (np.asarray(p, dtype=np.int64), np.asarray(o, dtype=np.int64))
-               for src, (p, o) in by_source.items()}
+            base_out.append(pos)
+            base_src.append(source_index(spec))
+
+    def ints(values):
+        return np.asarray(values, dtype=np.int64)
+
     return _Plan(
         n_months=n_months,
-        month_starts=np.array([m[0] for m in months], dtype=np.int64),
-        month_lengths=np.array([m[1] - m[0] for m in months], dtype=np.int64),
+        month_starts=ints([m[0] for m in months]),
+        month_lengths=ints([m[1] - m[0] for m in months]),
         range_lo=lo,
         range_hi=hi,
         short_threshold=axes.short_call_threshold_s,
         day_lo=axes.day_hours[0],
         day_hi=axes.day_hours[1],
         start_weekday=window.start_day.weekday(),
-        gathers=gathers,
-        ratio_out=np.asarray(ratio_out, dtype=np.int64),
-        ratio_num=np.asarray(ratio_num, dtype=np.int64),
-        ratio_den=np.asarray(ratio_den, dtype=np.int64),
+        base_out=ints(base_out),
+        base_src=ints(base_src),
+        ratio_out=ints(ratio_out),
+        ratio_num=ints(ratio_num),
+        ratio_den=ints(ratio_den),
         n_cols=len(specs),
     )
 
 
-def _subscriber_planes(sub, start_epoch: int, plan: _Plan) -> dict:
+def _block_sources(store: RecordStore, b0: int, b1: int,
+                   plan: _Plan) -> np.ndarray:
+    """Source values of subscribers ``b0:b1``, one row per subscriber."""
     T = plan.n_months
-    days_all = (sub.ts - start_epoch) // SECONDS_PER_DAY
-    mask = (days_all >= plan.range_lo) & (days_all < plan.range_hi)
-    win_len = np.concatenate(
-        [plan.month_lengths, [plan.month_lengths.sum()]]).astype(float)
-
-    if not mask.any():
-        zeros_tw = np.zeros((2,) + _PLANE_SHAPE_FILT + (T + 1,))
-        zeros_f = np.zeros((2,) + _PLANE_SHAPE_FILT)
-        return {"total": zeros_tw, "pad": zeros_tw, "delta": zeros_f,
-                "slope": zeros_f, "inact": np.ones(T + 1)}
-
-    days = days_all[mask]
-    kind = sub.kind[mask]
-    dur = sub.duration_s[mask]
-    hour = ((sub.ts[mask] - start_epoch) % SECONDS_PER_DAY) // 3600
+    B = b1 - b0
+    rows = slice(store.offsets[b0], store.offsets[b1])
+    seconds = store.ts[rows] - store.window.start_epoch
+    days = seconds // SECONDS_PER_DAY
+    mask = (days >= plan.range_lo) & (days < plan.range_hi)
+    ego = np.repeat(np.arange(B), np.diff(store.offsets[b0:b1 + 1]))
+    ego, seconds, days, kind, dur, direction, ac, alter = (
+        col[mask] for col in (ego, seconds, days, store.kind[rows],
+                              store.duration_s[rows], store.direction[rows],
+                              store.alter_class[rows], store.alter[rows]))
+    hour = (seconds % SECONDS_PER_DAY) // 3600
     kind3 = np.where(kind == KIND_SMS, 2,
                      np.where(dur < plan.short_threshold, 1, 0))
-    dir2 = sub.direction[mask].astype(np.int64)
+    dir2 = direction.astype(np.int64)
     tod2 = np.where((hour >= plan.day_lo) & (hour < plan.day_hi), 0, 1)
     dow = (plan.start_weekday + days) % 7
     dt2 = np.where(dow >= 5, 1, 0)
-    ac6 = sub.alter_class[mask].astype(np.int64)
+    ac6 = ac.astype(np.int64)
     month = np.searchsorted(plan.month_starts, days, side="right") - 1
 
     atomic_shape = (3, 2, 2, 2, 6, T)
+    cells = int(np.prod(atomic_shape))
     flat = np.ravel_multi_index((kind3, dir2, tod2, dt2, ac6, month),
                                 atomic_shape)
-    atomic = np.bincount(flat, minlength=3 * 2 * 2 * 2 * 6 * T)
-    act = _expand_all(atomic.reshape(atomic_shape).astype(float), lead=0)
+    atomic = np.bincount(ego * cells + flat, minlength=B * cells)
+    act = _expand_all(atomic.reshape((B,) + atomic_shape).astype(float),
+                      lead=1)
     act_win = np.concatenate([act, act.sum(axis=-1, keepdims=True)], axis=-1)
 
-    alters = sub.alter_idx[mask].astype(np.int64)
-    uniq_alt = np.unique(alters)
-    n_alt = len(uniq_alt)
-    local = np.searchsorted(uniq_alt, alters)
-    cell = np.unique(local * atomic.size + flat)
-    pres = np.zeros((n_alt, atomic.size))
-    pres.ravel()[cell] = 1.0
-    presx = _expand_all(pres.reshape((n_alt,) + atomic_shape), lead=1)
-    deg_m = (presx > 0).sum(axis=0).astype(float)
-    deg_full = (presx.sum(axis=-1) > 0).sum(axis=0).astype(float)
-    deg = np.concatenate([deg_m, deg_full[..., None]], axis=-1)
+    # degree: a 0/1 presence row per (subscriber, counterparty) pair; a
+    # pair is present in a marginal cell iff in any of its atomic cells
+    pairs, pair_of = np.unique((ego << 32) | alter, return_inverse=True)
+    pres = np.zeros((len(pairs), cells), dtype=np.uint8)
+    pres[pair_of, flat] = 1
+    presx = _expand_all(pres.reshape((-1,) + atomic_shape), lead=1,
+                        op=np.maximum)
+    deg = np.zeros(act_win.shape)
+    if len(pairs):
+        pair_ego = pairs >> 32
+        first = np.flatnonzero(np.diff(pair_ego, prepend=-1))
+        has = pair_ego[first]
+        deg[has, ..., :T] = np.add.reduceat(presx, first, axis=0, dtype=float)
+        deg[has, ..., T] = np.add.reduceat(presx.max(axis=-1), first, axis=0,
+                                           dtype=float)
+    total = np.stack([act_win, deg], axis=1)
 
-    total = np.stack([act_win, deg])
-
-    uniq_days = np.unique(days)
-    day_month = np.searchsorted(plan.month_starts, uniq_days, side="right") - 1
-    active = np.bincount(day_month, minlength=T).astype(float)
-    active_win = np.concatenate([active, [float(len(uniq_days))]])
+    span = plan.range_hi - plan.range_lo
+    ego_day = np.unique(ego * span + (days - plan.range_lo))
+    day_ego = ego_day // span
+    day_month = np.searchsorted(plan.month_starts,
+                                ego_day % span + plan.range_lo,
+                                side="right") - 1
+    active_win = np.empty((B, T + 1))
+    active_win[:, :T] = np.bincount(day_ego * T + day_month,
+                                    minlength=B * T).reshape(B, T)
+    active_win[:, T] = np.bincount(day_ego, minlength=B)
+    per_day = active_win.reshape((B,) + (1,) * (total.ndim - 2) + (T + 1,))
     with np.errstate(invalid="ignore", divide="ignore"):
-        pad = np.where(active_win > 0, total / active_win, 0.0)
+        pad = np.where(per_day > 0, total / per_day, 0.0)
 
     monthly = total[..., :T]
     if T > 1:
@@ -458,63 +480,39 @@ def _subscriber_planes(sub, start_epoch: int, plan: _Plan) -> dict:
         w = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
         slope = monthly @ w
     else:
-        delta = np.zeros((2,) + _PLANE_SHAPE_FILT)
-        slope = np.zeros((2,) + _PLANE_SHAPE_FILT)
+        delta = slope = np.zeros(total.shape[:-1])
 
+    win_len = np.append(plan.month_lengths, plan.month_lengths.sum())
     inact = 1.0 - active_win / win_len
-    return {"total": total, "pad": pad, "delta": delta,
-            "slope": slope, "inact": inact}
-
-
-def _fill_row(row: np.ndarray, planes: dict, plan: _Plan) -> None:
-    flats = {src: planes[src].ravel() for src in planes}
-    for src, (pos, off) in plan.gathers.items():
-        if len(pos):
-            row[pos] = flats[src][off]
-    if len(plan.ratio_out):
-        allvals = np.concatenate([flats[src] for src in _SOURCE_ORDER])
-        num = allvals[plan.ratio_num]
-        den = allvals[plan.ratio_den]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row[plan.ratio_out] = np.where(den != 0, num / den, 0.0)
-
-
-def _rows_for_range(store, plan, lo, hi):
-    out = np.empty((hi - lo, plan.n_cols))
-    for i in range(lo, hi):
-        planes = _subscriber_planes(store.subscribers[i],
-                                    store.window.start_epoch, plan)
-        _fill_row(out[i - lo], planes, plan)
-    return out
+    return np.concatenate([p.reshape(B, -1) for p in
+                           (total, pad, delta, slope, inact)], axis=1)
 
 
 def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
-                   train_range: tuple[int, int] | None = None,
-                   workers: int = 1):
+                   train_range: tuple[int, int] | None = None):
     """Dense subscribers x features matrix over the training window.
 
     Every subscriber gets a row, including fully inactive ones (count
-    features 0, inactivity 1.0, ratios 0). Rows are bit-identical at
-    any worker count: workers fill disjoint row blocks and the column
-    order is fixed before computation starts.
+    features 0, inactivity 1.0, ratios 0). Rows are computed over blocks
+    of subscribers; a row does not depend on the other subscribers of
+    its block. The values are stored column-major, the layout of the
+    binary matrix format.
     """
     from .matrix import FeatureMatrix
 
     if train_range is None:
         train_range = (0, store.window.train_days)
     plan = _build_plan(specs, store.window, train_range, axes)
-    n = len(store.subscribers)
+    n = len(store)
+    values = np.empty((n, plan.n_cols), order="F")
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        src = _block_sources(store, b0, b1, plan)
+        values[b0:b1, plan.base_out] = src[:, plan.base_src]
+        num = src[:, plan.ratio_num]
+        den = src[:, plan.ratio_den]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values[b0:b1, plan.ratio_out] = np.where(den != 0, num / den, 0.0)
     names = [s.canonical_name for s in specs]
-
-    if workers > 1 and n >= 2 * workers:
-        bounds = np.linspace(0, n, workers * 4 + 1).astype(int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-                  if a < b]
-        values = np.concatenate(parallel.map(
-            lambda chunk: _rows_for_range(store, plan, *chunk), chunks,
-            workers))
-    else:
-        values = _rows_for_range(store, plan, 0, n)
     return FeatureMatrix(ego_ids=list(store.ego_ids), feature_names=names,
                          values=values)
-

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdr import RecordStore, StudyWindow
+from .cdr import SECONDS_PER_DAY, RecordStore, StudyWindow
 
 
 @dataclass
@@ -55,17 +55,13 @@ def compute_labels(store: RecordStore, eval_range: tuple[int, int]) -> LabelSet:
     n_days = hi - lo
     if n_days <= 0:
         raise ValueError(f"empty eval range {eval_range}")
-    ego_ids = []
-    churned = np.empty(len(store), dtype=bool)
-    pct = np.empty(len(store), dtype=float)
-    for i, sub in enumerate(store.subscribers):
-        days = store.day_indices(sub)
-        in_eval = days[(days >= lo) & (days < hi)]
-        active = len(np.unique(in_eval))
-        ego_ids.append(sub.ego_id)
-        churned[i] = active == 0
-        pct[i] = (n_days - active) / n_days
-    return LabelSet(ego_ids, churned, pct)
+    days = (store.ts - store.window.start_epoch) // SECONDS_PER_DAY
+    ego = np.repeat(np.arange(len(store)), np.diff(store.offsets))
+    in_eval = (days >= lo) & (days < hi)
+    ego_day = np.unique(ego[in_eval] * n_days + (days[in_eval] - lo))
+    active = np.bincount(ego_day // n_days, minlength=len(store))
+    return LabelSet(list(store.ego_ids), active == 0,
+                    (n_days - active) / n_days)
 
 
 def write_labels(labels: LabelSet, path: str) -> None:
@@ -82,9 +78,14 @@ def read_labels(path: str) -> LabelSet:
         header = fh.readline().strip()
         if header != "ego_id,churned,pct_inactive_eval":
             raise ValueError(f"{path}: bad labels header {header!r}")
-        for line in fh:
-            e, c, p = line.rstrip("\n").split(",")
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                e, c, p = line.rstrip("\n").split(",")
+                c, p = bool(int(c)), float(p)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: bad labels row "
+                                 f"{line.rstrip()!r}: {exc}") from None
             ego_ids.append(e)
-            churned.append(bool(int(c)))
-            pct.append(float(p))
+            churned.append(c)
+            pct.append(p)
     return LabelSet(ego_ids, np.array(churned), np.array(pct))

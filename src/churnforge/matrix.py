@@ -92,7 +92,7 @@ def save_binary(matrix: FeatureMatrix, path: str) -> None:
         fh.write(ego_blob)
         fh.write(struct.pack("<I", len(name_blob)))
         fh.write(name_blob)
-        fh.write(cols.tobytes())
+        fh.write(cols)
 
 
 def read_exact(fh, n: int, what: str) -> bytes:

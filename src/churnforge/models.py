@@ -669,8 +669,13 @@ def read_scores(path: str) -> tuple[list[str], np.ndarray]:
         header = fh.readline().strip()
         if header != "ego_id,churn_score":
             raise ValueError(f"{path}: bad scores header {header!r}")
-        for line in fh:
-            e, s = line.rstrip("\n").split(",")
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                e, s = line.rstrip("\n").split(",")
+                score = float(s)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: bad scores row "
+                                 f"{line.rstrip()!r}: {exc}") from None
             egos.append(e)
-            scores.append(float(s))
+            scores.append(score)
     return egos, np.asarray(scores)

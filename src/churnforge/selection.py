@@ -124,9 +124,12 @@ def tree_select(matrix: FeatureMatrix, labels: LabelSet, n_trees: int = 100,
     n_features = len(matrix.feature_names)
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} outside 1..{n_features}")
-    order = np.argsort(np.asarray(matrix.ego_ids, dtype=object), kind="stable")
-    X = matrix.values[order]
-    y = labels.churned[order].astype(np.float64)
+    X = matrix.values
+    y = labels.churned.astype(np.float64)
+    if matrix.ego_ids != sorted(matrix.ego_ids):  # featurize writes them sorted
+        order = np.argsort(np.asarray(matrix.ego_ids, dtype=object),
+                           kind="stable")
+        X, y = X[order], y[order]
     forest = BaggedForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
     forest.fit(X, y, workers)
     imp = forest.feature_importances_

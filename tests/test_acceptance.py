@@ -222,7 +222,7 @@ def test_criterion_04_additivity_on_synthetic(tmp_path):
     generate(cfg, str(tmp_path / "cdr.csv"), str(tmp_path / "truth.csv"))
     store = ingest(str(tmp_path / "cdr.csv"), WINDOW)
     specs = enumerate_features(AXES)
-    mat = compute_matrix(store, specs, AXES, workers=2)
+    mat = compute_matrix(store, specs, AXES)
     by_name = {n: i for i, n in enumerate(mat.feature_names)}
     checked = 0
     for name, idx in by_name.items():

@@ -1,5 +1,6 @@
 import datetime
 
+import numpy as np
 import pytest
 
 from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
@@ -32,12 +33,6 @@ class TestStudyWindow:
         with pytest.raises(ValueError):
             StudyWindow(datetime.date(2024, 1, 1), 122, 4, 0)
 
-    def test_day_of(self):
-        assert WINDOW.day_of(WINDOW.start_epoch) == 0
-        assert WINDOW.day_of(ts(5)) == 5
-        assert WINDOW.contains(ts(182))
-        assert not WINDOW.contains(ts(183))
-
 
 class TestIngest:
     def test_empty_file_with_header(self, tmp_path):
@@ -53,8 +48,42 @@ class TestIngest:
         ]
         store = ingest(write_cdr(tmp_path / "c.csv", rows), WINDOW)
         assert store.ego_ids == ["A"]
-        sub = store.subscribers[0]
-        assert list(store.day_indices(sub)) == [2, 7, 10]
+        assert store.offsets.tolist() == [0, 3]
+        days = (store.ts - WINDOW.start_epoch) // SECONDS_PER_DAY
+        assert days.tolist() == [2, 7, 10]
+
+    def test_window_edges(self, tmp_path):
+        # the first and last second of the window are in it, the next
+        # second is not
+        end = WINDOW.start_epoch + WINDOW.total_days * SECONDS_PER_DAY
+        rows = [f"A,B,{t},SMS,IN,0,ONNET"
+                for t in (WINDOW.start_epoch, end - 1, end)]
+        store = ingest(write_cdr(tmp_path / "c.csv", rows), WINDOW)
+        assert store.ts.tolist() == [WINDOW.start_epoch, end - 1]
+        assert [r.line_no for r in store.rejected] == [4]
+        assert "outside" in store.rejected[0].reason
+
+    def test_columns_sorted_by_ego_then_time_then_line(self, tmp_path):
+        rows = [
+            f"B,X,{ts(3)},CALL,OUT,60,ONNET",
+            f"A,Y,{ts(5)},SMS,IN,0,OTHER",
+            f"B,Y,{ts(1)},CALL,IN,7,COMPETITOR",
+            f"A,X,{ts(5)},CALL,OUT,9,ONNET",
+            f"C,Z,{ts(2)},SMS,OUT,0,INTERNATIONAL",
+            f"A,Z,{ts(4)},CALL,IN,30,MOBILE_MONEY",
+        ]
+        store = ingest(write_cdr(tmp_path / "c.csv", rows), WINDOW)
+        assert store.ego_ids == ["A", "B", "C"]
+        assert store.offsets.tolist() == [0, 3, 5, 6]
+        assert store.n_records == 6 and len(store) == 3
+        # file lines 7, 3, 5 (A); 4, 2 (B); 6 (C)
+        assert store.ts.tolist() == [ts(4), ts(5), ts(5), ts(1), ts(3), ts(2)]
+        assert store.duration_s.tolist() == [30, 0, 9, 7, 60, 0]
+        assert store.kind.tolist() == [0, 1, 0, 0, 0, 1]
+        assert store.direction.tolist() == [0, 0, 1, 0, 1, 1]
+        assert store.alter_class.tolist() == [4, 5, 0, 1, 0, 2]
+        # alters coded by first appearance in the file: X, Y, Z
+        assert store.alter.tolist() == [2, 1, 0, 1, 0, 2]
 
     def test_negative_duration_rejected_with_line_number(self, tmp_path):
         rows = [
@@ -95,20 +124,34 @@ class TestIngest:
             ingest(str(p), WINDOW)
 
 
+def first_seen(codes):
+    """``codes`` renumbered by first appearance."""
+    _, first, inverse = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_export_ingest_identity(self, tmp_path, seed):
-        # the rows of a from_rows store, written as CDR CSV, ingest to it
+        # a store's rows, written back as CDR CSV, ingest to the same store
         store = make_store(seed=seed)
-        rows = [f"{sub.ego_id},{sub.alters[a]},{t},{KIND_TOKENS[k]},"
-                f"{DIRECTION_TOKENS[d]},{dur},{ALTER_CLASS_TOKENS[ac]}"
-                for sub in store.subscribers
-                for t, k, d, dur, ac, a in zip(
-                    sub.ts, sub.kind, sub.direction, sub.duration_s,
-                    sub.alter_class, sub.alter_idx)]
+        ego = np.repeat(store.ego_ids, np.diff(store.offsets))
+        rows = [f"{e},A{a},{t},{KIND_TOKENS[k]},{DIRECTION_TOKENS[d]},"
+                f"{dur},{ALTER_CLASS_TOKENS[ac]}"
+                for e, a, t, k, d, dur, ac in zip(
+                    ego, store.alter, store.ts, store.kind, store.direction,
+                    store.duration_s, store.alter_class)]
         again = ingest(write_cdr(tmp_path / "roundtrip.csv", rows), WINDOW)
-        assert again == store
+        assert again.window == store.window
+        assert again.ego_ids == store.ego_ids
         assert again.rejected == []
+        for column in ("offsets", "ts", "kind", "direction", "duration_s",
+                       "alter_class"):
+            a, b = getattr(again, column), getattr(store, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+        # both code the same alters, each by its own first appearance
+        assert np.array_equal(again.alter, first_seen(store.alter))
 
 
 def test_header_sidecar_round_trip(tmp_path):

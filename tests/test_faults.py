@@ -178,3 +178,27 @@ def test_nan_cell_fails_select_with_ego_and_feature(run_copy, capsys):
     err = capsys.readouterr().err
     assert str(path) in err
     assert f"ego {mat.ego_ids[3]}, feature {mat.feature_names[7]}" in err
+
+
+def _damage_line(path, line_no, damage):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line_no - 1] = damage(lines[line_no - 1].rstrip("\n")) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("file,stage,damage,message", [
+    ("labels.csv", "select", lambda line: line.rsplit(",", 1)[0],
+     "not enough values to unpack"),
+    ("labels.csv", "train",
+     lambda line: line.split(",")[0] + ",x," + line.split(",")[2],
+     "invalid literal for int()"),
+    ("scores_logreg.csv", "evaluate", lambda line: line.replace(",", ""),
+     "not enough values to unpack"),
+], ids=["labels_two_fields", "labels_churned_x", "scores_no_comma"])
+def test_malformed_row_fails_with_file_and_line(run_copy, capsys, file, stage,
+                                                damage, message):
+    path = run_copy / file
+    _damage_line(path, 5, damage)
+    assert _stage(stage, run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: line 5: bad " in err and message in err

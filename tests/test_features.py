@@ -1,31 +1,30 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from churnforge.cdr import SECONDS_PER_DAY, RecordStore, SubscriberEvents
+from churnforge.cdr import SECONDS_PER_DAY
 from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  MEASURES, STATISTICS, TIMES_OF_DAY, WINDOWS,
                                  AxesConfig, ConfigError, FeatureSpec,
                                  InactivitySpec, RatioSpec,
-                                 DEFAULT_DENOMINATORS, compute_matrix,
+                                 DEFAULT_DENOMINATORS, _BLOCK, compute_matrix,
                                  count_features, enumerate_features,
                                  parse_feature_name)
 from churnforge import matrix as matrix_mod
-from conftest import WINDOW, make_store
+from conftest import WINDOW, ingest_rows, make_store, random_rows
 
 AXES = AxesConfig()
 
 
-def sub_from_events(ego, events):
-    """events: (day, hour, kind, direction, duration, alter, alter_class)."""
-    rows = []
-    for j, (day, hour, kind, direction, dur, alter, ac) in enumerate(events):
-        rows.append((WINDOW.start_epoch + day * SECONDS_PER_DAY + hour * 3600
-                     + j, kind, direction, dur, ac, alter, j))
-    return SubscriberEvents.from_rows(ego, rows)
-
-
 def one_ego_matrix(events, specs=None):
-    store = RecordStore(WINDOW, [sub_from_events("e", events)])
+    """events: (day, hour, kind, direction, duration, alter, alter_class)."""
+    store = ingest_rows(
+        [("e", alter, WINDOW.start_epoch + day * SECONDS_PER_DAY
+          + hour * 3600 + j, kind, direction, dur, ac)
+         for j, (day, hour, kind, direction, dur, alter, ac)
+         in enumerate(events)])
     if specs is None:
         specs = enumerate_features(AXES)
     return compute_matrix(store, specs, AXES)
@@ -319,14 +318,22 @@ class TestProperties:
             col = mat.values[:, by_name[f"inactivity.{w}"]]
             assert ((col >= 0) & (col <= 1)).all()
 
-    def test_parallel_workers_bit_identical(self):
-        store = make_store(n_subscribers=12, seed=6)
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])
-        a = compute_matrix(store, specs, AXES, workers=1)
-        b = compute_matrix(store, specs, AXES, workers=2)
-        c = compute_matrix(store, specs, AXES, workers=3)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
+    def test_block_rows_equal_rows_of_one_subscriber(self):
+        # more subscribers than two blocks hold, one with no training
+        # events; a row must not depend on the rest of its block
+        rows = random_rows(n_subscribers=2 * _BLOCK + 5, seed=6,
+                           max_events=30)
+        rows += [("S100", "A000", WINDOW.start_epoch + day * SECONDS_PER_DAY,
+                  0, 1, 60, 0) for day in (130, 150)]
+        store = ingest_rows(rows)
+        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])[::37]
+        whole = compute_matrix(store, specs, AXES)
+        assert len(store) > 2 * _BLOCK
+        for i, ego in enumerate(store.ego_ids):
+            alone = compute_matrix(
+                ingest_rows([r for r in rows if r[0] == ego]), specs, AXES)
+            assert alone.ego_ids == [ego]
+            assert whole.values[i].tobytes() == alone.values[0].tobytes()
 
 
 class TestComputeErrors:
@@ -387,3 +394,19 @@ class TestMatrixFormats:
         assert np.array_equal(sub.values[:, 0], mat.values[:, 3])
         with pytest.raises(KeyError):
             mat.column("not.a.feature")
+
+
+def test_small_config_featurize_bytes_pinned(tmp_path):
+    # sha256 of the featurize outputs of configs/small.cfg: any change to
+    # the feature or label values, or to their byte layout, fails here
+    from churnforge.cli import main
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
+    for stage in ("generate", "featurize"):
+        assert main([stage, "--config", config, "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("matrix.cfm", "labels.csv")} == {
+        "matrix.cfm":
+            "8836681163002b9e19c4098a954d2436615a3ee24eb1d4848463eed5bb8c2160",
+        "labels.csv":
+            "b60a8d6544093f3efe0b318f2f83920ce0864098addbd70fe8a31df4fb2e76b6",
+    }

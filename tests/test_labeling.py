@@ -3,19 +3,15 @@ import datetime
 import numpy as np
 import pytest
 
-from churnforge.cdr import SECONDS_PER_DAY, RecordStore, StudyWindow, SubscriberEvents
+from churnforge.cdr import SECONDS_PER_DAY, StudyWindow
 from churnforge.labeling import (compute_labels, read_labels, split_windows,
                                  write_labels)
-from conftest import WINDOW, make_store
+from conftest import WINDOW, ingest_rows, make_store
 
 
-def sub_with_days(ego, days, window=WINDOW, per_day=1):
-    rows = []
-    for d in days:
-        for j in range(per_day):
-            rows.append((window.start_epoch + d * SECONDS_PER_DAY + 3600 + j,
-                         0, 1, 30, 0, "AX", len(rows)))
-    return SubscriberEvents.from_rows(ego, rows)
+def rows_on_days(ego, days, window=WINDOW, per_day=1):
+    return [(ego, "AX", window.start_epoch + d * SECONDS_PER_DAY + 3600 + j,
+             0, 1, 30, 0) for d in days for j in range(per_day)]
 
 
 def test_split_windows_4_plus_2():
@@ -37,11 +33,10 @@ def test_zero_eval_months_is_fatal_at_window_construction():
 
 
 def test_label_examples():
-    store = RecordStore(WINDOW, [
-        sub_with_days("a_silent", [5, 50]),              # nothing in eval
-        sub_with_days("b_daily", list(range(122, 183))),  # every eval day
-        sub_with_days("c_half", list(range(122, 152))),   # 30 eval days
-    ])
+    store = ingest_rows(
+        rows_on_days("a_silent", [5, 50])                 # nothing in eval
+        + rows_on_days("b_daily", list(range(122, 183)))  # every eval day
+        + rows_on_days("c_half", list(range(122, 152))))  # 30 eval days
     labels = compute_labels(store, (122, 183))
     got = labels.as_dict()
     assert got["a_silent"] == (True, 1.0)
@@ -50,8 +45,8 @@ def test_label_examples():
 
 
 def test_multiplicity_within_a_day_is_ignored():
-    store_once = RecordStore(WINDOW, [sub_with_days("x", [130, 140])])
-    store_many = RecordStore(WINDOW, [sub_with_days("x", [130, 140], per_day=7)])
+    store_once = ingest_rows(rows_on_days("x", [130, 140]))
+    store_many = ingest_rows(rows_on_days("x", [130, 140], per_day=7))
     a = compute_labels(store_once, (122, 183))
     b = compute_labels(store_many, (122, 183))
     assert a.pct_inactive_eval[0] == b.pct_inactive_eval[0]

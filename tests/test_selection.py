@@ -194,6 +194,21 @@ class TestTreeSelect:
             for workers in (1, 2, 3)}
         assert got[1] == got[2] == got[3]
 
+    def test_unsorted_rows_give_the_sorted_ranking(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(70, 12))
+        churned = X[:, 3] + X[:, 7] + 0.3 * rng.normal(size=70) > 0
+        mat, labels = make_inputs(X, churned)
+        want = [(e.rank, e.name, e.score) for e in tree_select(
+            mat, labels, n_trees=8, k=12, seed=1).entries]
+        for perm in (np.arange(70)[::-1], rng.permutation(70)):
+            egos = [mat.ego_ids[i] for i in perm]
+            got = tree_select(
+                FeatureMatrix(egos, list(mat.feature_names), X[perm]),
+                LabelSet(egos, churned[perm], labels.pct_inactive_eval[perm]),
+                n_trees=8, k=12, seed=1)
+            assert [(e.rank, e.name, e.score) for e in got.entries] == want
+
     def test_importances_nonnegative_sum_to_one(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(60, 8))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from churnforge.cdr import ingest
+from churnforge.cdr import SECONDS_PER_DAY, ingest
 from churnforge.labeling import compute_labels, split_windows
 from churnforge.simgen import SimConfig, generate, read_truth
 from conftest import WINDOW
@@ -17,6 +17,14 @@ def gen(tmp_path, **kwargs):
     truth = tmp_path / "truth.csv"
     stats = generate(cfg, str(cdr), str(truth))
     return cfg, cdr, truth, stats
+
+
+def per_subscriber(store):
+    """(ego_id, row slice, day index of every row) for each subscriber."""
+    days = (store.ts - store.window.start_epoch) // SECONDS_PER_DAY
+    for i, ego in enumerate(store.ego_ids):
+        rows = slice(store.offsets[i], store.offsets[i + 1])
+        yield ego, rows, days[rows]
 
 
 def test_zero_subscribers_yields_header_only_files(tmp_path):
@@ -58,10 +66,9 @@ def test_churners_silent_and_nonchurners_alive_in_eval(tmp_path):
     store = ingest(str(cdr), WINDOW)
     truth_flags = read_truth(str(truth))
     _, (lo, hi) = split_windows(WINDOW)
-    for sub in store.subscribers:
-        days = store.day_indices(sub)
+    for ego, _, days in per_subscriber(store):
         n_eval = int(np.sum((days >= lo) & (days < hi)))
-        if truth_flags[sub.ego_id]:
+        if truth_flags[ego]:
             assert n_eval == 0
         else:
             assert n_eval >= 1
@@ -102,13 +109,13 @@ def test_competitor_signal_planted(tmp_path):
     truth_flags = read_truth(str(truth))
     train_hi = WINDOW.train_days
     rates = {True: [], False: []}
-    for sub in store.subscribers:
-        days = store.day_indices(sub)
-        mask = ((days < train_hi) & (sub.kind == 1) & (sub.direction == 0)
-                & (sub.alter_class == 1))
+    for ego, rows, days in per_subscriber(store):
+        mask = ((days < train_hi) & (store.kind[rows] == 1)
+                & (store.direction[rows] == 0)
+                & (store.alter_class[rows] == 1))
         active = len(np.unique(days[days < train_hi]))
         if active:
-            rates[truth_flags[sub.ego_id]].append(mask.sum() / active)
+            rates[truth_flags[ego]].append(mask.sum() / active)
     assert np.mean(rates[True]) > 1.5 * np.mean(rates[False])
 
 
@@ -120,10 +127,9 @@ def test_nonchurner_rate_flat_across_months(tmp_path):
     truth_flags = read_truth(str(truth))
     tiles = WINDOW.month_ranges[:4]
     totals = np.zeros(4)
-    for sub in store.subscribers:
-        if truth_flags[sub.ego_id]:
+    for ego, _, days in per_subscriber(store):
+        if truth_flags[ego]:
             continue
-        days = store.day_indices(sub)
         for m, (lo, hi) in enumerate(tiles):
             totals[m] += np.sum((days >= lo) & (days < hi))
     per_day = totals / np.array([hi - lo for lo, hi in tiles])
