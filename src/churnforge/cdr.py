@@ -41,6 +41,8 @@ _ALTER_CLASS_CODE = {t: i for i, t in enumerate(ALTER_CLASS_TOKENS)}
 
 CSV_HEADER = "ego_id,alter_id,timestamp,kind,direction,duration_s,alter_class"
 
+_MAX_DURATION_S = 2 ** 31 - 1  # RecordStore.duration_s is int32
+
 
 class CdrFormatError(Exception):
     """Raised when a file or header sidecar is structurally unusable."""
@@ -130,8 +132,8 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
     """Parse a CDR CSV into a RecordStore.
 
     Well-formed rows are kept; malformed rows (bad enum token, negative
-    or non-integer numerics, timestamp outside the window, ego==alter,
-    an ego id with a comma, quote or line break)
+    or non-integer numerics, a duration beyond int32, timestamp outside
+    the window, ego==alter, an ego id with a comma, quote or line break)
     are tallied with their line numbers on ``store.rejected`` instead of
     being silently dropped. A missing or headerless file is fatal.
     """
@@ -209,6 +211,8 @@ def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):
         return f"unknown alter_class {ac!r}"
     if dur < 0:
         return "negative duration_s"
+    if dur > _MAX_DURATION_S:
+        return "duration_s out of range"
     if kind == "SMS" and dur != 0:
         return "nonzero duration_s for SMS"
     if not (lo_ts <= ts < hi_ts):

@@ -92,7 +92,8 @@ def stage_generate(cfg: PipelineConfig, out: Path) -> None:
     cdr_path = out / "cdr.csv"
     truth_path = out / "ground_truth.csv"
     header_path = out / "cdr.header"
-    stats = simgen_mod.generate(sim, str(cdr_path), str(truth_path))
+    stats = simgen_mod.generate(sim, str(cdr_path), str(truth_path),
+                                cfg.workers)
     cdr_mod.write_header_sidecar(window, str(header_path))
     print(f"generate: {stats['rows']} rows, {stats['subscribers']} subscribers, "
           f"churn fraction {stats['churn_fraction']:.4f}")

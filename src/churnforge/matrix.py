@@ -72,10 +72,16 @@ def load_csv(path: str) -> FeatureMatrix:
             raise ValueError(f"{path}: bad matrix header")
         names = header[1:]
         egos, rows = [], []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(names) + 1:
+                raise ValueError(f"{path}: line {line_no}: {len(parts)} "
+                                 f"fields, expected {len(names) + 1}")
             egos.append(parts[0])
-            rows.append(np.array(parts[1:], dtype=np.float64))
+            try:
+                rows.append(np.array(parts[1:], dtype=np.float64))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     values = np.vstack(rows) if rows else np.zeros((0, len(names)))
     return FeatureMatrix(egos, names, values)
 

@@ -106,6 +106,8 @@ class TestIngest:
         (f"A,A,{1704067200 + 3600},CALL,OUT,60,ONNET", "equals"),
         (f"A,B,{1704067200 + 3600},SMS,OUT,12,ONNET", "SMS"),
         ("A,B,bad", "field count"),
+        (f"A,B,{1704067200 + 3600},CALL,OUT,{2 ** 31},ONNET",
+         "duration_s out of range"),
     ])
     def test_malformed_rows_tallied(self, tmp_path, row, reason_part):
         store = ingest(write_cdr(tmp_path / "c.csv", [row]), WINDOW)

@@ -202,3 +202,23 @@ def test_malformed_row_fails_with_file_and_line(run_copy, capsys, file, stage,
     assert _stage(stage, run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{path}: line 5: bad " in err and message in err
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda line: line.rsplit(",", 1)[0], "fields, expected"),
+    (lambda line: line.rsplit(",", 1)[0] + ",x",
+     "could not convert string to float: 'x'"),
+], ids=["short_row", "non_numeric_cell"])
+def test_malformed_csv_matrix_fails_select_with_file_and_line(
+        run_copy, capsys, damage, message):
+    cfg = run_copy / "csv.cfg"
+    cfg.write_text(Path(SMALL_CFG).read_text(encoding="utf-8").replace(
+        "features.matrix_format=binary", "features.matrix_format=csv"),
+        encoding="utf-8")
+    path = run_copy / "matrix.csv"
+    matrix_mod.save(matrix_mod.load(str(run_copy / "matrix.cfm")), str(path))
+    _damage_line(path, 3, damage)
+    assert main(["select", "--config", str(cfg), "--out",
+                 str(run_copy)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: line 3: " in err and message in err

@@ -1,13 +1,20 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from churnforge.cdr import SECONDS_PER_DAY, ingest
+from churnforge.cli import main
 from churnforge.labeling import compute_labels, split_windows
-from churnforge.simgen import SimConfig, generate, read_truth
+from churnforge.simgen import (_BLOCK, _OUT_SHRINK, SimConfig, _cdf,
+                               generate, read_truth)
 from conftest import WINDOW
 
+SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
 
-def gen(tmp_path, **kwargs):
+
+def gen(tmp_path, workers=1, **kwargs):
     defaults = dict(n_subscribers=150, window=WINDOW, alter_pool_size=100,
                     seed=11)
     defaults.update(kwargs)
@@ -15,7 +22,7 @@ def gen(tmp_path, **kwargs):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cdr = tmp_path / "cdr.csv"
     truth = tmp_path / "truth.csv"
-    stats = generate(cfg, str(cdr), str(truth))
+    stats = generate(cfg, str(cdr), str(truth), workers)
     return cfg, cdr, truth, stats
 
 
@@ -134,3 +141,56 @@ def test_nonchurner_rate_flat_across_months(tmp_path):
             totals[m] += np.sum((days >= lo) & (days < hi))
     per_day = totals / np.array([hi - lo for lo, hi in tiles])
     assert per_day.max() / per_day.min() < 1.05
+
+
+@pytest.mark.parametrize("size", [1, 5, 40])
+def test_cdf_lookup_draws_as_choice(size):
+    """The generator's contact picks: same indices and same stream state
+    as ``rng.choice(n, size, p=w)``, for whole and shrunken weights."""
+    for seed in range(300):
+        wrng = np.random.default_rng([seed, 99])
+        n = int(wrng.integers(1, 30))
+        weights = wrng.exponential(1.0, n)
+        weights /= weights.sum()
+        month = int(wrng.integers(1, 4))
+        allowed = max(1, int(np.ceil(n * (1.0 - _OUT_SHRINK * month))))
+        prefix = weights[:allowed] / weights[:allowed].sum()
+        for w in (weights, prefix):
+            by_choice = np.random.default_rng(seed)
+            by_cdf = np.random.default_rng(seed)
+            want = by_choice.choice(len(w), size=size, p=w)
+            got = _cdf(w).searchsorted(by_cdf.random(size), side="right")
+            assert np.array_equal(got, want), (seed, n, len(w))
+            assert by_cdf.bit_generator.state == \
+                by_choice.bit_generator.state, (seed, n, len(w))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_small_config_generate_bytes_pinned(tmp_path, workers):
+    """sha256 of configs/small.cfg's CDR and truth, as recorded before
+    contact picks became cdf lookups and blocks went over workers."""
+    out = tmp_path / "out"
+    assert main(["generate", "--config", SMALL_CFG, "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("cdr.csv", "ground_truth.csv")}
+    assert digest == {
+        "cdr.csv": "c2dea1d9d7eacda249210916ce36db19"
+                   "de0402d3977bbd44db57cd6d9a9a8fc9",
+        "ground_truth.csv": "a474dd884069fd27a6416298e740e011"
+                            "fbc28c110c9b8cc5bc33cde4f3eb1b01",
+    }
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK + 5, 0],
+                         ids=["three_blocks_last_short", "no_subscribers"])
+def test_blocks_over_workers_write_identical_files(tmp_path, n):
+    runs = [gen(tmp_path / f"w{workers}", workers=workers, n_subscribers=n)
+            for workers in (1, 2, 3)]
+    _, cdr, truth, stats = runs[0]
+    assert stats["subscribers"] == n
+    assert len(truth.read_text().splitlines()) == n + 1
+    for _, other_cdr, other_truth, other_stats in runs[1:]:
+        assert other_cdr.read_bytes() == cdr.read_bytes()
+        assert other_truth.read_bytes() == truth.read_bytes()
+        assert other_stats == stats
