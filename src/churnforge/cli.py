@@ -116,9 +116,8 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
     mat = feat_mod.compute_matrix(store, specs, axes)
     mat.check_finite()
 
-    fmt = cfg._get("features.matrix_format")
-    matrix_path = out / ("matrix.cfm" if fmt == "binary" else "matrix.csv")
-    matrix_mod.save(mat, str(matrix_path), fmt)
+    matrix_path = _matrix_path(cfg, out)
+    matrix_mod.save(mat, str(matrix_path), cfg._get("features.matrix_format"))
     features_path = out / "features.txt"
     features_path.write_text("".join(n + "\n" for n in mat.feature_names),
                              encoding="utf-8")
@@ -132,17 +131,14 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
                     [matrix_path, features_path, labels_path])
 
 
-def _load_matrix(cfg: PipelineConfig, out: Path) -> matrix_mod.FeatureMatrix:
-    fmt = cfg._get("features.matrix_format")
-    path = out / ("matrix.cfm" if fmt == "binary" else "matrix.csv")
-    _require(path, "churnforge featurize")
-    return matrix_mod.load(str(path))
+def _matrix_path(cfg: PipelineConfig, out: Path) -> Path:
+    binary = cfg._get("features.matrix_format") == "binary"
+    return out / ("matrix.cfm" if binary else "matrix.csv")
 
 
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
-    mat = _load_matrix(cfg, out)
-    fmt = cfg._get("features.matrix_format")
-    matrix_path = out / ("matrix.cfm" if fmt == "binary" else "matrix.csv")
+    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
+    mat = matrix_mod.load(str(matrix_path))
     try:
         mat.check_finite()  # split search needs a total order
     except ValueError as exc:
@@ -173,11 +169,11 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
 
 
 def _selected_matrix(cfg: PipelineConfig, out: Path):
-    mat = _load_matrix(cfg, out)
+    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
     selected = _require(out / "selected_features.txt", "churnforge select")
     names = [line for line in
              selected.read_text(encoding="utf-8").splitlines() if line]
-    return mat.select(names), selected
+    return matrix_mod.load(str(matrix_path), names), selected
 
 
 def stage_train(cfg: PipelineConfig, out: Path) -> None:
@@ -199,7 +195,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     roster = cfg.roster()
     outputs = []
     for family, (report, model) in zip(
-            roster, parallel.map(fit, roster, cfg.workers)):
+            roster, parallel.map(fit, roster, cfg.workers), strict=True):
         cv_path = out / f"cv_{family}.json"
         with open(cv_path, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
@@ -238,14 +234,15 @@ def stage_score(cfg: PipelineConfig, out: Path) -> None:
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
     labels = label_mod.read_labels(str(_require(out / "labels.csv",
                                                 "churnforge featurize")))
-    mat = _load_matrix(cfg, out)
+    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
+    inactivity = matrix_mod.load(str(matrix_path),
+                                 ["inactivity.full"]).values[:, 0]
     threshold = cfg._get("evaluate.threshold")
     bins = cfg._get("evaluate.bins")
 
     churn_rate = float(np.mean(labels.churned))
     majority_accuracy = max(churn_rate, 1.0 - churn_rate)
-    baseline = models_mod.threshold_baseline(mat.column("inactivity.full"),
-                                             labels)
+    baseline = models_mod.threshold_baseline(inactivity, labels)
     report = {
         "majority_accuracy": majority_accuracy,
         "churn_rate": churn_rate,

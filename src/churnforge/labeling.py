@@ -27,10 +27,6 @@ class LabelSet:
     def __len__(self) -> int:
         return len(self.ego_ids)
 
-    def as_dict(self) -> dict[str, tuple[bool, float]]:
-        return {e: (bool(c), float(p)) for e, c, p in
-                zip(self.ego_ids, self.churned, self.pct_inactive_eval)}
-
 
 def split_windows(window: StudyWindow) -> tuple[tuple[int, int], tuple[int, int]]:
     """Training and evaluation day ranges from the month tiling.

@@ -4,6 +4,11 @@ CSV (``ego_id,<feature names...>``) is the interchange format; the
 binary format (magic ``CFM1``, little-endian float64 columns plus a
 name table) avoids float-to-text costs on large runs. Both round-trip
 exactly: CSV uses shortest-repr floats, the binary format raw bytes.
+
+``load`` returns the whole matrix or only the columns it is asked for.
+From CFM1 it reads just those columns of the column-major value block,
+so ``train``, ``score`` and ``evaluate`` read only the columns they use;
+a CSV matrix is always read whole.
 """
 
 from __future__ import annotations
@@ -40,22 +45,6 @@ class FeatureMatrix:
             raise ValueError(
                 f"non-finite value at ego {self.ego_ids[bad[0]]}, "
                 f"feature {self.feature_names[bad[1]]}")
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.feature_names.index(name)]
-        except ValueError:
-            raise KeyError(f"no feature named {name!r}") from None
-
-    def select(self, names: list[str]) -> "FeatureMatrix":
-        idx = []
-        lookup = {n: i for i, n in enumerate(self.feature_names)}
-        for n in names:
-            if n not in lookup:
-                raise KeyError(f"no feature named {n!r}")
-            idx.append(lookup[n])
-        return FeatureMatrix(list(self.ego_ids), list(names),
-                             self.values[:, idx].copy())
 
 
 def save_csv(matrix: FeatureMatrix, path: str) -> None:
@@ -103,31 +92,50 @@ def save_binary(matrix: FeatureMatrix, path: str) -> None:
 
 def read_exact(fh, n: int, what: str) -> bytes:
     """The next ``n`` bytes of ``fh``, or ValueError naming the file."""
+    _check_left(fh, n, what)
+    return fh.read(n)
+
+
+def _check_left(fh, n: int, what: str) -> None:
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise ValueError(f"{fh.name}: truncated {what}: "
                          f"needs {n} bytes, {left} left")
-    return fh.read(n)
 
 
-def load_binary(path: str) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected CFM1")
-        n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
-        (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
-        ego_blob = read_exact(fh, ego_len, "ego table").decode("utf-8")
-        (name_len,) = struct.unpack("<I",
-                                    read_exact(fh, 4, "name table size"))
-        name_blob = read_exact(fh, name_len, "name table").decode("utf-8")
-        data = np.frombuffer(read_exact(fh, n_rows * n_cols * 8, "values"),
-                             dtype="<f8")
+def _column_indices(path: str, feature_names: list[str],
+                    names: list[str]) -> list[int]:
+    lookup = {n: i for i, n in enumerate(feature_names)}
+    for n in names:
+        if n not in lookup:
+            raise KeyError(f"{path}: no feature named {n!r}")
+    return [lookup[n] for n in names]
+
+
+def _load_cfm1(fh, names: list[str] | None) -> FeatureMatrix:
+    """The CFM1 matrix open at ``fh`` past its magic, or only its ``names``
+    columns; the file must hold the whole value block even so."""
+    n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
+    (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
+    ego_blob = read_exact(fh, ego_len, "ego table").decode("utf-8")
+    (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name table size"))
+    name_blob = read_exact(fh, name_len, "name table").decode("utf-8")
+    _check_left(fh, n_rows * n_cols * 8, "values")
     egos = ego_blob.split("\n") if ego_blob else []
-    names = name_blob.split("\n") if name_blob else []
-    values = data.reshape(n_cols, n_rows).T.copy() if n_rows * n_cols else \
-        np.zeros((n_rows, n_cols))
-    return FeatureMatrix(egos, names, values)
+    all_names = name_blob.split("\n") if name_blob else []
+    if names is None:
+        names, idx = all_names, range(n_cols)
+    else:
+        idx = _column_indices(fh.name, all_names, names)
+    # read column by column, then copy into C order: numpy sums the
+    # columns of an F-ordered array in another order, and the last bits
+    # of every mean a model stores would change
+    cols = np.empty((len(idx), n_rows), dtype="<f8")
+    start = fh.tell()
+    for j, i in enumerate(idx):
+        fh.seek(start + i * n_rows * 8)
+        fh.readinto(cols[j])
+    return FeatureMatrix(egos, list(names), cols.T.copy())
 
 
 def save(matrix: FeatureMatrix, path: str, fmt: str = "csv") -> None:
@@ -139,7 +147,14 @@ def save(matrix: FeatureMatrix, path: str, fmt: str = "csv") -> None:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
 
-def load(path: str) -> FeatureMatrix:
+def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
+    """The matrix at ``path``, or only its ``names`` columns in the order
+    named; KeyError naming the file for a name the matrix lacks."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    return load_binary(path) if magic == _MAGIC else load_csv(path)
+        if fh.read(4) == _MAGIC:
+            return _load_cfm1(fh, names)
+    mat = load_csv(path)
+    if names is None:
+        return mat
+    idx = _column_indices(path, mat.feature_names, names)
+    return FeatureMatrix(mat.ego_ids, list(names), mat.values[:, idx].copy())

@@ -2,8 +2,9 @@
 
 Children are forked, so they inherit the function and the arrays it
 reads without pickling them; only each item's result is pickled back.
-Results come back in item order, so a caller that combines them in that
-order gets the same bytes at any worker count.
+Results are yielded in item order as they arrive, so a caller that
+combines them in that order gets the same bytes at any worker count,
+and one that writes each result as it comes holds only a few at a time.
 
 Each child starts on its own CPU and may move from there: forked
 children otherwise tend to share their parent's CPU, for seconds, while
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 # (fn, items) of the map this pool child serves; set only in children,
 # by the pool's initializer
@@ -45,12 +46,13 @@ def _call(i: int):
     return fn(items[i])
 
 
-def map(fn: Callable, items: Iterable, workers: int) -> list:
-    """``[fn(item) for item in items]``, spread over ``workers`` forked
+def map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """``fn(item) for item in items``, spread over ``workers`` forked
     processes in contiguous runs of items.
 
     ``fn`` may be a closure: it reaches the children by fork, not by
-    pickle. An exception raised by ``fn`` in a child is raised here.
+    pickle. An exception raised by ``fn`` in a child is raised here,
+    when its result is due.
     """
     items = list(items)
     if workers > 1 and len(items) > 1 and not mp.current_process().daemon:
@@ -59,7 +61,12 @@ def map(fn: Callable, items: Iterable, workers: int) -> list:
         except ValueError:  # no fork on this platform
             pass
         else:
-            with ctx.Pool(min(workers, len(items)), _install,
+            n = min(workers, len(items))
+            # the runs Pool.map would cut: about four per worker
+            chunk = -(-len(items) // (4 * n))
+            with ctx.Pool(n, _install,
                           (fn, items, ctx.Value("i", 0))) as pool:
-                return pool.map(_call, range(len(items)))
-    return [fn(item) for item in items]
+                yield from pool.imap(_call, range(len(items)), chunk)
+            return
+    for item in items:
+        yield fn(item)

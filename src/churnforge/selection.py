@@ -145,16 +145,3 @@ def write_ranking(ranking: FeatureRanking, path: str) -> None:
         fh.write("rank,feature,score,score_kind\n")
         for e in ranking.entries:
             fh.write(f"{e.rank},{e.name},{e.score!r},{ranking.score_kind}\n")
-
-
-def read_ranking(path: str) -> FeatureRanking:
-    entries = []
-    kind = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "rank,feature,score,score_kind":
-            raise ValueError(f"{path}: bad ranking header {header!r}")
-        for line in fh:
-            rank_s, name, score_s, kind = line.rstrip("\n").split(",")
-            entries.append(RankedFeature(int(rank_s), name, float(score_s)))
-    return FeatureRanking(score_kind=kind, entries=entries)

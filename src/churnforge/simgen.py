@@ -22,7 +22,8 @@ All randomness derives from per-subscriber substreams of the master
 seed, so generation stays deterministic under any evaluation order:
 the same config yields byte-identical files. Contiguous blocks of
 subscribers fan out over ``workers`` processes and are written in block
-order, so the files are the same bytes at any worker count.
+order as they arrive, so the files are the same bytes at any worker
+count and only a few blocks of text are held at once.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def generate(config: SimConfig, cdr_path: str, truth_path: str,
     """Write a CDR CSV and an ``ego_id,churned`` ground-truth CSV.
 
     Blocks of subscribers are generated over ``workers`` processes and
-    written in block order. Returns a small stats dict (rows written,
-    realized churn fraction).
+    written in block order, each as it arrives. Returns a small stats
+    dict (rows written, realized churn fraction).
     """
     plan = _Plan(config)
     n = config.n_subscribers
@@ -263,15 +264,3 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def read_truth(path: str) -> dict[str, bool]:
-    out: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "ego_id,churned":
-            raise ValueError(f"{path}: bad ground-truth header {header!r}")
-        for line in fh:
-            e, c = line.rstrip("\n").split(",")
-            out[e] = bool(int(c))
-    return out

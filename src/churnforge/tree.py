@@ -51,7 +51,8 @@ def rank_codes(X: np.ndarray, workers: int = 1) -> np.ndarray:
         np.put_along_axis(codes, order, ranks, axis=1)
         return codes
 
-    return np.concatenate(parallel.map(rank, range(0, d, block), workers)).T
+    return np.concatenate(list(parallel.map(rank, range(0, d, block),
+                                           workers))).T
 
 
 def node_order(block: np.ndarray) -> tuple:
@@ -276,7 +277,7 @@ class BaggedForest:
                                 rng=rng)
             return tree.fit(X, y, codes=codes, counts=counts)
 
-        self.trees = parallel.map(grow, range(self.n_trees), workers)
+        self.trees = list(parallel.map(grow, range(self.n_trees), workers))
         raw = np.zeros(d)
         for tree in self.trees:
             raw += tree.importances_

@@ -7,6 +7,8 @@ import pytest
 
 from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                             KIND_TOKENS, SECONDS_PER_DAY, StudyWindow, ingest)
+from churnforge.matrix import FeatureMatrix
+from churnforge.selection import FeatureRanking, RankedFeature
 
 WINDOW = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
 
@@ -49,6 +51,43 @@ def random_rows(window=WINDOW, n_subscribers=8, seed=0, max_events=60,
 
 def make_store(window=WINDOW, **kwargs):
     return ingest_rows(random_rows(window, **kwargs), window)
+
+
+def column(mat, name):
+    """The column of an in-memory matrix named ``name``."""
+    return mat.values[:, mat.feature_names.index(name)]
+
+
+def columns(mat, names):
+    """An in-memory matrix of ``mat``'s ``names`` columns, in that order
+    and in C order, as ``matrix.load`` returns them."""
+    idx = [mat.feature_names.index(n) for n in names]
+    return FeatureMatrix(mat.ego_ids, list(names), mat.values[:, idx].copy())
+
+
+def label_dict(labels):
+    """{ego_id: (churned, pct_inactive_eval)} of a LabelSet."""
+    return {e: (bool(c), float(p)) for e, c, p in
+            zip(labels.ego_ids, labels.churned, labels.pct_inactive_eval)}
+
+
+def read_truth(path):
+    """{ego_id: churned} of a simgen ``ego_id,churned`` ground-truth CSV."""
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == "ego_id,churned\n"
+        return {e: bool(int(c)) for e, c in
+                (line.rstrip("\n").split(",") for line in fh)}
+
+
+def read_ranking(path):
+    """The FeatureRanking of a ``rank,feature,score,score_kind`` CSV."""
+    entries, kind = [], ""
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == "rank,feature,score,score_kind\n"
+        for line in fh:
+            rank, name, score, kind = line.rstrip("\n").split(",")
+            entries.append(RankedFeature(int(rank), name, float(score)))
+    return FeatureRanking(score_kind=kind, entries=entries)
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,9 @@ from churnforge.labeling import compute_labels, read_labels, split_windows
 from churnforge.metrics import roc_auc
 from churnforge.models import (logreg_gradient, logreg_loss,
                                threshold_baseline)
-from churnforge.simgen import SimConfig, generate, read_truth
-from churnforge.selection import read_ranking
+from churnforge.simgen import SimConfig, generate
 import conftest
-from conftest import WINDOW
+from conftest import WINDOW, column, label_dict, read_ranking, read_truth
 
 AXES = AxesConfig()
 
@@ -205,10 +204,10 @@ def test_criterion_03_micro_fixture(tmp_path):
     worst = 0.0
     for ego, expectations in MICRO_EXPECTED.items():
         for name, expected in expectations.items():
-            got = mat.column(name)[row_of[ego]]
+            got = column(mat, name)[row_of[ego]]
             worst = max(worst, abs(got - expected))
             assert got == pytest.approx(expected, abs=1e-12), (ego, name)
-    labels = compute_labels(store, split_windows(WINDOW)[1]).as_dict()
+    labels = label_dict(compute_labels(store, split_windows(WINDOW)[1]))
     for ego, (churned, pct) in MICRO_LABELS.items():
         assert labels[ego][0] == churned
         assert labels[ego][1] == pytest.approx(pct, abs=1e-12)
@@ -263,9 +262,9 @@ def test_criterion_05_label_oracle(benchmark_run):
 
 def test_criterion_06_baseline_sweep_oracle(benchmark_run):
     out = benchmark_run["out"]
-    mat = matrix_mod.load(str(out / "matrix.cfm"))
+    mat = matrix_mod.load(str(out / "matrix.cfm"), ["inactivity.full"])
     labels = read_labels(str(out / "labels.csv"))
-    inact = mat.column("inactivity.full")
+    inact = mat.values[:, 0]
     rng = np.random.default_rng(606)
     for trial in range(4):
         idx = rng.choice(len(labels), size=500, replace=False)

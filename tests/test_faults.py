@@ -40,13 +40,29 @@ def _truncate(path, size):
     path.write_bytes(data[:size if size >= 0 else len(data) // 2])
 
 
+# train, score and evaluate read only some columns, but still check that
+# the file holds the whole value block
 @pytest.mark.parametrize("size", [10, -1], ids=["10_bytes", "half"])
-def test_truncated_matrix_fails_select_with_path(run_copy, capsys, size):
+@pytest.mark.parametrize("stage", ["select", "train", "score", "evaluate"])
+def test_truncated_matrix_fails_stage_with_path(run_copy, capsys, stage,
+                                                size):
     path = run_copy / "matrix.cfm"
     _truncate(path, size)
-    assert _stage("select", run_copy) == EXIT_DATA
+    assert _stage(stage, run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "score"])
+def test_selected_feature_the_matrix_lacks_fails_with_path(run_copy, capsys,
+                                                           stage):
+    selected = run_copy / "selected_features.txt"
+    selected.write_text(selected.read_text(encoding="utf-8")
+                        + "not.a.feature\n", encoding="utf-8")
+    assert _stage(stage, run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{run_copy / 'matrix.cfm'}: no feature named 'not.a.feature'" \
+        in err
 
 
 @pytest.mark.parametrize("size", [6, -1], ids=["6_bytes", "half"])

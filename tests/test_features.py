@@ -13,7 +13,7 @@ from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  count_features, enumerate_features,
                                  parse_feature_name)
 from churnforge import matrix as matrix_mod
-from conftest import WINDOW, ingest_rows, make_store, random_rows
+from conftest import WINDOW, column, ingest_rows, make_store, random_rows
 
 AXES = AxesConfig()
 
@@ -190,8 +190,8 @@ class TestComputeExamples:
             (2, 9, 0, 1, 60, "A2", 0),
             (2, 15, 0, 1, 60, "A1", 0),
         ])
-        assert mat.column("activity.call.out.any.any.any.m1.total")[0] == 3
-        assert mat.column("degree.call.out.any.any.any.m1.total")[0] == 2
+        assert column(mat, "activity.call.out.any.any.any.m1.total")[0] == 3
+        assert column(mat, "degree.call.out.any.any.any.m1.total")[0] == 2
 
     def test_max_monthly_delta(self):
         # incoming calls per month: 10, 4, 6, 2 -> max |delta| = 6
@@ -200,8 +200,8 @@ class TestComputeExamples:
             events += [(month_day + i % 20, 9, 0, 0, 60, "A1", 0)
                        for i in range(count)]
         mat = one_ego_matrix(events)
-        assert mat.column(
-            "activity.call.in.any.any.any.full.max_monthly_delta")[0] == 6
+        assert column(
+            mat, "activity.call.in.any.any.any.full.max_monthly_delta")[0] == 6
 
     def test_trend_slope_exact_line(self):
         # monthly counts 4, 3, 2, 1 -> least squares slope -1
@@ -210,8 +210,8 @@ class TestComputeExamples:
             events += [(month_day + i, 9, 0, 0, 60, "A1", 0)
                        for i in range(count)]
         mat = one_ego_matrix(events)
-        assert mat.column(
-            "activity.call.in.any.any.any.full.trend_slope")[0] == -1.0
+        assert column(
+            mat, "activity.call.in.any.any.any.full.trend_slope")[0] == -1.0
 
     def test_per_active_day(self):
         # 3 events on 2 distinct days -> 1.5 per active day
@@ -220,18 +220,19 @@ class TestComputeExamples:
             (3, 10, 1, 1, 0, "A1", 0),
             (7, 9, 0, 0, 60, "A2", 0),
         ])
-        assert mat.column("activity.any.any.any.any.any.full.per_active_day")[0] == 1.5
+        assert column(
+            mat, "activity.any.any.any.any.any.full.per_active_day")[0] == 1.5
 
     def test_inactive_ego_all_zero(self):
         specs = enumerate_features(AXES, DEFAULT_DENOMINATORS)
         # events only after the training window
         mat = one_ego_matrix([(150, 9, 0, 1, 60, "A1", 0)], specs)
-        assert mat.column("inactivity.full")[0] == 1.0
-        assert mat.column("inactivity.m2")[0] == 1.0
-        assert mat.column("activity.any.any.any.any.any.full.total")[0] == 0.0
+        assert column(mat, "inactivity.full")[0] == 1.0
+        assert column(mat, "inactivity.m2")[0] == 1.0
+        assert column(mat, "activity.any.any.any.any.any.full.total")[0] == 0.0
         ratio = ("activity.call.in.day.weekday.onnet.m1.total"
                  "/degree.call.any.any.any.any.full.total")
-        assert mat.column(ratio)[0] == 0.0
+        assert column(mat, ratio)[0] == 0.0
         mat.check_finite()
 
     def test_division_by_zero_yields_zero(self):
@@ -384,29 +385,52 @@ class TestMatrixFormats:
         p = tmp_path / "bad.cfm"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
-            matrix_mod.load_binary(str(p))
+            matrix_mod.load(str(p))
 
-    def test_select_and_column(self, random_store):
+    def test_load_named_columns(self, tmp_path, random_store):
         specs = enumerate_features(AXES)[:10]
         mat = compute_matrix(random_store, specs, AXES)
-        sub = mat.select([mat.feature_names[3], mat.feature_names[1]])
-        assert sub.feature_names == [mat.feature_names[3], mat.feature_names[1]]
-        assert np.array_equal(sub.values[:, 0], mat.values[:, 3])
-        with pytest.raises(KeyError):
-            mat.column("not.a.feature")
+        names = [mat.feature_names[3], mat.feature_names[1]]
+        for fmt, file in (("csv", "m.csv"), ("binary", "m.cfm")):
+            path = str(tmp_path / file)
+            matrix_mod.save(mat, path, fmt)
+            sub = matrix_mod.load(path, names)
+            assert sub.ego_ids == mat.ego_ids
+            assert sub.feature_names == names
+            assert np.array_equal(sub.values, mat.values[:, [3, 1]])
+            assert sub.values.flags.c_contiguous
+            assert np.array_equal(matrix_mod.load(path, []).values,
+                                  np.zeros((len(mat.ego_ids), 0)))
+            with pytest.raises(KeyError) as exc:
+                matrix_mod.load(path, [names[0], "not.a.feature"])
+            assert f"{path}: no feature named 'not.a.feature'" in \
+                str(exc.value)
 
 
 def test_small_config_featurize_bytes_pinned(tmp_path):
     # sha256 of the featurize outputs of configs/small.cfg: any change to
-    # the feature or label values, or to their byte layout, fails here
-    from churnforge.cli import main
+    # the feature or label values, or to their byte layout, fails here.
+    # The later stages' manifests hold the hash of every file they write,
+    # so the models, scores and reports that train, score and evaluate
+    # make from columns read back through matrix.load are pinned too.
+    from churnforge.cli import STAGES, main
     config = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
-    for stage in ("generate", "featurize"):
+    for stage in STAGES:
         assert main([stage, "--config", config, "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("matrix.cfm", "labels.csv")} == {
+            for name in ("matrix.cfm", "labels.csv", "manifest_select.json",
+                         "manifest_train.json", "manifest_score.json",
+                         "manifest_evaluate.json")} == {
         "matrix.cfm":
             "8836681163002b9e19c4098a954d2436615a3ee24eb1d4848463eed5bb8c2160",
         "labels.csv":
             "b60a8d6544093f3efe0b318f2f83920ce0864098addbd70fe8a31df4fb2e76b6",
+        "manifest_select.json":
+            "99c5850831a73af9fdc78b72c9436e235d2904047785e1df87eb18451bfb221d",
+        "manifest_train.json":
+            "bbb07c8b2feaab55714aecb8dae79832030777fd85c00677f3489e7e66efca81",
+        "manifest_score.json":
+            "9172189c4da11bcbd12db2fb69495388c9c51d1692efcac617fd56763120251f",
+        "manifest_evaluate.json":
+            "49dcf3176ca9a86751d95cc31d4321e3f4acd0dadec2541841b5e8cfaf839e44",
     }

@@ -6,7 +6,7 @@ import pytest
 from churnforge.cdr import SECONDS_PER_DAY, StudyWindow
 from churnforge.labeling import (compute_labels, read_labels, split_windows,
                                  write_labels)
-from conftest import WINDOW, ingest_rows, make_store
+from conftest import WINDOW, ingest_rows, label_dict, make_store
 
 
 def rows_on_days(ego, days, window=WINDOW, per_day=1):
@@ -38,7 +38,7 @@ def test_label_examples():
         + rows_on_days("b_daily", list(range(122, 183)))  # every eval day
         + rows_on_days("c_half", list(range(122, 152))))  # 30 eval days
     labels = compute_labels(store, (122, 183))
-    got = labels.as_dict()
+    got = label_dict(labels)
     assert got["a_silent"] == (True, 1.0)
     assert got["b_daily"] == (False, 0.0)
     assert got["c_half"] == (False, 31 / 61)

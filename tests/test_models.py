@@ -10,6 +10,7 @@ from churnforge.models import (FAMILIES, ModelSpec, kfold_cv, load_model,
                                read_scores, save_model, threshold_baseline,
                                train, write_scores)
 from churnforge.tree import DecisionTree, BaggedForest
+from conftest import columns
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -359,7 +360,7 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     mat = compute_matrix(store, enumerate_features(axes), axes)
     labels = compute_labels(store, split_windows(win)[1])
     top = univariate_r2(mat, labels).names()[:40]
-    model = train(ModelSpec("logreg"), mat.select(top), labels)
-    hist = logreg_descent(model, mat.select(top), labels)
+    model = train(ModelSpec("logreg"), columns(mat, top), labels)
+    hist = logreg_descent(model, columns(mat, top), labels)
     assert (np.diff(hist) <= 1e-12).all()
     assert hist[-1] < hist[0]

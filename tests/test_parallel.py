@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,29 @@ def _problem(seed=0, n=90, d=20):
 def test_map_keeps_item_order():
     offset = 10  # a closure reaches the children by fork, not by pickle
     for workers in (1, 2, 3):
-        assert parallel.map(lambda i: i + offset, range(7), workers) == \
-            list(range(10, 17))
+        assert list(parallel.map(lambda i: i + offset, range(7),
+                                 workers)) == list(range(10, 17))
+
+
+def test_map_yields_each_result_as_it_arrives(tmp_path):
+    # the last item waits for a file that is made only once the first
+    # result is taken: a map that returned all results at once would
+    # give that item no file
+    flag = tmp_path / "first_result_taken"
+
+    def wait_for_flag(i):
+        deadline = time.monotonic() + 10
+        while i == 3 and not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return i, flag.exists()
+
+    for workers in (1, 2):
+        flag.unlink(missing_ok=True)
+        results = parallel.map(wait_for_flag, range(4), workers)
+        assert next(results) == (0, False)
+        flag.touch()
+        rest = list(results)
+        assert [i for i, _ in rest] == [1, 2, 3] and rest[-1] == (3, True)
 
 
 def test_map_raises_what_a_child_raises():
@@ -39,7 +61,7 @@ def test_map_raises_what_a_child_raises():
         return i
 
     with pytest.raises(ValueError, match="item 3 is bad"):
-        parallel.map(fail, range(5), 2)
+        list(parallel.map(fail, range(5), 2))
 
 
 def test_map_runs_where_cpu_placement_is_refused(monkeypatch):
@@ -53,7 +75,7 @@ def test_map_runs_where_cpu_placement_is_refused(monkeypatch):
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(60)
     try:
-        assert parallel.map(lambda i: 2 * i, range(6), 2) == \
+        assert list(parallel.map(lambda i: 2 * i, range(6), 2)) == \
             [0, 2, 4, 6, 8, 10]
     finally:
         signal.alarm(0)
@@ -67,7 +89,7 @@ def test_one_worker_or_one_item_creates_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     X, y = _problem()
     BaggedForest(n_trees=4, seed=1).fit(X, y, workers=1)
-    assert parallel.map(lambda i: i, [5], 4) == [5]
+    assert list(parallel.map(lambda i: i, [5], 4)) == [5]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -103,7 +125,7 @@ def test_forest_in_pool_child_runs_serially():
         forest = BaggedForest(n_trees=4, seed=seed).fit(X, y, workers=2)
         return forest.feature_importances_
 
-    got = parallel.map(importances, [0, 1], 2)
+    got = list(parallel.map(importances, [0, 1], 2))
     want = [BaggedForest(n_trees=4, seed=s).fit(X, y).feature_importances_
             for s in (0, 1)]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -5,9 +5,10 @@ import pytest
 
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
-from churnforge.selection import (FeatureRanking, _ranked, read_ranking,
-                                  tree_select, univariate_r2,
-                                  univariate_ttest, write_ranking)
+from churnforge.selection import (FeatureRanking, _ranked, tree_select,
+                                  univariate_r2, univariate_ttest,
+                                  write_ranking)
+from conftest import read_ranking
 
 
 def make_inputs(values, churned, pct=None, names=None):

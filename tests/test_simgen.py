@@ -7,9 +7,8 @@ import pytest
 from churnforge.cdr import SECONDS_PER_DAY, ingest
 from churnforge.cli import main
 from churnforge.labeling import compute_labels, split_windows
-from churnforge.simgen import (_BLOCK, _OUT_SHRINK, SimConfig, _cdf,
-                               generate, read_truth)
-from conftest import WINDOW
+from churnforge.simgen import _BLOCK, _OUT_SHRINK, SimConfig, _cdf, generate
+from conftest import WINDOW, read_truth
 
 SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
 
