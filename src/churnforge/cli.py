@@ -138,30 +138,29 @@ def _matrix_path(cfg: PipelineConfig, out: Path) -> Path:
 
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
     matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
-    mat = matrix_mod.load(str(matrix_path))
-    try:
-        mat.check_finite()  # split search needs a total order
-    except ValueError as exc:
-        raise ValueError(f"{matrix_path}: {exc}") from None
     labels = label_mod.read_labels(str(_require(out / "labels.csv",
                                                 "churnforge featurize")))
-    tt = select_mod.univariate_ttest(mat, labels)
-    r2 = select_mod.univariate_r2(mat, labels)
+    columns = matrix_mod.columns(str(matrix_path))
+    try:
+        scan = select_mod.scan(columns, labels, cfg.workers)
+    except ValueError as exc:  # e.g. a non-finite cell
+        raise ValueError(f"{matrix_path}: {exc}") from None
     k = cfg._get("selection.k")
     tree = select_mod.tree_select(
-        mat, labels, n_trees=cfg._get("selection.n_trees"), k=k,
+        scan, labels, n_trees=cfg._get("selection.n_trees"), k=k,
         seed=cfg.seed, max_depth=cfg._get("selection.max_depth"),
         workers=cfg.workers)
+    r2 = scan.r2
     outputs = []
-    for name, ranking in (("rank_ttest.csv", tt), ("rank_r2.csv", r2),
-                          ("rank_tree.csv", tree)):
+    for name, ranking in (("rank_ttest.csv", scan.ttest),
+                          ("rank_r2.csv", r2), ("rank_tree.csv", tree)):
         select_mod.write_ranking(ranking, str(out / name))
         outputs.append(out / name)
     selected_path = out / "selected_features.txt"
     selected_path.write_text("".join(n + "\n" for n in tree.names()),
                              encoding="utf-8")
     outputs.append(selected_path)
-    print(f"select: top {k} of {len(mat.feature_names)} features by "
+    print(f"select: top {k} of {len(scan.feature_names)} features by "
           f"tree importance; best univariate r2 = "
           f"{r2.entries[0].name} ({r2.entries[0].score:.3f})")
     _write_manifest("select", cfg, out, [matrix_path, out / "labels.csv"],
@@ -337,8 +336,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (cdr_mod.CdrFormatError, FileNotFoundError, KeyError,
-            ValueError, OSError) as exc:
+    except KeyError as exc:  # str() would quote the message
+        print(f"data error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_DATA
+    except (cdr_mod.CdrFormatError, FileNotFoundError, ValueError,
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - invariant violations

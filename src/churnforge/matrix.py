@@ -7,8 +7,10 @@ exactly: CSV uses shortest-repr floats, the binary format raw bytes.
 
 ``load`` returns the whole matrix or only the columns it is asked for.
 From CFM1 it reads just those columns of the column-major value block,
-so ``train``, ``score`` and ``evaluate`` read only the columns they use;
-a CSV matrix is always read whole.
+so ``train``, ``score`` and ``evaluate`` read only the columns they use.
+``columns`` reads a matrix one block of columns at a time (``select``
+never holds the whole float matrix), and ``column_blocks`` cuts those
+blocks. A CSV matrix is always read whole.
 """
 
 from __future__ import annotations
@@ -16,10 +18,40 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 _MAGIC = b"CFM1"
+_BLOCK_VALUES = 1 << 20  # about this many cells per block of columns
+
+
+def column_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """(lo, hi) spans that cut the columns into blocks of about
+    ``_BLOCK_VALUES`` cells.
+
+    Widths are multiples of 64, and a last block one column wide joins
+    the block before it: numpy sums a one-column block's rows pairwise,
+    and BLAS sums each column of a block as over the whole matrix only
+    where the blocks start on the same multiples.
+    """
+    width = max(64, _BLOCK_VALUES // max(n_rows, 1) // 64 * 64)
+    spans = [(lo, min(lo + width, n_cols)) for lo in range(0, n_cols, width)]
+    if len(spans) > 1 and spans[-1][1] - spans[-1][0] == 1:
+        spans[-2:] = [(spans[-2][0], n_cols)]
+    return spans
+
+
+def check_block_finite(cols: np.ndarray, ego_ids: list[str],
+                       feature_names: list[str], lo: int = 0) -> None:
+    """ValueError naming the first non-finite cell, in column order, of
+    ``cols``: the (columns, rows) block of the matrix's columns from
+    ``lo`` on."""
+    finite = np.isfinite(cols)
+    if not finite.all():
+        j, i = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite value at ego {ego_ids[i]}, "
+                         f"feature {feature_names[lo + j]}")
 
 
 @dataclass
@@ -40,11 +72,18 @@ class FeatureMatrix:
         return self.values.shape
 
     def check_finite(self) -> None:
-        if not np.isfinite(self.values).all():
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(
-                f"non-finite value at ego {self.ego_ids[bad[0]]}, "
-                f"feature {self.feature_names[bad[1]]}")
+        """``check_block_finite`` over each block of columns."""
+        for lo, hi in column_blocks(*self.shape):
+            check_block_finite(self.values[:, lo:hi].T, self.ego_ids,
+                               self.feature_names, lo)
+
+
+class Columns(NamedTuple):
+    """A matrix read a block of columns at a time: ``read(lo, hi)``
+    returns columns lo..hi-1 as a (hi - lo, rows) array."""
+    ego_ids: list[str]
+    feature_names: list[str]
+    read: Callable[[int, int], np.ndarray]
 
 
 def save_csv(matrix: FeatureMatrix, path: str) -> None:
@@ -112,9 +151,10 @@ def _column_indices(path: str, feature_names: list[str],
     return [lookup[n] for n in names]
 
 
-def _load_cfm1(fh, names: list[str] | None) -> FeatureMatrix:
-    """The CFM1 matrix open at ``fh`` past its magic, or only its ``names``
-    columns; the file must hold the whole value block even so."""
+def _cfm1_header(fh) -> tuple[list[str], list[str], int]:
+    """(ego ids, feature names, rows) of the CFM1 matrix open at ``fh``
+    past its magic, leaving ``fh`` at the value block; the file must
+    hold the whole value block."""
     n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
     (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
     ego_blob = read_exact(fh, ego_len, "ego table").decode("utf-8")
@@ -123,19 +163,10 @@ def _load_cfm1(fh, names: list[str] | None) -> FeatureMatrix:
     _check_left(fh, n_rows * n_cols * 8, "values")
     egos = ego_blob.split("\n") if ego_blob else []
     all_names = name_blob.split("\n") if name_blob else []
-    if names is None:
-        names, idx = all_names, range(n_cols)
-    else:
-        idx = _column_indices(fh.name, all_names, names)
-    # read column by column, then copy into C order: numpy sums the
-    # columns of an F-ordered array in another order, and the last bits
-    # of every mean a model stores would change
-    cols = np.empty((len(idx), n_rows), dtype="<f8")
-    start = fh.tell()
-    for j, i in enumerate(idx):
-        fh.seek(start + i * n_rows * 8)
-        fh.readinto(cols[j])
-    return FeatureMatrix(egos, list(names), cols.T.copy())
+    if (len(egos), len(all_names)) != (n_rows, n_cols):
+        raise ValueError(f"{fh.name}: shape {n_rows} x {n_cols} does not "
+                         f"match {len(egos)} egos x {len(all_names)} names")
+    return egos, all_names, n_rows
 
 
 def save(matrix: FeatureMatrix, path: str, fmt: str = "csv") -> None:
@@ -150,11 +181,43 @@ def save(matrix: FeatureMatrix, path: str, fmt: str = "csv") -> None:
 def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
     """The matrix at ``path``, or only its ``names`` columns in the order
     named; KeyError naming the file for a name the matrix lacks."""
-    with open(path, "rb") as fh:
-        if fh.read(4) == _MAGIC:
-            return _load_cfm1(fh, names)
-    mat = load_csv(path)
+    cols = columns(path)
     if names is None:
-        return mat
-    idx = _column_indices(path, mat.feature_names, names)
-    return FeatureMatrix(mat.ego_ids, list(names), mat.values[:, idx].copy())
+        names = cols.feature_names
+        cells = cols.read(0, len(names))
+    else:
+        idx = _column_indices(path, cols.feature_names, names)
+        cells = np.empty((len(idx), len(cols.ego_ids)))
+        for j, i in enumerate(idx):
+            cells[j] = cols.read(i, i + 1)[0]
+    # C order: numpy sums the columns of an F-ordered array in another
+    # order, and the last bits of every mean a model stores would change
+    return FeatureMatrix(cols.ego_ids, list(names),
+                         np.ascontiguousarray(cells.T))
+
+
+def columns(source: str | FeatureMatrix) -> Columns:
+    """The matrix at path ``source``, or in memory, as ``Columns``.
+
+    From CFM1 each ``read`` takes just its columns from the column-major
+    value block, so the whole float matrix is never held; a CSV matrix
+    is read whole here, and its blocks are slices of it.
+    """
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            if fh.read(4) == _MAGIC:
+                egos, names, n_rows = _cfm1_header(fh)
+                start = fh.tell()
+
+                def read(lo: int, hi: int) -> np.ndarray:
+                    cols = np.empty((hi - lo, n_rows), dtype="<f8")
+                    with open(source, "rb") as block:
+                        block.seek(start + lo * n_rows * 8)
+                        block.readinto(cols)
+                    return cols
+
+                return Columns(egos, names, read)
+        source = load_csv(source)
+    values = source.values
+    return Columns(source.ego_ids, source.feature_names,
+                   lambda lo, hi: values[:, lo:hi].T)

@@ -26,7 +26,7 @@ import numpy as np
 from .labeling import LabelSet
 from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
-from .tree import LEAF, BaggedForest, DecisionTree, node_order, rank_codes
+from .tree import LEAF, BaggedForest, DecisionTree, node_order, rank_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -271,8 +271,8 @@ def _load_forest(fh, d: int) -> dict:
 def _fit_adaboost(Z, y, params, seed):
     n = len(y)
     w = np.full(n, 1.0 / n)
-    codes = rank_codes(Z)
-    root_order = node_order(codes.T)  # each round's root has every row
+    ranks = rank_columns(Z)
+    root_order = node_order(ranks.codes)  # each round's root has every row
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     eps = 1e-12
@@ -280,7 +280,7 @@ def _fit_adaboost(Z, y, params, seed):
         tree = DecisionTree(max_depth=params["max_depth"],
                             rng=np.random.default_rng([seed, m]),
                             root_order=root_order)
-        tree.fit(Z, y, sample_weight=w, codes=codes)
+        tree.fit(ranks, y, sample_weight=w)
         pred = tree.predict(Z)
         miss = pred != y
         err = float(w[miss].sum())

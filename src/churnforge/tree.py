@@ -1,58 +1,107 @@
 """Weighted binary decision trees and bagged ensembles, built on numpy.
 
-Every column is coded once per ensemble as dense ranks (``rank_codes``).
-At each node, split search gathers the node's codes for the sampled
-feature block, orders each column by a stable radix argsort of the
-codes, and scores every cut with prefix sums of the weights. A
-bootstrap is passed as integer row counts, not as copied rows. Trees
-classify 0/1 labels by Gini impurity and support sample weights (for
-boosting) and per-split feature subsampling (for bagging). Thresholds
-are midpoints of adjacent distinct values, so the trees are exact CART
-trees. A forest ranks its columns and grows its trees on up to
-``workers`` forked processes, with the same result at any count.
+Trees grow from a ``ColumnRanks`` alone: each column's dense rank codes
+plus its sorted distinct values, in the spirit of XGBoost's pre-sorted
+column blocks (Chen & Guestrin, 2016). A float matrix is ranked once per
+ensemble, a block of columns at a time; ``select`` builds the ranks from
+its column blocks and never holds the float matrix. At each node, split
+search gathers the node's codes for the sampled feature block, orders
+each column by a stable radix argsort of the codes, and scores every cut
+with prefix sums of the weights. A bootstrap is passed as integer row
+counts, not as copied rows. Trees classify 0/1 labels by Gini impurity
+and support sample weights (for boosting) and per-split feature
+subsampling (for bagging).
+
+A split's threshold is the midpoint of the two distinct values either
+side of the cut, so the trees are exact CART trees. A node's rows are
+parted by code: rows whose code is at most that of the largest value
+``<= threshold`` go left, which is ``X[rows, feat] <= threshold`` even
+where the midpoint rounds onto the upper value. ``predict`` compares
+floats. A forest grows its trees on up to ``workers`` forked processes,
+with the same result at any count.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from . import parallel
+from .matrix import column_blocks
 
 LEAF = -1                  # feature of a leaf node
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
-_RANK_BLOCK = 1 << 20      # values ranked per block of columns
 
 
-def rank_codes(X: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Dense rank of each value within its column.
+@dataclass
+class ColumnRanks:
+    """A matrix's columns as dense rank codes and sorted distinct values.
 
-    Equal values share a code and codes keep the column's order, so a
-    stable argsort of a column's codes is the stable argsort of its
-    values. The dtype is uint16 up to 65,535 rows and uint32 above. The
-    result has X's shape, stored column by column (Fortran order).
-    Blocks of columns are ranked on up to ``workers`` processes.
+    ``codes[j]`` holds column j's codes, one per row: equal values share
+    a code and codes keep the column's order, so a stable argsort of a
+    column's codes is the stable argsort of its values. The dtype is
+    uint16 up to 65,535 rows and uint32 above. Column j's distinct
+    values, ascending, are ``values[offsets[j]:offsets[j + 1]]``, and a
+    code indexes them.
     """
+
+    codes: np.ndarray    # (columns, rows)
+    values: np.ndarray   # flat float64
+    offsets: np.ndarray  # (columns + 1,) int64
+
+    def column_values(self, j: int) -> np.ndarray:
+        return self.values[self.offsets[j]:self.offsets[j + 1]]
+
+
+def _code_dtype(n_rows: int) -> type:
+    return np.uint16 if n_rows <= _UINT16_ROWS else np.uint32
+
+
+def rank_block(cols: np.ndarray) -> tuple:
+    """(codes, distinct values, distinct counts) of a (columns, rows)
+    block of floats: the codes of each column, every column's distinct
+    values ascending one column after another, and how many each has."""
+    cols = np.ascontiguousarray(cols, dtype=np.float64)
+    order = np.argsort(cols, axis=1)
+    srt = np.take_along_axis(cols, order, axis=1)
+    if srt.shape[1] and np.isnan(srt[:, -1]).any():  # nan sorts last
+        raise ValueError("rank codes need values without nan")
+    first = np.ones(srt.shape, dtype=bool)  # first of its value
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=first[:, 1:])
+    ranks = np.zeros(order.shape, dtype=_code_dtype(srt.shape[1]))
+    np.cumsum(first[:, 1:], axis=1, out=ranks[:, 1:])
+    codes = np.empty_like(ranks)
+    np.put_along_axis(codes, order, ranks, axis=1)
+    return codes, srt[first], first.sum(axis=1)
+
+
+def collect_ranks(n: int, spans: list, ranked: Iterable) -> ColumnRanks:
+    """The ColumnRanks of a matrix of ``n`` rows from ``rank_block`` of
+    each of its column ``spans`` (``(lo, hi)``, in column order), written
+    into one codes array as each block's result arrives."""
+    d = spans[-1][1] if spans else 0
+    codes = np.empty((d, n), dtype=_code_dtype(n))
+    offsets = np.zeros(d + 1, dtype=np.int64)
+    values = []
+    for (lo, hi), (block, vals, counts) in zip(spans, ranked, strict=True):
+        codes[lo:hi] = block
+        offsets[lo + 1:hi + 1] = counts
+        values.append(vals)
+    np.cumsum(offsets, out=offsets)
+    return ColumnRanks(codes, np.concatenate(values) if values
+                       else np.zeros(0), offsets)
+
+
+def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
+    """The ColumnRanks of float matrix X, blocks of columns ranked on up
+    to ``workers`` processes."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    dtype = np.uint16 if n <= _UINT16_ROWS else np.uint32
-    if n == 0 or d == 0:
-        return np.zeros((d, n), dtype=dtype).T
-    block = max(1, _RANK_BLOCK // n)
-
-    def rank(start):
-        cols = np.ascontiguousarray(X[:, start:start + block].T)
-        order = np.argsort(cols, axis=1)
-        srt = np.take_along_axis(cols, order, axis=1)
-        if np.isnan(srt[:, -1]).any():  # nan sorts last
-            raise ValueError("rank codes need values without nan")
-        ranks = np.zeros(order.shape, dtype=dtype)
-        np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ranks[:, 1:])
-        codes = np.empty_like(ranks)
-        np.put_along_axis(codes, order, ranks, axis=1)
-        return codes
-
-    return np.concatenate(list(parallel.map(rank, range(0, d, block),
-                                           workers))).T
+    spans = column_blocks(n, d)
+    return collect_ranks(n, spans, parallel.map(
+        lambda span: rank_block(X[:, span[0]:span[1]].T), spans, workers))
 
 
 def node_order(block: np.ndarray) -> tuple:
@@ -69,9 +118,9 @@ def node_order(block: np.ndarray) -> tuple:
 class DecisionTree:
     """Single CART-style tree over float features and 0/1 targets.
 
-    ``root_order`` is ``node_order(codes.T)`` for the codes that ``fit``
-    will get. A tree over every column, fitted without counts, then
-    skips sorting its root: AdaBoost's rounds share one.
+    ``root_order`` is ``node_order(ranks.codes)`` for the ranks that
+    ``fit`` will get. A tree over every column, fitted without counts,
+    then skips sorting its root: AdaBoost's rounds share one.
     """
 
     def __init__(self, max_depth: int | None = None,
@@ -89,25 +138,24 @@ class DecisionTree:
         self.value: np.ndarray | None = None
         self.importances_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
+    def fit(self, X, y: np.ndarray,
             sample_weight: np.ndarray | None = None,
-            codes: np.ndarray | None = None,
             counts: np.ndarray | None = None) -> "DecisionTree":
-        """Grow the tree on the rows of X.
+        """Grow the tree on the rows of X, a float matrix or its
+        ``ColumnRanks``; an ensemble ranks its matrix once and passes the
+        ranks to every tree.
 
-        ``codes`` is ``rank_codes(X)``; an ensemble computes it once and
-        passes it to every tree. ``counts`` gives each row an integer
-        multiplicity (a bootstrap draw) and leaves out rows counted 0:
-        the tree is the one grown on the rows repeated that many times,
-        bit for bit while the weighted label sums are integers.
+        ``counts`` gives each row an integer multiplicity (a bootstrap
+        draw) and leaves out rows counted 0: the tree is the one grown on
+        the rows repeated that many times, bit for bit while the weighted
+        label sums are integers.
         """
-        X = np.asarray(X, dtype=np.float64)
+        ranks = X if isinstance(X, ColumnRanks) else rank_columns(X)
+        codes = ranks.codes
         y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
+        d, n = codes.shape
         w = np.ones(n) if sample_weight is None else \
             np.asarray(sample_weight, dtype=np.float64)
-        if codes is None:
-            codes = rank_codes(X)
         if counts is None:
             root = np.arange(n)
         else:
@@ -137,13 +185,16 @@ class DecisionTree:
             cr = None if counts is None else counts[rows]
             presorted = self.root_order if node == 0 and counts is None \
                 else None
-            split = self._best_split(X, codes, rows, yr, wr, wsum, cr,
-                                     presorted)
+            split = self._best_split(codes, rows, yr, wr, wsum, cr, presorted)
             if split is None:
                 continue
-            feat, thr, cost = split
+            feat, lo, hi, cost = split
             self.importances_[feat] += max(float(wsum * imp - cost), 0.0)
-            go_left = X[rows, feat] <= thr
+            vals = ranks.column_values(feat)
+            thr = float((vals[lo] + vals[hi]) / 2.0)
+            # X[rows, feat] <= thr, by code
+            go_left = codes[feat, rows] <= \
+                np.searchsorted(vals, thr, side="right") - 1
             feature[node] = feat
             threshold[node] = thr
             for child_rows, slot in ((rows[go_left], left),
@@ -164,9 +215,10 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         return self
 
-    def _best_split(self, X, codes, rows, yr, wr, wsum, cr, presorted):
-        """(feature, threshold, cost) of the cheapest split over a sample
-        of columns, or None.
+    def _best_split(self, codes, rows, yr, wr, wsum, cr, presorted):
+        """(feature, low code, high code, cost) of the cheapest split over
+        a sample of columns, or None; the codes are those of the two
+        distinct values either side of the cut.
 
         Each sampled column's node rows are put in order by a stable
         argsort of their rank codes (a radix sort for uint16), which is
@@ -175,7 +227,7 @@ class DecisionTree:
         ``presorted`` is ``node_order`` of this node over every column,
         used when no columns are sampled.
         """
-        d = X.shape[1]
+        d = codes.shape[0]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
             presorted = None
@@ -183,7 +235,7 @@ class DecisionTree:
             feats = np.arange(d)
         if presorted is None:
             # (sampled columns, node rows)
-            presorted = node_order(codes.T[feats][:, rows])
+            presorted = node_order(codes[feats][:, rows])
         order, pos, col = presorted
         if len(pos) == 0:
             return None
@@ -217,9 +269,8 @@ class DecisionTree:
                 k = int(tied[np.lexsort((col[tied], n_left))[0]])
         i, j = pos[k], col[k]
         feat = int(feats[j])
-        x = X[:, feat]
-        thr = float((x[rows[order[j, i]]] + x[rows[order[j, i + 1]]]) / 2.0)
-        return feat, thr, cost[k]
+        lo, hi = codes[feat, rows[order[j, i:i + 2]]]
+        return feat, lo, hi, cost[k]
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Leaf value per row: the leaf's class-1 weight fraction."""
@@ -256,26 +307,25 @@ class BaggedForest:
         self.trees: list[DecisionTree] = []
         self.feature_importances_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            workers: int = 1) -> "BaggedForest":
-        """Grow the trees on up to ``workers`` processes.
+    def fit(self, X, y: np.ndarray, workers: int = 1) -> "BaggedForest":
+        """Grow the trees on the rows of X, a float matrix or its
+        ``ColumnRanks``, on up to ``workers`` processes.
 
         Tree t draws only from its own ``[seed, t]`` stream, and the
         importances are summed in tree order, so the forest is the same
         bit for bit at any worker count.
         """
-        X = np.asarray(X, dtype=np.float64)
+        ranks = X if isinstance(X, ColumnRanks) else rank_columns(X, workers)
         y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
+        d, n = ranks.codes.shape
         mf = max(1, int(np.sqrt(d)))  # columns sampled per split
-        codes = rank_codes(X, workers)
 
         def grow(t):
             rng = np.random.default_rng([self.seed, t])
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             tree = DecisionTree(max_depth=self.max_depth, max_features=mf,
                                 rng=rng)
-            return tree.fit(X, y, codes=codes, counts=counts)
+            return tree.fit(ranks, y, counts=counts)
 
         self.trees = list(parallel.map(grow, range(self.n_trees), workers))
         raw = np.zeros(d)

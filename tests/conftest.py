@@ -2,6 +2,7 @@ import datetime
 import os
 import tempfile
 
+import churnforge  # noqa: F401  (pins one BLAS thread before numpy loads)
 import numpy as np
 import pytest
 

@@ -65,6 +65,16 @@ def test_selected_feature_the_matrix_lacks_fails_with_path(run_copy, capsys,
         in err
 
 
+def test_missing_feature_message_is_printed_without_quotes(run_copy, capsys):
+    selected = run_copy / "selected_features.txt"
+    selected.write_text(selected.read_text(encoding="utf-8")
+                        + "not.a.feature\n", encoding="utf-8")
+    assert _stage("score", run_copy) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {run_copy / 'matrix.cfm'}: "
+        f"no feature named 'not.a.feature'\n")
+
+
 @pytest.mark.parametrize("size", [6, -1], ids=["6_bytes", "half"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_truncated_model_fails_score_with_path(run_copy, capsys, family,

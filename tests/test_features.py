@@ -413,6 +413,7 @@ def test_small_config_featurize_bytes_pinned(tmp_path):
     # The later stages' manifests hold the hash of every file they write,
     # so the models, scores and reports that train, score and evaluate
     # make from columns read back through matrix.load are pinned too.
+    # These are the bytes of one BLAS thread, which churnforge pins.
     from churnforge.cli import STAGES, main
     config = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
     for stage in STAGES:
@@ -426,7 +427,7 @@ def test_small_config_featurize_bytes_pinned(tmp_path):
         "labels.csv":
             "b60a8d6544093f3efe0b318f2f83920ce0864098addbd70fe8a31df4fb2e76b6",
         "manifest_select.json":
-            "99c5850831a73af9fdc78b72c9436e235d2904047785e1df87eb18451bfb221d",
+            "ee8795929fadd817881bdf0ac33c6678c2075d7a4b5b7d8729a84351abd4534e",
         "manifest_train.json":
             "bbb07c8b2feaab55714aecb8dae79832030777fd85c00677f3489e7e66efca81",
         "manifest_score.json":

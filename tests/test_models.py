@@ -348,7 +348,8 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     from churnforge.cdr import StudyWindow, ingest
     from churnforge.features import AxesConfig, compute_matrix, enumerate_features
     from churnforge.labeling import compute_labels, split_windows
-    from churnforge.selection import univariate_r2
+    from churnforge.matrix import columns as matrix_columns
+    from churnforge.selection import scan
     from churnforge.simgen import SimConfig, generate
 
     win = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
@@ -359,7 +360,7 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     axes = AxesConfig()
     mat = compute_matrix(store, enumerate_features(axes), axes)
     labels = compute_labels(store, split_windows(win)[1])
-    top = univariate_r2(mat, labels).names()[:40]
+    top = scan(matrix_columns(mat), labels).r2.names()[:40]
     model = train(ModelSpec("logreg"), columns(mat, top), labels)
     hist = logreg_descent(model, columns(mat, top), labels)
     assert (np.diff(hist) <= 1e-12).all()

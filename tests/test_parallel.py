@@ -4,17 +4,20 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from churnforge import parallel, tree
+from churnforge import matrix, parallel
 from churnforge.cli import main
-from churnforge.tree import BaggedForest, rank_codes
+from churnforge.tree import BaggedForest, rank_columns
 
-SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
+ROOT = Path(__file__).resolve().parents[1]
+SMALL_CFG = str(ROOT / "configs" / "small.cfg")
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "value",
                 "importances_")
 
@@ -52,6 +55,22 @@ def test_map_yields_each_result_as_it_arrives(tmp_path):
         flag.touch()
         rest = list(results)
         assert [i for i, _ in rest] == [1, 2, 3] and rest[-1] == (3, True)
+
+
+def test_map_hands_out_at_most_two_runs_per_worker(tmp_path):
+    # 40 items over 2 workers go out in runs of 5, four runs at first;
+    # taking the first result hands out one more, so while the caller
+    # holds it no more than 25 items may start
+    def touch(i):
+        (tmp_path / str(i)).touch()
+        return i
+
+    results = parallel.map(touch, range(40), 2)
+    assert next(results) == 0
+    time.sleep(1)
+    started = len(list(tmp_path.iterdir()))
+    assert list(results) == list(range(1, 40))
+    assert 5 <= started <= 25
 
 
 def test_map_raises_what_a_child_raises():
@@ -107,14 +126,17 @@ def test_forest_same_at_any_worker_count(seed):
 
 
 def test_rank_codes_same_at_any_worker_count(monkeypatch):
-    X, _ = _problem(2, n=50, d=23)
-    monkeypatch.setattr(tree, "_RANK_BLOCK", 50 * 4)  # blocks of 4 columns
-    codes = [rank_codes(X, workers) for workers in (1, 2, 3)]
-    for other in codes[1:]:
-        assert other.dtype == codes[0].dtype
-        assert np.array_equal(other, codes[0])
+    X, _ = _problem(2, n=50, d=150)
+    monkeypatch.setattr(matrix, "_BLOCK_VALUES", 50 * 64)  # blocks of 64
+    assert matrix.column_blocks(50, 150) == [(0, 64), (64, 128), (128, 150)]
+    ranks = [rank_columns(X, workers) for workers in (1, 2, 3)]
     monkeypatch.undo()
-    assert np.array_equal(rank_codes(X), codes[0])
+    ranks.append(rank_columns(X))  # one block
+    for other in ranks[1:]:
+        assert other.codes.dtype == ranks[0].codes.dtype
+        for name in ("codes", "values", "offsets"):
+            assert np.array_equal(getattr(other, name),
+                                  getattr(ranks[0], name)), name
 
 
 def test_forest_in_pool_child_runs_serially():
@@ -150,3 +172,29 @@ def test_select_and_train_write_same_files_at_any_worker_count(tmp_path):
         for name in names:
             assert (out / name).read_bytes() == \
                 (outs[0] / name).read_bytes(), name
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="two BLAS threads need two CPUs")
+def test_blas_thread_count_leaves_products_unchanged():
+    # a BLAS product split over threads sums in another order; importing
+    # churnforge pins one thread whatever the environment asks for
+    probe = ("import hashlib, churnforge, numpy as np\n"
+             "rng = np.random.default_rng(0)\n"
+             "X, y = rng.random((400, 18_149)), rng.random(400)\n"
+             "print(hashlib.sha256((y @ X).tobytes()).hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        digests.add(subprocess.run([sys.executable, "-c", probe], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert len(digests) == 1

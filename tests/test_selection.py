@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from churnforge import matrix as matrix_mod
 from churnforge.labeling import LabelSet
-from churnforge.matrix import FeatureMatrix
-from churnforge.selection import (FeatureRanking, _ranked, tree_select,
-                                  univariate_r2, univariate_ttest,
+from churnforge.matrix import FeatureMatrix, columns
+from churnforge.selection import (R_SQUARED, T_STAT_ABS, FeatureRanking,
+                                  _ranked, scan, tree_select,
+                                  univariate_r2 as r2_scores,
+                                  univariate_ttest as ttest_scores,
                                   write_ranking)
+from churnforge.tree import rank_block
 from conftest import read_ranking
 
 
@@ -21,6 +25,19 @@ def make_inputs(values, churned, pct=None, names=None):
         pct = churned.astype(float)
     labels = LabelSet(egos, churned, np.asarray(pct, dtype=float))
     return FeatureMatrix(egos, names, values), labels
+
+
+def univariate_ttest(mat, labels):
+    return scan(columns(mat), labels).ttest
+
+
+def univariate_r2(mat, labels):
+    return scan(columns(mat), labels).r2
+
+
+def select_trees(mat, labels, workers=1, **kwargs):
+    return tree_select(scan(columns(mat), labels, workers), labels,
+                       workers=workers, **kwargs)
 
 
 class TestTtest:
@@ -127,8 +144,8 @@ class TestPermutationInvariance:
                    [(e.rank, e.name) for e in b.entries]
             for x, y in zip(a.entries, b.entries):
                 assert x.score == pytest.approx(y.score, abs=1e-12)
-        a = tree_select(mat, labels, n_trees=10, k=5, seed=3)
-        b = tree_select(mat_p, labels_p, n_trees=10, k=5, seed=3)
+        a = select_trees(mat, labels, n_trees=10, k=5, seed=3)
+        b = select_trees(mat_p, labels_p, n_trees=10, k=5, seed=3)
         assert [(e.rank, e.name, e.score) for e in a.entries] == \
                [(e.rank, e.name, e.score) for e in b.entries]
 
@@ -143,7 +160,7 @@ class TestTreeSelect:
         churned = rng.random(1500) < 0.4
         X[:, 2] = churned.astype(float)
         mat, labels = make_inputs(X, churned)
-        ranking = tree_select(mat, labels, n_trees=20, k=5, seed=0)
+        ranking = select_trees(mat, labels, n_trees=20, k=5, seed=0)
         assert ranking.entries[0].name == "f02"
         assert ranking.entries[0].score > 0.9
 
@@ -154,7 +171,7 @@ class TestTreeSelect:
         X[:, 1] = churned.astype(float)
         X[:, 4] = churned.astype(float)
         mat, labels = make_inputs(X, churned)
-        ranking = tree_select(mat, labels, n_trees=30, k=6, seed=0)
+        ranking = select_trees(mat, labels, n_trees=30, k=6, seed=0)
         score = {e.name: e.score for e in ranking.entries}
         combined = score["f01"] + score["f04"]
         assert combined >= 0.95
@@ -163,25 +180,25 @@ class TestTreeSelect:
         mat, labels = make_inputs(np.ones((20, 4)),
                                   [1] * 8 + [0] * 12)
         with pytest.raises(ValueError, match="no informative splits"):
-            tree_select(mat, labels, n_trees=5, k=2, seed=0)
+            select_trees(mat, labels, n_trees=5, k=2, seed=0)
 
     def test_k_out_of_range_fatal(self):
         rng = np.random.default_rng(0)
         mat, labels = make_inputs(rng.normal(size=(10, 3)),
                                   [1, 0] * 5)
         with pytest.raises(ValueError):
-            tree_select(mat, labels, n_trees=2, k=4, seed=0)
+            select_trees(mat, labels, n_trees=2, k=4, seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(60, 10))
         churned = X[:, 0] + 0.3 * rng.normal(size=60) > 0
         mat, labels = make_inputs(X, churned)
-        a = tree_select(mat, labels, n_trees=15, k=10, seed=4)
-        b = tree_select(mat, labels, n_trees=15, k=10, seed=4)
+        a = select_trees(mat, labels, n_trees=15, k=10, seed=4)
+        b = select_trees(mat, labels, n_trees=15, k=10, seed=4)
         assert [(e.name, e.score) for e in a.entries] == \
                [(e.name, e.score) for e in b.entries]
-        c = tree_select(mat, labels, n_trees=15, k=10, seed=5)
+        c = select_trees(mat, labels, n_trees=15, k=10, seed=5)
         assert [(e.name, e.score) for e in a.entries] != \
                [(e.name, e.score) for e in c.entries]
 
@@ -190,7 +207,7 @@ class TestTreeSelect:
         X = rng.normal(size=(80, 30))
         churned = X[:, 2] - X[:, 5] + 0.3 * rng.normal(size=80) > 0
         mat, labels = make_inputs(X, churned)
-        got = {workers: [(e.rank, e.name, e.score) for e in tree_select(
+        got = {workers: [(e.rank, e.name, e.score) for e in select_trees(
             mat, labels, n_trees=9, k=30, seed=2, workers=workers).entries]
             for workers in (1, 2, 3)}
         assert got[1] == got[2] == got[3]
@@ -200,11 +217,11 @@ class TestTreeSelect:
         X = rng.normal(size=(70, 12))
         churned = X[:, 3] + X[:, 7] + 0.3 * rng.normal(size=70) > 0
         mat, labels = make_inputs(X, churned)
-        want = [(e.rank, e.name, e.score) for e in tree_select(
+        want = [(e.rank, e.name, e.score) for e in select_trees(
             mat, labels, n_trees=8, k=12, seed=1).entries]
         for perm in (np.arange(70)[::-1], rng.permutation(70)):
             egos = [mat.ego_ids[i] for i in perm]
-            got = tree_select(
+            got = select_trees(
                 FeatureMatrix(egos, list(mat.feature_names), X[perm]),
                 LabelSet(egos, churned[perm], labels.pct_inactive_eval[perm]),
                 n_trees=8, k=12, seed=1)
@@ -215,7 +232,7 @@ class TestTreeSelect:
         X = rng.normal(size=(60, 8))
         churned = X[:, 1] > 0.2
         mat, labels = make_inputs(X, churned)
-        full = tree_select(mat, labels, n_trees=10, k=8, seed=0)
+        full = select_trees(mat, labels, n_trees=10, k=8, seed=0)
         scores = [e.score for e in full.entries]
         assert all(s >= 0 for s in scores)
         assert sum(scores) == pytest.approx(1.0, abs=1e-9)
@@ -250,3 +267,72 @@ def test_ranked_order_equals_python_sort():
     # a signed zero keeps its sign in the score
     assert [math.copysign(1, e.score) for e in ranking.entries] == \
         [math.copysign(1, scores[i]) for i in old]
+
+
+def _entries(ranking):
+    return [(e.rank, e.name, e.score, e.degenerate) for e in ranking.entries]
+
+
+def _mixed(seed, n, d):
+    """Counts, ratios and continuous columns, with ties and signed zeros."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.integers(1, 500, size=d)
+    X[:, ::3] = rng.poisson(3.0, size=(n, len(range(0, d, 3))))
+    X[:, 1::5] = rng.integers(0, 4, size=(n, len(range(1, d, 5)))) / 3.0
+    X[:, 2] = -0.0
+    churned = X[:, 0] + rng.normal(size=n) > 3
+    pct = np.clip(0.3 * churned + 0.2 * rng.random(n), 0.0, 1.0)
+    return X, churned, pct
+
+
+def test_cfm1_and_csv_give_the_same_rankings(tmp_path):
+    X, churned, pct = _mixed(11, 90, 150)
+    mat, labels = make_inputs(X, churned, pct=pct)
+    got = []
+    for fmt, name in (("binary", "m.cfm"), ("csv", "m.csv")):
+        path = str(tmp_path / name)
+        matrix_mod.save(mat, path, fmt)
+        scanned = scan(columns(path), labels, workers=2)
+        got.append([_entries(scanned.ttest), _entries(scanned.r2),
+                    _entries(tree_select(scanned, labels, n_trees=6, k=20,
+                                         seed=3))])
+    assert got[0] == got[1]
+    scanned = scan(columns(mat), labels)
+    assert got[0][:2] == [_entries(scanned.ttest), _entries(scanned.r2)]
+
+
+@pytest.mark.parametrize("d,spans", [
+    (129, [(0, 64), (64, 129)]),               # a one-column tail joins in
+    (140, [(0, 64), (64, 128), (128, 140)]),   # a narrow last block
+])
+def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
+                                                         spans):
+    n = 70
+    X, churned, pct = _mixed(d, n, d)
+    monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", n * 64)
+    assert matrix_mod.column_blocks(n, d) == spans
+    mat, labels = make_inputs(X, churned, pct=pct)
+    t, degenerate = ttest_scores(X, churned)  # over the whole matrix
+    want = [_entries(_ranked(mat.feature_names, t, T_STAT_ABS, degenerate)),
+            _entries(_ranked(mat.feature_names, r2_scores(X, pct),
+                             R_SQUARED))]
+    for workers in (1, 2):
+        scanned = scan(columns(mat), labels, workers)
+        assert [_entries(scanned.ttest), _entries(scanned.r2)] == want
+        codes, values, counts = rank_block(X.T)
+        assert np.array_equal(scanned.ranks.codes, codes)
+        assert np.array_equal(scanned.ranks.values, values)
+        assert np.array_equal(np.diff(scanned.ranks.offsets), counts)
+
+
+def test_nonfinite_cell_is_named_in_column_order(monkeypatch):
+    X, churned, pct = _mixed(5, 40, 140)
+    X[30, 20] = np.inf
+    X[2, 100] = np.nan  # an earlier row, in a later block
+    monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", 40 * 64)
+    mat, labels = make_inputs(X, churned, pct=pct)
+    message = "non-finite value at ego S030, feature f20"
+    with pytest.raises(ValueError, match=message):
+        mat.check_finite()
+    with pytest.raises(ValueError, match=message):
+        scan(columns(mat), labels, workers=2)

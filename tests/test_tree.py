@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from churnforge.tree import BaggedForest, DecisionTree, rank_codes
+from churnforge.tree import (BaggedForest, ColumnRanks, DecisionTree,
+                             rank_columns)
 
 
 def test_memorizes_training_data_without_bootstrap():
@@ -73,10 +74,13 @@ class _ReferenceTree(DecisionTree):
     """The Gini tree grown by stable argsort of float values, rows repeated.
 
     This is the split search that rank codes and bootstrap counts
-    replaced. The new trees must equal these bit for bit.
+    replaced. The new trees must equal these bit for bit. Given a
+    ``ColumnRanks``, it grows on the floats that the codes stand for.
     """
 
-    def fit(self, X, y, sample_weight=None, codes=None, counts=None):
+    def fit(self, X, y, sample_weight=None, counts=None):
+        if isinstance(X, ColumnRanks):
+            X = _floats(X)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if counts is not None:
@@ -92,6 +96,8 @@ class _ReferenceTree(DecisionTree):
             node, rows, depth = stack.pop()
             yr, wr = y[rows], w[rows]
             wsum = wr.sum()
+            if wsum == 0:  # a cut whose midpoint rounds onto its upper value
+                continue   # leaves one side empty
             value[node] = float((wr * yr).sum() / wsum)
             imp = _gini(yr, wr, wsum)
             if imp <= 1e-15 or (self.max_depth is not None
@@ -153,6 +159,12 @@ class _ReferenceTree(DecisionTree):
         parent_cost = wsum * _gini(yr, wr, wsum)
         decrease = float(parent_cost - cost[i, j])
         return feat, thr, max(decrease, 0.0)
+
+
+def _floats(ranks):
+    """The float matrix whose ranks ``ranks`` are."""
+    return np.stack([ranks.column_values(j)[c]
+                     for j, c in enumerate(ranks.codes)], axis=1)
 
 
 def _reference_forest(X, y, n_trees, max_depth=12, max_features="sqrt",
@@ -260,27 +272,56 @@ def test_rank_codes_share_ties_and_keep_order():
     X, _ = _tied(0)
     X[:, 0] = np.where(X[:, 0] > 0, X[:, 0], -0.0)
     X[::2, 0] = np.abs(X[::2, 0])  # 0.0 and -0.0 in one column
-    codes = rank_codes(X)
-    assert codes.dtype == np.uint16 and codes.shape == X.shape
+    ranks = rank_columns(X)
+    codes = ranks.codes
+    assert codes.dtype == np.uint16 and codes.shape == X.T.shape
     for j in range(X.shape[1]):
-        col, c = X[:, j], codes[:, j].astype(np.int64)
+        col, c = X[:, j], codes[j].astype(np.int64)
         assert np.array_equal(col[:, None] == col[None, :],
                               c[:, None] == c[None, :])
         assert np.array_equal(np.argsort(c, kind="stable"),
                               np.argsort(col, kind="stable"))
         assert set(c) == set(range(len(np.unique(col))))
+        # the code indexes the column's sorted distinct values
+        assert np.array_equal(ranks.column_values(j), np.unique(col))
+        assert np.array_equal(ranks.column_values(j)[c], col)
 
 
 def test_rank_codes_widen_past_uint16_rows():
     tall = np.arange(70_000, 0, -1, dtype=np.float64)[:, None] / 7.0
-    codes = rank_codes(tall)
+    codes = rank_columns(tall).codes
     assert codes.dtype == np.uint32
-    assert np.array_equal(codes[:, 0], np.arange(69_999, -1, -1))
-    assert rank_codes(tall[:65_535]).dtype == np.uint16
+    assert np.array_equal(codes[0], np.arange(69_999, -1, -1))
+    assert rank_columns(tall[:65_535]).codes.dtype == np.uint16
 
 
 def test_rank_codes_refuse_nan():
     X = np.ones((4, 3))
     X[2, 1] = np.nan
     with pytest.raises(ValueError, match="nan"):
-        rank_codes(X)
+        rank_columns(X)
+
+
+def test_split_whose_midpoint_rounds_onto_the_upper_value():
+    # a has an odd last mantissa bit, so (a + b) / 2 for the next float
+    # up rounds to even, onto b: X <= threshold then sends b's rows left
+    # too, and the code partition must do the same
+    a = 1.0 + 2.0 ** -52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    rng = np.random.default_rng(0)
+    x = rng.choice([0.5, a, b, 4.0], size=80)
+    X = np.column_stack([x, rng.normal(size=(80, 3)).round(1)])
+    y = (x >= b).astype(float)
+    got = DecisionTree(max_depth=3).fit(X, y)
+    _assert_same_tree(got, _ReferenceTree(max_depth=3).fit(X, y))
+    assert got.feature[0] == 0 and got.threshold[0] == b
+    go_left = X[:, 0] <= b
+    assert got.value[got.left[0]] == y[go_left].mean()
+    assert got.value[got.right[0]] == y[~go_left].mean()
+    counts = np.bincount(rng.integers(0, 80, 80), minlength=80)
+    _assert_same_tree(
+        DecisionTree(max_depth=3, max_features=2,
+                     rng=np.random.default_rng(1)).fit(X, y, counts=counts),
+        _ReferenceTree(max_depth=3, max_features=2,
+                       rng=np.random.default_rng(1)).fit(X, y, counts=counts))
