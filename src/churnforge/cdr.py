@@ -6,6 +6,15 @@ as one set of numpy column arrays sorted by subscriber (ego), so the
 feature engine works on blocks of subscribers without touching Python
 objects per record.
 
+Ingest reads the file as bytes. A plain file, one without ``"``, CR or
+NUL, is split in bulk with numpy: each line is a record and commas
+separate its fields. Any other file is tokenized by the ``csv`` module.
+Both tokenizers feed one validator, chunk by chunk. A row whose numbers
+are 1-18 ASCII digits, whose tokens match exactly and whose values are
+in range is decoded column-wise; every other row goes through ``int()``
+and ``_validate_fast``, the only source of rejection reasons. So both
+give the same store, and the input alone decides which one runs.
+
 Day arithmetic is timezone-free: day index = (timestamp - window start)
 // 86400 with the window start pinned to 00:00 UTC of ``start_day``.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,68 +141,303 @@ class RecordStore:
 def ingest(path: str, window: StudyWindow) -> RecordStore:
     """Parse a CDR CSV into a RecordStore.
 
-    Well-formed rows are kept; malformed rows (bad enum token, negative
-    or non-integer numerics, a duration beyond int32, timestamp outside
-    the window, ego==alter, an ego id with a comma, quote or line break)
-    are tallied with their line numbers on ``store.rejected`` instead of
-    being silently dropped. A missing or headerless file is fatal.
+    Well-formed rows are kept; malformed rows (wrong field count, bad
+    enum token, negative or non-integer numerics, a duration beyond
+    int32, timestamp outside the window, ego==alter, an ego id with a
+    comma, quote or line break) are tallied with their line numbers on
+    ``store.rejected`` instead of being silently dropped. A missing,
+    empty or headerless file, invalid UTF-8 and a field longer than the
+    ``csv`` module's field limit are fatal.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CdrFormatError(f"cannot read CDR file {path}: {exc}") from exc
-    # egos and alters coded by first appearance; egos re-coded by rank below
-    ego_code: dict[str, int] = {}
-    alter_code: dict[str, int] = {}
-    egos, alters, tss, kinds, dirs, durs, acs = ([] for _ in range(7))
-    rejected: list[RejectedRow] = []
-    with fh:
-        reader = csv.reader(fh)
+    if not data:
+        raise CdrFormatError(f"{path}: empty file, expected CSV header")
+    if not data.isascii():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CdrFormatError(f"{path}: empty file, expected CSV header")
-        if [h.strip() for h in header] != CSV_HEADER.split(","):
-            raise CdrFormatError(f"{path}: bad header {header!r}")
-        lo_ts = window.start_epoch
-        hi_ts = window.start_epoch + window.total_days * SECONDS_PER_DAY
-        for line_no, row in enumerate(reader, start=2):
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise CdrFormatError(f"{path}: line {line}: {exc}") from None
+    plain = not any(c in data for c in (b'"', b"\r", b"\0"))
+    max_rows = data.count(b"\n") + data.count(b"\r") + 1
+    chunks = (_split_plain if plain else _split_csv)(path, data)
+    del data  # the tokenizer drops it after the last chunk
+    return _decode(chunks, window, max_rows)
+
+
+def _check_header(path, header: list[str]) -> None:
+    if [h.strip() for h in header] != CSV_HEADER.split(","):
+        raise CdrFormatError(f"{path}: bad header {header!r}")
+
+
+def _field_limit_error(path, line: int) -> CdrFormatError:
+    return CdrFormatError(f"{path}: line {line}: field larger than field "
+                          f"limit ({csv.field_size_limit()})")
+
+
+# Both tokenizers check the header, then yield the data rows in chunks,
+# which keep ingest's temporaries small: (buf, bounds, line_no, suspect,
+# rejected). buf holds the chunk's fields; ``bounds`` has eight positions
+# per row of seven fields (one row of ``bounds`` per position) such that
+# field k of row i is buf[bounds[k, i] + 1:bounds[k + 1, i]]. ``suspect``
+# marks rows that must be checked one at a time. Rows of another field
+# count are rejected here.
+_CHUNK_BYTES = 1 << 18  # plain file: whole lines from about this many bytes
+_CHUNK_ROWS = 1 << 13   # csv module: rows of seven fields
+
+
+def _split_plain(path, data: bytes):
+    """Tokenize a file without quotes, CR or NUL in bulk: each line is a
+    record and commas separate its fields, as ``csv`` reads it."""
+    limit = csv.field_size_limit()
+    pos = data.find(b"\n") + 1 or len(data)
+    header = data[:pos].rstrip(b"\n").decode()
+    header = header.split(",") if header else []
+    if any(len(h) > limit for h in header):
+        raise _field_limit_error(path, 1)
+    _check_header(path, header)
+    first_line = 2
+    while pos < len(data):
+        stop = data.find(b"\n", pos + _CHUNK_BYTES) + 1 or len(data)
+        buf = data[pos:stop]
+        pos = stop
+        arr = np.frombuffer(buf, dtype=np.uint8)
+        sep = np.flatnonzero((arr == ord(",")) | (arr == ord("\n")))
+        # a field ends at each separator; a virtual newline sits before
+        # the first line, and after the last if it has none
+        tail = 0 if buf.endswith(b"\n") else 1
+        ends = np.concatenate(([-1], sep, [len(buf)] * tail)).astype(np.int64)
+        line_end = np.flatnonzero(np.concatenate(
+            ([True], arr[sep] == ord("\n"), [True] * tail)))
+        for i in np.flatnonzero(np.diff(ends) - 1 > limit).tolist():
+            if len(buf[ends[i] + 1:ends[i + 1]].decode()) > limit:
+                line = np.searchsorted(line_end, i, side="right") - 1
+                raise _field_limit_error(path, first_line + int(line))
+        n_fields = np.diff(line_end)
+        rejected = [RejectedRow(first_line + j, "wrong field count")
+                    for j in np.flatnonzero(n_fields != 7).tolist()]
+        rows = np.flatnonzero(n_fields == 7)
+        bounds = ends[line_end[rows] + np.arange(8)[:, None]]
+        yield (buf, bounds, first_line + rows,
+               np.zeros(len(rows), dtype=bool), rejected)
+        first_line += len(n_fields)
+
+
+def _split_csv(path, data: bytes):
+    """Tokenize any other file with the ``csv`` module. The fields go into
+    the buffer each followed by a NUL; a row with a comma, quote or line
+    break inside a field is suspect. Line numbers count records."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    fields, line_no, rejected = [], [], []
+    try:
+        _check_header(path, next(reader, []))
+        for n, row in enumerate(reader, start=2):
             if len(row) != 7:
-                rejected.append(RejectedRow(line_no, "wrong field count"))
+                rejected.append(RejectedRow(n, "wrong field count"))
                 continue
-            ego, alter, ts_s, kind, direction, dur_s, ac = row
+            line_no.append(n)
+            fields.extend(row)
+            if len(line_no) == _CHUNK_ROWS:
+                yield _csv_chunk(fields, line_no, rejected)
+                fields, line_no, rejected = [], [], []
+    except csv.Error as exc:
+        raise CdrFormatError(
+            f"{path}: line {reader.line_num}: {exc}") from None
+    yield _csv_chunk(fields, line_no, rejected)
+
+
+def _csv_chunk(fields, line_no, rejected):
+    encoded = [f.encode() for f in fields]
+    buf = b"\0".join(encoded) + b"\0"
+    ends = np.cumsum([0] + [len(f) + 1 for f in encoded]) - 1
+    bounds = ends[7 * np.arange(len(line_no)) + np.arange(8)[:, None]]
+    odd = np.flatnonzero(np.isin(np.frombuffer(buf, dtype=np.uint8),
+                                 np.frombuffer(b',"\r\n', dtype=np.uint8)))
+    suspect = np.zeros(len(line_no), dtype=bool)
+    suspect[np.searchsorted(bounds[7], odd)] = True
+    return buf, bounds, np.array(line_no, dtype=np.int64), suspect, rejected
+
+
+_PAD = 24  # zero bytes around the buffer, so that 8-byte reads stay inside
+# masks of big-endian 8-byte words: _LOW[m] keeps the last m bytes,
+# _HIGH[m] the first m
+_LOW = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
+_HIGH = ~_LOW[::-1]
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0'
+_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+# (shift, mask, scale) of the lanes of 16, 32 and 64 bits of a word
+_LANES = [(np.uint64(8 << i), np.uint64(mask), np.uint64(scale))
+          for i, (mask, scale) in enumerate((
+              (0x00FF00FF00FF00FF, 10), (0x0000FFFF0000FFFF, 100),
+              (0x00000000FFFFFFFF, 10000)))]
+
+
+def _words(buf: bytes) -> np.ndarray:
+    """``words[_PAD + i]`` is ``buf[i:i + 8]`` read as a big-endian integer,
+    with zeros outside ``buf``."""
+    pad = np.zeros(len(buf) + 2 * _PAD, dtype=np.uint8)
+    pad[_PAD:_PAD + len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+    return np.ndarray((len(pad) - 7,), dtype=">u8", buffer=pad, strides=(1,))
+
+
+def _prefix(words, start, size, off):
+    """Bytes ``off:off + 8`` of each field as an integer, zero past its end."""
+    return (words[start + off].astype(np.uint64)
+            & _HIGH[np.clip(size - off, 0, 8)])
+
+
+def _digits(words, end, size):
+    """Each field ending at ``end`` read as a number of 1-18 ASCII digits,
+    and a mask of the fields that are such numbers."""
+    ok = (size >= 1) & (size <= 18)
+    value = np.zeros(len(end), dtype=np.int64)
+    for j in range((min(int(size.max(initial=0)), 18) + 7) // 8):
+        # the j-th 8 bytes from the right; bytes before the field read as '0'
+        x = words[end - 8 * (j + 1)].astype(np.uint64)
+        keep = _LOW[np.clip(size - 8 * j, 0, 8)]
+        x = (x & keep) | (_ZEROS & ~keep)
+        ok &= ((x & _NIBBLES) == _ZEROS) & ((x + _SIXES & _NIBBLES) == _ZEROS)
+        # the bytes' digit values; then each lane adds its high half times
+        # 10, 100 or 10000 to its low half
+        x -= _ZEROS
+        for shift, mask, scale in _LANES:
+            x = (x >> shift & mask) * scale + (x & mask)
+        value += x.astype(np.int64) * 10 ** (8 * j)
+    return value, ok
+
+
+def _token_codes(words, start, size, tokens) -> np.ndarray:
+    """Each field's index in ``tokens``, -1 if it is none of them."""
+    code = np.full(len(start), -1, dtype=np.int8)
+    parts = [_prefix(words, start, size, off)
+             for off in range(0, max(map(len, tokens)), 8)]
+    for i, token in enumerate(tokens):
+        raw = token.encode().ljust(8 * len(parts), b"\0")
+        hit = size == len(token)
+        for j, part in enumerate(parts):
+            hit &= part == int.from_bytes(raw[8 * j:8 * j + 8], "big")
+        code[hit] = i
+    return code
+
+
+def _id_codes(buf, start, size, keys, index: dict) -> np.ndarray:
+    """Code each field by ``index``, the ids met so far in order of first
+    appearance, adding the new ones.
+
+    ``keys`` are the fields' first 16 bytes (``_prefix`` at 0 and 8). With
+    the length they tell fields of up to 16 bytes apart, so only one
+    field per distinct value is read in Python; longer fields are each
+    read.
+    """
+    order = np.lexsort((size, keys[1], keys[0]))  # stable: first field first
+    k0, k1, n = keys[0][order], keys[1][order], size[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = ((k0[1:] != k0[:-1]) | (k1[1:] != k1[:-1]) | (n[1:] != n[:-1])
+                | (n[1:] > 16))
+    first = order[head]
+    group_code = np.empty(len(first), dtype=np.int64)
+    for g in np.argsort(first).tolist():  # groups in order of appearance
+        a = int(start[first[g]]) - _PAD
+        group_code[g] = index.setdefault(buf[a:a + int(size[first[g]])],
+                                         len(index))
+    code = np.empty(len(order), dtype=np.int64)
+    code[order] = group_code[np.cumsum(head) - 1]
+    return code
+
+
+def _decode(chunks, window: StudyWindow, max_rows: int) -> RecordStore:
+    """Validate and decode the tokenized rows, at most ``max_rows`` of
+    them, into a RecordStore.
+
+    A row is surely valid if both numbers are 1-18 ASCII digits, the three
+    tokens match exactly, the ids are non-empty and differ, and the values
+    are in range; such rows are decoded column-wise. Every other row goes
+    through ``int()`` and ``_validate_fast``, which give the reason of each
+    rejected row.
+    """
+    lo_ts = window.start_epoch
+    hi_ts = window.start_epoch + window.total_days * SECONDS_PER_DAY
+    ego_index: dict[bytes, int] = {}
+    alter_index: dict[bytes, int] = {}
+    # ts, kind, direction, duration_s, alter_class, ego, alter
+    columns = [np.empty(max_rows, dtype=t) for t in (
+        np.int64, np.int8, np.int8, np.int32, np.int8, np.int32, np.int32)]
+    n = 0
+    rejected = []
+    for buf, bounds, line_no, suspect, chunk_rejected in chunks:
+        rejected += chunk_rejected
+        words = _words(buf)
+
+        def field(k):
+            return bounds[k] + 1 + _PAD, bounds[k + 1] - bounds[k] - 1
+
+        ts_at, ts_n = field(2)
+        ts, ok = _digits(words, ts_at + ts_n, ts_n)
+        dur_at, dur_n = field(5)
+        dur, dur_ok = _digits(words, dur_at + dur_n, dur_n)
+        kind = _token_codes(words, *field(3), KIND_TOKENS)
+        direction = _token_codes(words, *field(4), DIRECTION_TOKENS)
+        alter_class = _token_codes(words, *field(6), ALTER_CLASS_TOKENS)
+        ego_at, ego_n = field(0)
+        alter_at, alter_n = field(1)
+        ego_key = [_prefix(words, ego_at, ego_n, off) for off in (0, 8)]
+        alter_key = [_prefix(words, alter_at, alter_n, off) for off in (0, 8)]
+        maybe_same = ((ego_n == alter_n) & (ego_key[0] == alter_key[0])
+                      & (ego_key[1] == alter_key[1]))
+        ok &= (dur_ok & (kind >= 0) & (direction >= 0) & (alter_class >= 0)
+               & (ego_n > 0) & (alter_n > 0) & ~maybe_same & ~suspect
+               & (dur <= _MAX_DURATION_S) & ((kind != KIND_SMS) | (dur == 0))
+               & (ts >= lo_ts) & (ts < hi_ts))
+        for i in np.flatnonzero(~ok).tolist():
+            b = bounds[:, i].tolist()
+            ego, alter, ts_s, kind_s, dir_s, dur_s, ac_s = (
+                buf[b[k] + 1:b[k + 1]].decode() for k in range(7))
             try:
-                ts = int(ts_s)
-                dur = int(dur_s)
+                ts_i = int(ts_s)
+                dur_i = int(dur_s)
             except ValueError:
-                rejected.append(RejectedRow(line_no, "non-integer numeric field"))
+                rejected.append(RejectedRow(int(line_no[i]),
+                                            "non-integer numeric field"))
                 continue
-            reason = _validate_fast(ego, alter, ts, kind, direction, dur, ac,
-                                    lo_ts, hi_ts)
+            reason = _validate_fast(ego, alter, ts_i, kind_s, dir_s, dur_i,
+                                    ac_s, lo_ts, hi_ts)
             if reason is not None:
-                rejected.append(RejectedRow(line_no, reason))
+                rejected.append(RejectedRow(int(line_no[i]), reason))
                 continue
-            egos.append(ego_code.setdefault(ego, len(ego_code)))
-            alters.append(alter_code.setdefault(alter, len(alter_code)))
-            tss.append(ts)
-            kinds.append(_KIND_CODE[kind])
-            dirs.append(_DIR_CODE[direction])
-            durs.append(dur)
-            acs.append(_ALTER_CLASS_CODE[ac])
-    ego_ids = sorted(ego_code)
+            ts[i], dur[i] = ts_i, dur_i
+            kind[i], direction[i] = _KIND_CODE[kind_s], _DIR_CODE[dir_s]
+            alter_class[i] = _ALTER_CLASS_CODE[ac_s]
+            ok[i] = True
+        keep = np.flatnonzero(ok)
+        for column, values in zip(columns, (
+                ts[keep], kind[keep], direction[keep], dur[keep],
+                alter_class[keep],
+                _id_codes(buf, ego_at[keep], ego_n[keep],
+                          [k[keep] for k in ego_key], ego_index),
+                _id_codes(buf, alter_at[keep], alter_n[keep],
+                          [k[keep] for k in alter_key], alter_index))):
+            column[n:n + len(keep)] = values
+        n += len(keep)
+    rejected.sort(key=lambda r: r.line_no)
+    ts, kind, direction, duration_s, alter_class, ego, alter = (
+        c[:n] for c in columns)
+    # egos are coded by first appearance; re-code them by rank
+    ego_ids = sorted(ego_index)
     rank = np.empty(len(ego_ids), dtype=np.int64)
-    rank[[ego_code[e] for e in ego_ids]] = np.arange(len(ego_ids))
-    ego = rank[np.array(egos, dtype=np.int64)]
-    ts = np.array(tss, dtype=np.int64)
+    rank[[ego_index[e] for e in ego_ids]] = np.arange(len(ego_ids))
+    ego = rank[ego]
     order = np.lexsort((ts, ego))  # stable: equal times keep file order
     offsets = np.zeros(len(ego_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(ego, minlength=len(ego_ids)), out=offsets[1:])
-    kind, direction, duration_s, alter_class, alter = (
-        np.array(c, dtype=t)[order] for c, t in zip(
-            (kinds, dirs, durs, acs, alters),
-            (np.int8, np.int8, np.int32, np.int8, np.int32)))
-    return RecordStore(window, ego_ids, offsets, ts[order], kind, direction,
-                       duration_s, alter_class, alter, rejected)
+    return RecordStore(
+        window, [e.decode() for e in ego_ids], offsets, ts[order],
+        kind[order], direction[order], duration_s[order], alter_class[order],
+        alter[order], rejected)
 
 
 def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 STAGES = ("generate", "featurize", "select", "train", "score", "evaluate")
+
+_TALLY_LINES = 10  # most common reasons of rejected CDR rows printed
 
 
 def _sha256(path: Path) -> str:
@@ -111,6 +114,13 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
         print(f"featurize: rejected {len(store.rejected)} malformed rows "
               f"(first: line {store.rejected[0].line_no}, "
               f"{store.rejected[0].reason})")
+        tally = Counter(r.reason for r in store.rejected).most_common()
+        for reason, count in tally[:_TALLY_LINES]:
+            print(f"featurize:   {count} {reason}")
+        if len(tally) > _TALLY_LINES:
+            rest = sum(count for _, count in tally[_TALLY_LINES:])
+            print(f"featurize:   {rest} for {len(tally) - _TALLY_LINES} "
+                  f"other reasons")
     axes = cfg.axes()
     specs = feat_mod.enumerate_features(axes, cfg.denominators())
     mat = feat_mod.compute_matrix(store, specs, axes)

@@ -253,9 +253,9 @@ _KIND_GROUPS = [[0, 1], [2], [1], [0, 1, 2]]   # call, sms, short_call, any
 _BIN_GROUPS = [[0], [1], [0, 1]]               # x, y, any
 _AC_GROUPS = [[0], [1], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]]
 
-# Subscribers per block of compute_matrix. A block's degree presence
-# array holds one row of 3,024 bytes (four months) per distinct
-# (subscriber, counterparty) pair.
+# Subscribers per block of compute_matrix. Expanded, a block's degree
+# presence holds 3,780 words of 8 bytes per subscriber for every 64
+# counterparties of the block's busiest subscriber (four months).
 _BLOCK = 32
 
 
@@ -338,14 +338,13 @@ def _spec_source_offset(spec: BaseLike, n_months: int):
     t = TIMES_OF_DAY.index(spec.time_of_day)
     y = DAY_TYPES.index(spec.day_type)
     a = ALTER_CLASSES.index(spec.alter_class)
+    off = 0  # the C-order offset of (m, k, d, t, y, a) in its plane
+    for i, n in zip((m, k, d, t, y, a), (2,) + _PLANE_SHAPE_FILT):
+        off = off * n + i
+    w = _window_index(spec.window, n_months)  # validates the window
     if spec.statistic in ("total", "per_active_day"):
-        w = _window_index(spec.window, n_months)
-        shape = (2,) + _PLANE_SHAPE_FILT + (n_months + 1,)
-        off = int(np.ravel_multi_index((m, k, d, t, y, a, w), shape))
+        off = off * (n_months + 1) + w
         return ("total" if spec.statistic == "total" else "pad"), off
-    _window_index(spec.window, n_months)  # validates full-window presence
-    shape = (2,) + _PLANE_SHAPE_FILT
-    off = int(np.ravel_multi_index((m, k, d, t, y, a), shape))
     return ("delta" if spec.statistic == "max_monthly_delta" else "slope"), off
 
 
@@ -433,31 +432,35 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
     ac6 = ac.astype(np.int64)
     month = np.searchsorted(plan.month_starts, days, side="right") - 1
 
-    atomic_shape = (3, 2, 2, 2, 6, T)
+    # atomic cells; the full window is one more month, so each event
+    # falls in the cell of its month and in that of the full window
+    atomic_shape = (3, 2, 2, 2, 6, T + 1)
     cells = int(np.prod(atomic_shape))
-    flat = np.ravel_multi_index((kind3, dir2, tod2, dt2, ac6, month),
+    cell = np.ravel_multi_index((kind3, dir2, tod2, dt2, ac6, month),
                                 atomic_shape)
-    atomic = np.bincount(ego * cells + flat, minlength=B * cells)
-    act = _expand_all(atomic.reshape((B,) + atomic_shape).astype(float),
-                      lead=1)
-    act_win = np.concatenate([act, act.sum(axis=-1, keepdims=True)], axis=-1)
+    full = cell - month + T
+    total = np.empty((B, 2) + _PLANE_SHAPE_FILT + (T + 1,))
+    atomic = (np.bincount(ego * cells + cell, minlength=B * cells)
+              + np.bincount(ego * cells + full, minlength=B * cells))
+    total[:, 0] = _expand_all(
+        atomic.reshape((B,) + atomic_shape).astype(float), lead=1)
 
-    # degree: a 0/1 presence row per (subscriber, counterparty) pair; a
-    # pair is present in a marginal cell iff in any of its atomic cells
+    # degree: one presence bit per (subscriber, counterparty) pair and
+    # atomic cell, a subscriber's pairs in the bits of its own words. A
+    # pair is present in a marginal cell iff in any of its atomic cells,
+    # and the degree counts the pairs present.
     pairs, pair_of = np.unique((ego << 32) | alter, return_inverse=True)
-    pres = np.zeros((len(pairs), cells), dtype=np.uint8)
-    pres[pair_of, flat] = 1
-    presx = _expand_all(pres.reshape((-1,) + atomic_shape), lead=1,
-                        op=np.maximum)
-    deg = np.zeros(act_win.shape)
-    if len(pairs):
-        pair_ego = pairs >> 32
-        first = np.flatnonzero(np.diff(pair_ego, prepend=-1))
-        has = pair_ego[first]
-        deg[has, ..., :T] = np.add.reduceat(presx, first, axis=0, dtype=float)
-        deg[has, ..., T] = np.add.reduceat(presx.max(axis=-1), first, axis=0,
-                                           dtype=float)
-    total = np.stack([act_win, deg], axis=1)
+    pair_ego = pairs >> 32
+    slot = np.arange(len(pairs)) - np.searchsorted(pair_ego, pair_ego)
+    n_words = int(slot.max(initial=-1)) // 64 + 1
+    bits = np.zeros((B, n_words, cells), dtype=np.uint64)
+    word = slot[pair_of] // 64
+    bit = np.uint64(1) << (slot[pair_of] % 64).astype(np.uint64)
+    np.bitwise_or.at(bits, (ego, word, cell), bit)
+    np.bitwise_or.at(bits, (ego, word, full), bit)
+    presx = _expand_all(bits.reshape((B, n_words) + atomic_shape), lead=2,
+                        op=np.bitwise_or)
+    total[:, 1] = np.bitwise_count(presx).sum(axis=1, dtype=np.int32)
 
     span = plan.range_hi - plan.range_lo
     ego_day = np.unique(ego * span + (days - plan.range_lo))
@@ -470,12 +473,15 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
                                     minlength=B * T).reshape(B, T)
     active_win[:, T] = np.bincount(day_ego, minlength=B)
     per_day = active_win.reshape((B,) + (1,) * (total.ndim - 2) + (T + 1,))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pad = np.where(per_day > 0, total / per_day, 0.0)
+    pad = np.divide(total, per_day, out=np.zeros_like(total),
+                    where=per_day > 0)
 
     monthly = total[..., :T]
     if T > 1:
-        delta = np.abs(np.diff(monthly, axis=-1)).max(axis=-1)
+        delta = np.abs(monthly[..., 1] - monthly[..., 0])
+        for t in range(2, T):
+            np.maximum(delta, np.abs(monthly[..., t] - monthly[..., t - 1]),
+                       out=delta)
         x = np.arange(1, T + 1, dtype=float)
         w = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
         slope = monthly @ w
@@ -508,9 +514,9 @@ def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
     for b0 in range(0, n, _BLOCK):
         b1 = min(b0 + _BLOCK, n)
         src = _block_sources(store, b0, b1, plan)
-        values[b0:b1, plan.base_out] = src[:, plan.base_src]
-        num = src[:, plan.ratio_num]
-        den = src[:, plan.ratio_den]
+        values[b0:b1, plan.base_out] = np.take(src, plan.base_src, axis=1)
+        num = np.take(src, plan.ratio_num, axis=1)
+        den = np.take(src, plan.ratio_den, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             values[b0:b1, plan.ratio_out] = np.where(den != 0, num / den, 0.0)
     names = [s.canonical_name for s in specs]

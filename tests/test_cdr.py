@@ -3,11 +3,12 @@ import datetime
 import numpy as np
 import pytest
 
+import churnforge.cdr as cdr_mod
 from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                             KIND_TOKENS, SECONDS_PER_DAY, CdrFormatError,
                             StudyWindow, ingest, read_header_sidecar,
                             write_header_sidecar)
-from conftest import WINDOW, make_store
+from conftest import WINDOW, make_store, random_rows
 
 
 def write_cdr(path, rows):
@@ -167,3 +168,149 @@ def test_header_sidecar_bad_content(tmp_path):
     path.write_text("start_day=2024-01-01\n")
     with pytest.raises(CdrFormatError):
         read_header_sidecar(str(path))
+
+
+# A plain file is split in bulk; a quoted header field sends the same rows
+# through the csv module. Both must give the same store, and so must the
+# reference: every row checked one at a time by int() and _validate_fast.
+QUOTED_HEADER = '"ego_id"' + CSV_HEADER[len("ego_id"):]
+
+
+def _no_digits(words, end, size):
+    """A _digits that reads no number, so that no row is surely valid."""
+    return np.zeros(len(end), dtype=np.int64), np.zeros(len(end), dtype=bool)
+
+
+def ingest_three(tmp_path, monkeypatch, text):
+    """``text`` (the lines after the header) ingested as a plain file, as a
+    file with a quoted header field, and as a plain file one row at a
+    time. The three stores must be the same; returns the first."""
+    stores = []
+    for name, header in (("plain.csv", CSV_HEADER),
+                         ("quoted.csv", QUOTED_HEADER)):
+        path = tmp_path / name
+        path.write_bytes(f"{header}\n{text}".encode())
+        stores.append(ingest(str(path), WINDOW))
+    with monkeypatch.context() as patch:
+        patch.setattr(cdr_mod, "_digits", _no_digits)
+        stores.append(ingest(str(tmp_path / "plain.csv"), WINDOW))
+    for store in stores[1:]:
+        assert_same_store(stores[0], store)
+    return stores[0]
+
+
+def assert_same_store(a, b):
+    assert a.ego_ids == b.ego_ids
+    assert a.rejected == b.rejected
+    for column in ("offsets", "ts", "kind", "direction", "duration_s",
+                   "alter_class", "alter"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and np.array_equal(x, y), column
+
+
+T = ts(3)
+SHARED_PREFIX_IDS = [("S100000000", "S1"), ("S1", "S10"), ("S10", "S100000000"),
+                     ("S123456789", "S123456788"), ("S123456788", "S123456789"),
+                     ("S1234567890123456789", "S12345678901234567"),
+                     ("S12345678901234567", "S1234567890123456789")]
+TOKENIZER_CASES = {
+    "blank_lines": (f"A,B,{T},CALL,OUT,60,ONNET\n\n\nA,C,{T},SMS,IN,0,OTHER\n",
+                    2, ["wrong field count"] * 2),
+    "no_trailing_newline": (f"A,B,{T},CALL,OUT,60,ONNET\nB,A,{T},SMS,IN,0,OTHER",
+                            2, []),
+    "header_only": ("", 0, []),
+    "six_and_eight_fields": (f"A,B,{T},CALL,OUT,60\n"
+                             f"A,B,{T},CALL,OUT,60,ONNET,X\n"
+                             f"A,B,{T},CALL,OUT,60,ONNET\n",
+                             1, ["wrong field count"] * 2),
+    "loose_integers": (f"A,B,{T},CALL,OUT,+5,ONNET\nA,B,{T},CALL,OUT, 5,ONNET\n"
+                       f"A,B,{T},CALL,OUT,1_0,ONNET\n"
+                       f"A,B,{T:020d},CALL,OUT,60,ONNET\n"
+                       f"A,B,{T},CALL,OUT,٥٠,ONNET\n"
+                       f"A,B,{T},CALL,OUT,5x,ONNET\n",
+                       5, ["non-integer numeric field"]),
+    "empty_ids": (f",B,{T},CALL,OUT,60,ONNET\nA,,{T},CALL,OUT,60,ONNET\n",
+                  0, ["empty id"] * 2),
+    "ego_equals_alter": (f"A,A,{T},CALL,OUT,60,ONNET\n"
+                         f"{'L' * 20},{'L' * 20},{T},CALL,OUT,60,ONNET\n"
+                         f"{'L' * 20},{'L' * 19}M,{T},CALL,OUT,60,ONNET\n",
+                         1, ["ego_id equals alter_id"] * 2),
+    "bad_tokens": (f"A,B,{T},RING,OUT,60,ONNET\nA,B,{T},CALL,SIDEWAYS,60,ONNET\n"
+                   f"A,B,{T},CALL,OUT,60,MARS\nA,B,{T},call,OUT,60,ONNET\n"
+                   f"A,B,{T},CALL,OUT,60,ONNET \nA,B,{T},SMS,OUT,12,ONNET\n",
+                   0, ["unknown kind 'RING'", "unknown direction 'SIDEWAYS'",
+                       "unknown alter_class 'MARS'", "unknown kind 'call'",
+                       "unknown alter_class 'ONNET '",
+                       "nonzero duration_s for SMS"]),
+    "duration_range": (f"A,B,{T},CALL,OUT,{2 ** 31},ONNET\n"
+                       f"A,B,{T},CALL,OUT,{2 ** 31 - 1},ONNET\n"
+                       f"A,B,{T},CALL,OUT,-1,ONNET\n",
+                       1, ["duration_s out of range", "negative duration_s"]),
+    "window": (f"A,B,{WINDOW.start_epoch - 1},CALL,OUT,6,ONNET\n"
+               f"A,B,{WINDOW.start_epoch},CALL,OUT,6,ONNET\n"
+               f"A,B,{10 ** 18},CALL,OUT,6,ONNET\n",
+               1, ["timestamp outside study window"] * 2),
+    "shared_prefixes": ("".join(f"{e},{a},{T + i},CALL,OUT,60,ONNET\n"
+                                for i, (e, a) in enumerate(SHARED_PREFIX_IDS)),
+                        7, []),
+    # a quote or NUL sends both files through the csv module
+    "quoted_fields": (f'"S,1",B,{T},CALL,OUT,60,ONNET\n'
+                      f'"S\n2",B,{T},CALL,OUT,60,ONNET\n'
+                      f'A,"B,C",{T},CALL,OUT,60,ONNET\n'
+                      f'A,B,{T},"CALL",OUT,60,ONNET\n'
+                      f'A,B,{T},CALL\0,OUT,60,ONNET\n',
+                      2, ["ego_id contains a comma, quote or line break"] * 2
+                      + ["unknown kind 'CALL\\x00'"]),
+    "code_point_order": (f"É,Z,{T},CALL,OUT,60,ONNET\n"
+                         f"a,É,{T},SMS,IN,0,OTHER\n"
+                         f"Z,a,{T},CALL,IN,7,COMPETITOR\n", 3, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOKENIZER_CASES))
+def test_tokenizers_agree(tmp_path, monkeypatch, case):
+    text, n_records, reasons = TOKENIZER_CASES[case]
+    plain = ingest_three(tmp_path, monkeypatch, text)
+    assert plain.n_records == n_records
+    assert [r.reason for r in plain.rejected] == reasons
+    assert plain.ego_ids == sorted(plain.ego_ids)
+
+
+def test_tokenizers_agree_on_ids_and_line_numbers(tmp_path, monkeypatch):
+    text, _, _ = TOKENIZER_CASES["code_point_order"]
+    plain = ingest_three(tmp_path, monkeypatch, text)
+    assert plain.ego_ids == ["Z", "a", "É"]
+    # alters coded by first appearance (Z, É, a), rows in ego order
+    assert plain.alter.tolist() == [2, 1, 0]
+    text, _, _ = TOKENIZER_CASES["shared_prefixes"]
+    plain = ingest_three(tmp_path, monkeypatch, text)
+    egos = ["S1", "S10", "S100000000", "S123456788", "S123456789",
+            "S12345678901234567", "S1234567890123456789"]
+    assert plain.ego_ids == egos
+    assert plain.alter.max() + 1 == len(egos)
+    text, _, _ = TOKENIZER_CASES["six_and_eight_fields"]
+    plain = ingest_three(tmp_path, monkeypatch, "\n" + text)
+    assert [r.line_no for r in plain.rejected] == [2, 3, 4]
+
+
+def _mutate(line, rng):
+    cut = int(rng.integers(0, len(line) + 1))
+    junk = ["", ",", "\n", "+", " ", "_", "-", "٥", "É", "9", "x",
+            "SMS", "CALL", "OUT", "ONNET", "12345678901234567890"]
+    return line[:cut] + junk[int(rng.integers(0, len(junk)))] + line[cut:]
+
+
+def test_tokenizers_agree_on_mutated_rows(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    lines = [f"{e},{a},{t},{KIND_TOKENS[k]},{DIRECTION_TOKENS[d]},{dur},"
+             f"{ALTER_CLASS_TOKENS[ac]}"
+             for e, a, t, k, d, dur, ac in random_rows(seed=11)]
+    lines = [_mutate(line, rng) if rng.random() < 0.3 else line
+             for line in lines]
+    text = "\n".join(lines) + "\n"
+    whole = ingest_three(tmp_path, monkeypatch, text)
+    assert whole.n_records > 100 and len(whole.rejected) > 20
+    # chunk boundaries every few lines must not change the store
+    monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", 100)
+    monkeypatch.setattr(cdr_mod, "_CHUNK_ROWS", 3)
+    assert_same_store(ingest_three(tmp_path, monkeypatch, text), whole)

@@ -189,6 +189,9 @@ def test_ego_id_with_comma_is_rejected(run_copy, capsys):
     printed = capsys.readouterr().out
     assert f"rejected {len(hit)} malformed rows" in printed
     assert f"line {hit[0] + 1}, ego_id contains a comma" in printed
+    # the tally by reason
+    assert (f"featurize:   {len(hit)} ego_id contains a comma, quote or "
+            f"line break\n") in printed
     egos = [line.split(",")[0] for line in
             (run_copy / "labels.csv").read_text().splitlines()[1:]]
     assert "S0" not in egos and "S000001" not in egos
@@ -248,3 +251,36 @@ def test_malformed_csv_matrix_fails_select_with_file_and_line(
                  str(run_copy)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{path}: line 3: " in err and message in err
+
+
+def _damage_cdr(out, quoted, damage):
+    """Apply ``damage`` to the alter id of line 5 of ``cdr.csv``; with
+    ``quoted`` the header's first field is quoted, so that the csv module
+    reads the file."""
+    cdr = out / "cdr.csv"
+    lines = cdr.read_bytes().split(b"\n")
+    if quoted:
+        lines[0] = b'"ego_id"' + lines[0][len(b"ego_id"):]
+    fields = lines[4].split(b",")
+    fields[1] = damage(fields[1])
+    lines[4] = b",".join(fields)
+    cdr.write_bytes(b"\n".join(lines))
+    return cdr
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+def test_oversized_cdr_field_fails_featurize_with_line(run_copy, capsys,
+                                                       quoted):
+    cdr = _damage_cdr(run_copy, quoted, lambda alter: b"A" * 200_000)
+    assert _stage("featurize", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{cdr}: line 5: field larger than field limit (131072)" in err
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+def test_invalid_utf8_in_cdr_fails_featurize_with_line(run_copy, capsys,
+                                                       quoted):
+    cdr = _damage_cdr(run_copy, quoted, lambda alter: alter + b"\xff")
+    assert _stage("featurize", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{cdr}: line 5: " in err and "can't decode byte 0xff" in err

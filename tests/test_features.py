@@ -193,6 +193,23 @@ class TestComputeExamples:
         assert column(mat, "activity.call.out.any.any.any.m1.total")[0] == 3
         assert column(mat, "degree.call.out.any.any.any.m1.total")[0] == 2
 
+    def test_degree_beyond_one_presence_word(self):
+        # 200 distinct counterparties, more than one 64-bit presence word:
+        # outgoing calls to A000-A149 spread over the window, and night
+        # SMS from competitor alters A100-A199 on day 40 (month 2)
+        events = [(i % 122, 9, 0, 1, 60, f"A{i:03d}", 0) for i in range(150)]
+        events += [(40, 21, 1, 0, 0, f"A{i:03d}", 1) for i in range(100, 200)]
+        mat = one_ego_matrix(events)
+        m1_calls = {i for i in range(150) if i % 122 < 31}
+        m2 = {i for i in range(150) if 31 <= i % 122 < 61} | set(range(100, 200))
+        for name, want in (
+                ("degree.any.any.any.any.any.full.total", 200),
+                ("degree.call.out.any.any.any.full.total", 150),
+                ("degree.call.out.any.any.any.m1.total", len(m1_calls)),
+                ("degree.sms.in.night.any.competitor.m2.total", 100),
+                ("degree.any.any.any.any.any.m2.total", len(m2))):
+            assert column(mat, name)[0] == want, name
+
     def test_max_monthly_delta(self):
         # incoming calls per month: 10, 4, 6, 2 -> max |delta| = 6
         events = []
