@@ -160,7 +160,11 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # line breaks before the bad byte, counted as csv does:
+            # CRLF, CR or LF
+            line = (data.count(b"\n", 0, exc.start)
+                    + data.count(b"\r", 0, exc.start)
+                    - data.count(b"\r\n", 0, exc.start) + 1)
             raise CdrFormatError(f"{path}: line {line}: {exc}") from None
     plain = not any(c in data for c in (b'"', b"\r", b"\0"))
     max_rows = data.count(b"\n") + data.count(b"\r") + 1
@@ -262,26 +266,24 @@ def _csv_chunk(fields, line_no, rejected):
     return buf, bounds, np.array(line_no, dtype=np.int64), suspect, rejected
 
 
-_PAD = 24  # zero bytes around the buffer, so that 8-byte reads stay inside
-# masks of big-endian 8-byte words: _LOW[m] keeps the last m bytes,
-# _HIGH[m] the first m
-_LOW = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
-_HIGH = ~_LOW[::-1]
-_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0'
-_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
-_SIXES = np.uint64(0x0606060606060606)
-# (shift, mask, scale) of the lanes of 16, 32 and 64 bits of a word
-_LANES = [(np.uint64(8 << i), np.uint64(mask), np.uint64(scale))
-          for i, (mask, scale) in enumerate((
-              (0x00FF00FF00FF00FF, 10), (0x0000FFFF0000FFFF, 100),
-              (0x00000000FFFFFFFF, 10000)))]
+# zero bytes around the buffer, so that reads of 16 bytes from a field's
+# start and of 18 bytes before its end stay inside
+_PAD = 24
+# _HIGH[m] keeps the first m bytes of a big-endian 8-byte word
+_HIGH = np.array([(1 << 64) - (1 << 8 * (8 - m)) for m in range(9)],
+                 dtype=np.uint64)
+_TENS = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _words(buf: bytes) -> np.ndarray:
-    """``words[_PAD + i]`` is ``buf[i:i + 8]`` read as a big-endian integer,
-    with zeros outside ``buf``."""
+def _padded(buf: bytes) -> np.ndarray:
+    """The bytes of ``buf`` from ``_PAD`` on, with zeros around them."""
     pad = np.zeros(len(buf) + 2 * _PAD, dtype=np.uint8)
     pad[_PAD:_PAD + len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+    return pad
+
+
+def _words(pad: np.ndarray) -> np.ndarray:
+    """``words[i]`` is ``pad[i:i + 8]`` read as a big-endian integer."""
     return np.ndarray((len(pad) - 7,), dtype=">u8", buffer=pad, strides=(1,))
 
 
@@ -291,23 +293,17 @@ def _prefix(words, start, size, off):
             & _HIGH[np.clip(size - off, 0, 8)])
 
 
-def _digits(words, end, size):
+def _digits(pad, end, size):
     """Each field ending at ``end`` read as a number of 1-18 ASCII digits,
     and a mask of the fields that are such numbers."""
-    ok = (size >= 1) & (size <= 18)
     value = np.zeros(len(end), dtype=np.int64)
-    for j in range((min(int(size.max(initial=0)), 18) + 7) // 8):
-        # the j-th 8 bytes from the right; bytes before the field read as '0'
-        x = words[end - 8 * (j + 1)].astype(np.uint64)
-        keep = _LOW[np.clip(size - 8 * j, 0, 8)]
-        x = (x & keep) | (_ZEROS & ~keep)
-        ok &= ((x & _NIBBLES) == _ZEROS) & ((x + _SIXES & _NIBBLES) == _ZEROS)
-        # the bytes' digit values; then each lane adds its high half times
-        # 10, 100 or 10000 to its low half
-        x -= _ZEROS
-        for shift, mask, scale in _LANES:
-            x = (x >> shift & mask) * scale + (x & mask)
-        value += x.astype(np.int64) * 10 ** (8 * j)
+    ok = (size >= 1) & (size <= 18)
+    for k in range(min(int(size.max(initial=0)), 18)):
+        # digit k from the right; a byte that is no digit wraps above 9
+        digit = pad[end - 1 - k] - np.uint8(ord("0"))
+        digit[k >= size] = 0
+        ok &= digit <= 9
+        value += digit * _TENS[k]
     return value, ok
 
 
@@ -371,15 +367,16 @@ def _decode(chunks, window: StudyWindow, max_rows: int) -> RecordStore:
     rejected = []
     for buf, bounds, line_no, suspect, chunk_rejected in chunks:
         rejected += chunk_rejected
-        words = _words(buf)
+        pad = _padded(buf)
+        words = _words(pad)
 
         def field(k):
             return bounds[k] + 1 + _PAD, bounds[k + 1] - bounds[k] - 1
 
         ts_at, ts_n = field(2)
-        ts, ok = _digits(words, ts_at + ts_n, ts_n)
+        ts, ok = _digits(pad, ts_at + ts_n, ts_n)
         dur_at, dur_n = field(5)
-        dur, dur_ok = _digits(words, dur_at + dur_n, dur_n)
+        dur, dur_ok = _digits(pad, dur_at + dur_n, dur_n)
         kind = _token_codes(words, *field(3), KIND_TOKENS)
         direction = _token_codes(words, *field(4), DIRECTION_TOKENS)
         alter_class = _token_codes(words, *field(6), ALTER_CLASS_TOKENS)

@@ -254,8 +254,8 @@ _BIN_GROUPS = [[0], [1], [0, 1]]               # x, y, any
 _AC_GROUPS = [[0], [1], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]]
 
 # Subscribers per block of compute_matrix. Expanded, a block's degree
-# presence holds 3,780 words of 8 bytes per subscriber for every 64
-# counterparties of the block's busiest subscriber (four months).
+# presence holds 3,780 words of 8 bytes (four months) for each started
+# 64 counterparties of each of its subscribers.
 _BLOCK = 32
 
 
@@ -446,21 +446,25 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
         atomic.reshape((B,) + atomic_shape).astype(float), lead=1)
 
     # degree: one presence bit per (subscriber, counterparty) pair and
-    # atomic cell, a subscriber's pairs in the bits of its own words. A
+    # atomic cell. Each subscriber's pairs fill a run of words of its own
+    # (at least one word), so the words follow the block's pair count. A
     # pair is present in a marginal cell iff in any of its atomic cells,
     # and the degree counts the pairs present.
     pairs, pair_of = np.unique((ego << 32) | alter, return_inverse=True)
     pair_ego = pairs >> 32
     slot = np.arange(len(pairs)) - np.searchsorted(pair_ego, pair_ego)
-    n_words = int(slot.max(initial=-1)) // 64 + 1
-    bits = np.zeros((B, n_words, cells), dtype=np.uint64)
-    word = slot[pair_of] // 64
-    bit = np.uint64(1) << (slot[pair_of] % 64).astype(np.uint64)
-    np.bitwise_or.at(bits, (ego, word, cell), bit)
-    np.bitwise_or.at(bits, (ego, word, full), bit)
-    presx = _expand_all(bits.reshape((B, n_words) + atomic_shape), lead=2,
+    n_words = (np.bincount(pair_ego, minlength=B) + 63) // 64
+    first_word = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(np.maximum(n_words, 1), out=first_word[1:])
+    word = (first_word[pair_ego] + slot // 64)[pair_of]
+    bit = (np.uint64(1) << (slot % 64).astype(np.uint64))[pair_of]
+    bits = np.zeros((first_word[B], cells), dtype=np.uint64)
+    np.bitwise_or.at(bits, (word, cell), bit)
+    np.bitwise_or.at(bits, (word, full), bit)
+    presx = _expand_all(bits.reshape((-1,) + atomic_shape), lead=1,
                         op=np.bitwise_or)
-    total[:, 1] = np.bitwise_count(presx).sum(axis=1, dtype=np.int32)
+    total[:, 1] = np.add.reduceat(np.bitwise_count(presx), first_word[:B],
+                                  axis=0, dtype=np.int32)
 
     span = plan.range_hi - plan.range_lo
     ego_day = np.unique(ego * span + (days - plan.range_lo))
@@ -478,6 +482,8 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
 
     monthly = total[..., :T]
     if T > 1:
+        # month by month: np.abs(np.diff(monthly)).max(-1) gives the same
+        # values, but a max over the short last axis is 12x slower here
         delta = np.abs(monthly[..., 1] - monthly[..., 0])
         for t in range(2, T):
             np.maximum(delta, np.abs(monthly[..., t] - monthly[..., t - 1]),

@@ -253,34 +253,39 @@ def test_malformed_csv_matrix_fails_select_with_file_and_line(
     assert f"{path}: line 3: " in err and message in err
 
 
-def _damage_cdr(out, quoted, damage):
-    """Apply ``damage`` to the alter id of line 5 of ``cdr.csv``; with
-    ``quoted`` the header's first field is quoted, so that the csv module
-    reads the file."""
+def _damage_cdr(out, form, damage):
+    """Apply ``damage`` to the alter id of line 5 of ``cdr.csv``. In form
+    ``csv`` the header's first field is quoted, and in forms ``cr`` and
+    ``crlf`` lines end in CR or CRLF, so that the csv module reads the
+    file; form ``plain`` leaves it plain."""
     cdr = out / "cdr.csv"
     lines = cdr.read_bytes().split(b"\n")
-    if quoted:
+    if form == "csv":
         lines[0] = b'"ego_id"' + lines[0][len(b"ego_id"):]
     fields = lines[4].split(b",")
     fields[1] = damage(fields[1])
     lines[4] = b",".join(fields)
-    cdr.write_bytes(b"\n".join(lines))
+    cdr.write_bytes({"cr": b"\r", "crlf": b"\r\n"}.get(form, b"\n")
+                    .join(lines))
     return cdr
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+_FORMS = ["plain", "csv", "cr", "crlf"]
+
+
+@pytest.mark.parametrize("form", _FORMS, ids=_FORMS)
 def test_oversized_cdr_field_fails_featurize_with_line(run_copy, capsys,
-                                                       quoted):
-    cdr = _damage_cdr(run_copy, quoted, lambda alter: b"A" * 200_000)
+                                                       form):
+    cdr = _damage_cdr(run_copy, form, lambda alter: b"A" * 200_000)
     assert _stage("featurize", run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{cdr}: line 5: field larger than field limit (131072)" in err
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+@pytest.mark.parametrize("form", _FORMS, ids=_FORMS)
 def test_invalid_utf8_in_cdr_fails_featurize_with_line(run_copy, capsys,
-                                                       quoted):
-    cdr = _damage_cdr(run_copy, quoted, lambda alter: alter + b"\xff")
+                                                       form):
+    cdr = _damage_cdr(run_copy, form, lambda alter: alter + b"\xff")
     assert _stage("featurize", run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{cdr}: line 5: " in err and "can't decode byte 0xff" in err

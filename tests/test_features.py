@@ -210,6 +210,31 @@ class TestComputeExamples:
                 ("degree.any.any.any.any.any.m2.total", len(m2))):
             assert column(mat, name)[0] == want, name
 
+    def test_degree_of_a_hub_next_to_light_subscribers(self):
+        # one subscriber with 3,000 counterparties (47 presence words) in
+        # the block of five light ones: the hub's degrees are exact and
+        # the light rows are those of a store without the hub
+        def at(day, j):
+            return WINDOW.start_epoch + day * SECONDS_PER_DAY + 9 * 3600 + j
+
+        hub = [("H", f"A{i}", at(i % 122, 0), i % 2, 1 - i % 2,
+                60 * (1 - i % 2), i % 6) for i in range(3000)]
+        light = random_rows(n_subscribers=5, seed=3)  # S000-S004
+        specs = enumerate_features(AXES)
+        mat = compute_matrix(ingest_rows(hub + light), specs, AXES)
+        alone = compute_matrix(ingest_rows(light), specs, AXES)
+        assert mat.ego_ids == ["H"] + alone.ego_ids
+        np.testing.assert_array_equal(mat.values[1:], alone.values)
+        m1_competitor_sms = sum(1 for i in range(3000) if i % 2 and
+                                i % 122 < 31 and i % 6 == 1)
+        for name, want in (
+                ("degree.any.any.any.any.any.full.total", 3000),
+                ("degree.call.out.any.any.any.full.total", 1500),
+                ("degree.sms.in.day.any.competitor.m1.total",
+                 m1_competitor_sms),
+                ("degree.any.any.night.any.any.full.total", 0)):
+            assert column(mat, name)[0] == want, name
+
     def test_max_monthly_delta(self):
         # incoming calls per month: 10, 4, 6, 2 -> max |delta| = 6
         events = []
