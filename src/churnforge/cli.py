@@ -126,8 +126,8 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
     mat = feat_mod.compute_matrix(store, specs, axes)
     mat.check_finite()
 
-    matrix_path = _matrix_path(cfg, out)
-    matrix_mod.save(mat, str(matrix_path), cfg._get("features.matrix_format"))
+    matrix_path = out / "matrix.cfm"
+    matrix_mod.save(mat, str(matrix_path))
     features_path = out / "features.txt"
     features_path.write_text("".join(n + "\n" for n in mat.feature_names),
                              encoding="utf-8")
@@ -141,16 +141,21 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
                     [matrix_path, features_path, labels_path])
 
 
-def _matrix_path(cfg: PipelineConfig, out: Path) -> Path:
-    binary = cfg._get("features.matrix_format") == "binary"
-    return out / ("matrix.cfm" if binary else "matrix.csv")
+def _labels(out: Path, ego_ids: list[str]) -> label_mod.LabelSet:
+    """The labels in ``labels.csv``, which must list ``ego_ids``, the
+    rows of ``matrix.cfm``, in order."""
+    path = _require(out / "labels.csv", "churnforge featurize")
+    labels = label_mod.read_labels(str(path))
+    if labels.ego_ids != ego_ids:
+        raise ValueError(f"{path} and {out / 'matrix.cfm'} do not list the "
+                         f"same egos in the same order")
+    return labels
 
 
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
-    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
-    labels = label_mod.read_labels(str(_require(out / "labels.csv",
-                                                "churnforge featurize")))
+    matrix_path = _require(out / "matrix.cfm", "churnforge featurize")
     columns = matrix_mod.columns(str(matrix_path))
+    labels = _labels(out, columns.ego_ids)
     try:
         scan = select_mod.scan(columns, labels, cfg.workers)
     except ValueError as exc:  # e.g. a non-finite cell
@@ -177,18 +182,19 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
                     outputs)
 
 
-def _selected_matrix(cfg: PipelineConfig, out: Path):
-    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
+def _selected_matrix(out: Path):
+    matrix_path = _require(out / "matrix.cfm", "churnforge featurize")
     selected = _require(out / "selected_features.txt", "churnforge select")
     names = [line for line in
              selected.read_text(encoding="utf-8").splitlines() if line]
+    if not names:
+        raise ValueError(f"{selected}: names no features")
     return matrix_mod.load(str(matrix_path), names), selected
 
 
 def stage_train(cfg: PipelineConfig, out: Path) -> None:
-    sub, selected_path = _selected_matrix(cfg, out)
-    labels = label_mod.read_labels(str(_require(out / "labels.csv",
-                                                "churnforge featurize")))
+    sub, selected_path = _selected_matrix(out)
+    labels = _labels(out, sub.ego_ids)
     folds = cfg._get("cv.folds")
     threshold = cfg._get("evaluate.threshold")
 
@@ -219,7 +225,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
 
 
 def stage_score(cfg: PipelineConfig, out: Path) -> None:
-    sub, selected_path = _selected_matrix(cfg, out)
+    sub, selected_path = _selected_matrix(out)
     inputs = [selected_path]
     outputs = []
     for family in cfg.roster():
@@ -240,18 +246,28 @@ def stage_score(cfg: PipelineConfig, out: Path) -> None:
     _write_manifest("score", cfg, out, inputs, outputs)
 
 
+def _cv_mean(path: Path) -> dict:
+    """The ``mean`` entry of the cv report at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(report, dict) or "mean" not in report:
+        raise ValueError(f"{path}: no \"mean\" entry")
+    return report["mean"]
+
+
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
-    labels = label_mod.read_labels(str(_require(out / "labels.csv",
-                                                "churnforge featurize")))
-    matrix_path = _require(_matrix_path(cfg, out), "churnforge featurize")
-    inactivity = matrix_mod.load(str(matrix_path),
-                                 ["inactivity.full"]).values[:, 0]
+    matrix_path = _require(out / "matrix.cfm", "churnforge featurize")
+    inactivity = matrix_mod.load(str(matrix_path), ["inactivity.full"])
+    labels = _labels(out, inactivity.ego_ids)
     threshold = cfg._get("evaluate.threshold")
     bins = cfg._get("evaluate.bins")
 
     churn_rate = float(np.mean(labels.churned))
     majority_accuracy = max(churn_rate, 1.0 - churn_rate)
-    baseline = models_mod.threshold_baseline(inactivity, labels)
+    baseline = models_mod.threshold_baseline(inactivity.values[:, 0], labels)
     report = {
         "majority_accuracy": majority_accuracy,
         "churn_rate": churn_rate,
@@ -279,8 +295,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         row = {"model": family, "auc": auc, **rep.as_dict()}
         cv_path = out / f"cv_{family}.json"
         if cv_path.exists():
-            with open(cv_path, "r", encoding="utf-8") as fh:
-                row["cv_mean"] = json.load(fh)["mean"]
+            row["cv_mean"] = _cv_mean(cv_path)
             inputs.append(cv_path)
         report["models"].append(row)
         inputs.append(scores_path)

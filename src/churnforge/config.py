@@ -43,7 +43,8 @@ _SCALARS = {
     "features.day_start_hour": (int, "8"),
     "features.day_end_hour": (int, "20"),
     "features.denominators": (str, ""),
-    "features.matrix_format": (str, "csv"),
+    # one value; kept so that configs which set it parse and hash as before
+    "features.matrix_format": (str, "binary"),
     "selection.n_trees": (int, "100"),
     "selection.max_depth": (int, "12"),
     "selection.k": (int, "100"),
@@ -104,6 +105,9 @@ class PipelineConfig:
                 except ValueError:
                     raise ConfigError(
                         f"config key {key}={self.raw[key]!r} is not {typ.__name__}")
+        if self._get("features.matrix_format") != "binary":
+            raise ConfigError("config key features.matrix_format: the only "
+                              "matrix format is binary")
 
     def override(self, key: str, value) -> None:
         self.raw[key] = str(value)

@@ -231,20 +231,6 @@ def enumerate_features(config: AxesConfig,
     return specs
 
 
-def count_features(config: AxesConfig, n_denominators: int = 0) -> int:
-    """Closed-form size of enumerate_features output."""
-    filt = (len(config.measures) * len(config.kinds) * len(config.directions)
-            * len(config.times_of_day) * len(config.day_types)
-            * len(config.alter_classes))
-    plain = sum(1 for s in config.statistics if s not in FULL_ONLY_STATS)
-    trend = sum(1 for s in config.statistics if s in FULL_ONLY_STATS)
-    win_stats = len(config.windows) * plain
-    if "full" in config.windows:
-        win_stats += trend
-    base = filt * win_stats + len(WINDOWS)
-    return base + (base - 1) * n_denominators
-
-
 # ---------------------------------------------------------------------------
 # Matrix computation
 # ---------------------------------------------------------------------------

@@ -77,11 +77,13 @@ def read_labels(path: str) -> LabelSet:
         for line_no, line in enumerate(fh, start=2):
             try:
                 e, c, p = line.rstrip("\n").split(",")
-                c, p = bool(int(c)), float(p)
+                c, p = int(c), float(p)
+                if c not in (0, 1):
+                    raise ValueError(f"churned is {c}, not 0 or 1")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad labels row "
                                  f"{line.rstrip()!r}: {exc}") from None
             ego_ids.append(e)
-            churned.append(c)
+            churned.append(c == 1)
             pct.append(p)
     return LabelSet(ego_ids, np.array(churned), np.array(pct))

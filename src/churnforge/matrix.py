@@ -1,16 +1,15 @@
-"""Dense feature matrix container and its two on-disk formats.
+"""Dense feature matrix container and its on-disk format, CFM1.
 
-CSV (``ego_id,<feature names...>``) is the interchange format; the
-binary format (magic ``CFM1``, little-endian float64 columns plus a
-name table) avoids float-to-text costs on large runs. Both round-trip
-exactly: CSV uses shortest-repr floats, the binary format raw bytes.
+A CFM1 file is the magic ``CFM1``, the row and column counts, the ego
+and feature-name tables, then the float64 values, little-endian and
+column-major. It round-trips exactly, and a reader can take any column
+without reading the others.
 
-``load`` returns the whole matrix or only the columns it is asked for.
-From CFM1 it reads just those columns of the column-major value block,
+``load`` returns the whole matrix or only the columns it is asked for,
 so ``train``, ``score`` and ``evaluate`` read only the columns they use.
 ``columns`` reads a matrix one block of columns at a time (``select``
 never holds the whole float matrix), and ``column_blocks`` cuts those
-blocks. A CSV matrix is always read whole.
+blocks.
 """
 
 from __future__ import annotations
@@ -86,35 +85,7 @@ class Columns(NamedTuple):
     read: Callable[[int, int], np.ndarray]
 
 
-def save_csv(matrix: FeatureMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ego_id," + ",".join(matrix.feature_names) + "\n")
-        for ego, row in zip(matrix.ego_ids, matrix.values):
-            fh.write(ego + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if not header or header[0] != "ego_id":
-            raise ValueError(f"{path}: bad matrix header")
-        names = header[1:]
-        egos, rows = [], []
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(names) + 1:
-                raise ValueError(f"{path}: line {line_no}: {len(parts)} "
-                                 f"fields, expected {len(names) + 1}")
-            egos.append(parts[0])
-            try:
-                rows.append(np.array(parts[1:], dtype=np.float64))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    values = np.vstack(rows) if rows else np.zeros((0, len(names)))
-    return FeatureMatrix(egos, names, values)
-
-
-def save_binary(matrix: FeatureMatrix, path: str) -> None:
+def save(matrix: FeatureMatrix, path: str) -> None:
     ego_blob = "\n".join(matrix.ego_ids).encode("utf-8")
     name_blob = "\n".join(matrix.feature_names).encode("utf-8")
     n_rows, n_cols = matrix.values.shape
@@ -151,33 +122,6 @@ def _column_indices(path: str, feature_names: list[str],
     return [lookup[n] for n in names]
 
 
-def _cfm1_header(fh) -> tuple[list[str], list[str], int]:
-    """(ego ids, feature names, rows) of the CFM1 matrix open at ``fh``
-    past its magic, leaving ``fh`` at the value block; the file must
-    hold the whole value block."""
-    n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
-    (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
-    ego_blob = read_exact(fh, ego_len, "ego table").decode("utf-8")
-    (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name table size"))
-    name_blob = read_exact(fh, name_len, "name table").decode("utf-8")
-    _check_left(fh, n_rows * n_cols * 8, "values")
-    egos = ego_blob.split("\n") if ego_blob else []
-    all_names = name_blob.split("\n") if name_blob else []
-    if (len(egos), len(all_names)) != (n_rows, n_cols):
-        raise ValueError(f"{fh.name}: shape {n_rows} x {n_cols} does not "
-                         f"match {len(egos)} egos x {len(all_names)} names")
-    return egos, all_names, n_rows
-
-
-def save(matrix: FeatureMatrix, path: str, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        save_csv(matrix, path)
-    elif fmt == "binary":
-        save_binary(matrix, path)
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
-
-
 def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
     """The matrix at ``path``, or only its ``names`` columns in the order
     named; KeyError naming the file for a name the matrix lacks."""
@@ -196,28 +140,38 @@ def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
                          np.ascontiguousarray(cells.T))
 
 
-def columns(source: str | FeatureMatrix) -> Columns:
-    """The matrix at path ``source``, or in memory, as ``Columns``.
+def columns(path: str) -> Columns:
+    """The CFM1 matrix at ``path`` as ``Columns``; ValueError naming the
+    file if it is not one or does not hold the whole value block.
 
-    From CFM1 each ``read`` takes just its columns from the column-major
-    value block, so the whole float matrix is never held; a CSV matrix
-    is read whole here, and its blocks are slices of it.
+    Each ``read`` takes just its columns from the column-major value
+    block, so the whole float matrix is never held.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            if fh.read(4) == _MAGIC:
-                egos, names, n_rows = _cfm1_header(fh)
-                start = fh.tell()
+    with open(path, "rb") as fh:
+        if fh.read(4) != _MAGIC:
+            raise ValueError(f"{path}: not a CFM1 matrix")
+        n_rows, n_cols = struct.unpack("<II", read_exact(fh, 8, "shape"))
+        (ego_len,) = struct.unpack("<I", read_exact(fh, 4, "ego table size"))
+        ego_blob = read_exact(fh, ego_len, "ego table")
+        (name_len,) = struct.unpack("<I",
+                                    read_exact(fh, 4, "name table size"))
+        name_blob = read_exact(fh, name_len, "name table")
+        _check_left(fh, n_rows * n_cols * 8, "values")
+        start = fh.tell()
+    try:
+        egos = ego_blob.decode("utf-8").split("\n") if ego_blob else []
+        names = name_blob.decode("utf-8").split("\n") if name_blob else []
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if (len(egos), len(names)) != (n_rows, n_cols):
+        raise ValueError(f"{path}: shape {n_rows} x {n_cols} does not "
+                         f"match {len(egos)} egos x {len(names)} names")
 
-                def read(lo: int, hi: int) -> np.ndarray:
-                    cols = np.empty((hi - lo, n_rows), dtype="<f8")
-                    with open(source, "rb") as block:
-                        block.seek(start + lo * n_rows * 8)
-                        block.readinto(cols)
-                    return cols
+    def read(lo: int, hi: int) -> np.ndarray:
+        cols = np.empty((hi - lo, n_rows), dtype="<f8")
+        with open(path, "rb") as block:
+            block.seek(start + lo * n_rows * 8)
+            block.readinto(cols)
+        return cols
 
-                return Columns(egos, names, read)
-        source = load_csv(source)
-    values = source.values
-    return Columns(source.ego_ids, source.feature_names,
-                   lambda lo, hi: values[:, lo:hi].T)
+    return Columns(egos, names, read)

@@ -38,13 +38,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logreg_loss(w, b, Z, y, l2) -> float:
-    """Mean cross-entropy plus (l2/2)||w||^2; bias unregularized."""
-    z = Z @ w + b
-    per_row = np.logaddexp(0.0, z) - y * z
-    return float(per_row.mean() + 0.5 * l2 * (w @ w))
-
-
 def logreg_gradient(w, b, Z, y, l2):
     p = _sigmoid(Z @ w + b)
     gw = Z.T @ (p - y) / len(y) + l2 * w

@@ -8,7 +8,8 @@ import pytest
 
 from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                             KIND_TOKENS, SECONDS_PER_DAY, StudyWindow, ingest)
-from churnforge.matrix import FeatureMatrix
+from churnforge.features import FULL_ONLY_STATS, WINDOWS
+from churnforge.matrix import Columns, FeatureMatrix
 from churnforge.selection import FeatureRanking, RankedFeature
 
 WINDOW = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
@@ -64,6 +65,37 @@ def columns(mat, names):
     and in C order, as ``matrix.load`` returns them."""
     idx = [mat.feature_names.index(n) for n in names]
     return FeatureMatrix(mat.ego_ids, list(names), mat.values[:, idx].copy())
+
+
+def in_memory_columns(mat):
+    """``matrix.columns`` of an in-memory matrix: each block of columns
+    is a slice of ``mat``."""
+    values = mat.values
+    return Columns(mat.ego_ids, mat.feature_names,
+                   lambda lo, hi: values[:, lo:hi].T)
+
+
+def count_features(config, n_denominators=0):
+    """Closed-form size of ``enumerate_features``'s output for the axes
+    ``config``: criterion 1's oracle."""
+    filt = (len(config.measures) * len(config.kinds) * len(config.directions)
+            * len(config.times_of_day) * len(config.day_types)
+            * len(config.alter_classes))
+    plain = sum(1 for s in config.statistics if s not in FULL_ONLY_STATS)
+    trend = sum(1 for s in config.statistics if s in FULL_ONLY_STATS)
+    win_stats = len(config.windows) * plain
+    if "full" in config.windows:
+        win_stats += trend
+    base = filt * win_stats + len(WINDOWS)
+    return base + (base - 1) * n_denominators
+
+
+def logreg_loss(w, b, Z, y, l2):
+    """Mean cross-entropy plus (l2/2)||w||^2, bias unregularized: the
+    reference for ``models.logreg_gradient``."""
+    z = Z @ w + b
+    per_row = np.logaddexp(0.0, z) - y * z
+    return float(per_row.mean() + 0.5 * l2 * (w @ w))
 
 
 def label_dict(labels):

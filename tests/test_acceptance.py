@@ -15,16 +15,15 @@ import pytest
 from churnforge import matrix as matrix_mod
 from churnforge.cdr import CSV_HEADER, SECONDS_PER_DAY, ingest
 from churnforge.cli import main
-from churnforge.features import (AxesConfig,
-                                 compute_matrix, count_features,
+from churnforge.features import (AxesConfig, compute_matrix,
                                  enumerate_features, parse_feature_name)
 from churnforge.labeling import compute_labels, read_labels, split_windows
 from churnforge.metrics import roc_auc
-from churnforge.models import (logreg_gradient, logreg_loss,
-                               threshold_baseline)
+from churnforge.models import logreg_gradient, threshold_baseline
 from churnforge.simgen import SimConfig, generate
 import conftest
-from conftest import WINDOW, column, label_dict, read_ranking, read_truth
+from conftest import (WINDOW, column, count_features, label_dict,
+                      logreg_loss, read_ranking, read_truth)
 
 AXES = AxesConfig()
 

@@ -1,11 +1,15 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from churnforge.cli import main
 from churnforge.config import PipelineConfig
 from churnforge.features import ConfigError
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(path, text):
@@ -37,6 +41,15 @@ class TestConfigParsing:
         assert cfg._get("cv.folds") == 7
         assert cfg._get("simgen.n_subscribers") == 5000
         assert cfg.window().total_days == 183
+        assert cfg._get("features.matrix_format") == "binary"
+
+    def test_every_committed_config_parses_to_the_binary_matrix(self):
+        paths = [p for d in ("configs", "pipebench/workloads")
+                 for p in sorted((ROOT / d).glob("*.cfg"))]
+        assert {p.parent.name for p in paths} == {"configs", "workloads"}
+        for p in paths:
+            cfg = PipelineConfig.from_file(str(p))
+            assert cfg._get("features.matrix_format") == "binary", p
 
     def test_unknown_key_fatal(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -95,6 +108,13 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path / "c.txt", "definitely.not.a.key=1\n")
         assert main(["featurize", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_csv_matrix_format_exit_1_naming_the_key(self, tmp_path,
+                                                      capsys):
+        cfg = write_cfg(tmp_path / "c.txt", "features.matrix_format=csv\n")
+        assert main(["featurize", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config key features.matrix_format" in capsys.readouterr().err
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["featurize", "--config", str(tmp_path / "absent.txt"),

@@ -53,6 +53,64 @@ def test_truncated_matrix_fails_stage_with_path(run_copy, capsys, stage,
     assert str(path) in err and "truncated" in err
 
 
+# byte 0 is the magic's first, byte 16 the ego table's first
+@pytest.mark.parametrize("offset,message", [
+    (0, "not a CFM1 matrix"),
+    (16, "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["magic", "ego_table"])
+@pytest.mark.parametrize("stage", ["select", "train", "score", "evaluate"])
+def test_corrupt_matrix_header_fails_stage_with_path(run_copy, capsys, stage,
+                                                     offset, message):
+    path = run_copy / "matrix.cfm"
+    data = bytearray(path.read_bytes())
+    data[offset] = 0xFF
+    path.write_bytes(bytes(data))
+    assert _stage(stage, run_copy) == EXIT_DATA
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def _first_49_rows(lines):
+    return lines[:50]
+
+
+def _rows_1_and_2_swapped(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+@pytest.mark.parametrize("damage", [_first_49_rows, _rows_1_and_2_swapped],
+                         ids=["49_rows", "swapped_rows"])
+@pytest.mark.parametrize("stage", ["select", "train", "evaluate"])
+def test_labels_out_of_matrix_order_fail_with_both_paths(run_copy, capsys,
+                                                         stage, damage):
+    path = run_copy / "labels.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(damage(lines)), encoding="utf-8")
+    assert _stage(stage, run_copy) == EXIT_DATA
+    assert (f"{path} and {run_copy / 'matrix.cfm'} do not list the same "
+            f"egos in the same order") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["train", "score"])
+def test_empty_selection_fails_with_path(run_copy, capsys, stage):
+    selected = run_copy / "selected_features.txt"
+    selected.write_text("", encoding="utf-8")
+    assert _stage(stage, run_copy) == EXIT_DATA
+    assert f"{selected}: names no features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{}", 'no "mean" entry'), ("[]", 'no "mean" entry'),
+    ("{bad", "Expecting property name enclosed in double quotes"),
+], ids=["no_mean", "list", "invalid_json"])
+def test_bad_cv_report_fails_evaluate_with_path(run_copy, capsys, text,
+                                                message):
+    path = run_copy / "cv_knn.json"
+    path.write_text(text, encoding="utf-8")
+    assert _stage("evaluate", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+
+
 @pytest.mark.parametrize("stage", ["train", "score"])
 def test_selected_feature_the_matrix_lacks_fails_with_path(run_copy, capsys,
                                                            stage):
@@ -202,7 +260,7 @@ def test_nan_cell_fails_select_with_ego_and_feature(run_copy, capsys):
     path = run_copy / "matrix.cfm"
     mat = matrix_mod.load(str(path))
     mat.values[3, 7] = np.nan
-    matrix_mod.save(mat, str(path), "binary")
+    matrix_mod.save(mat, str(path))
     assert _stage("select", run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(path) in err
@@ -221,9 +279,13 @@ def _damage_line(path, line_no, damage):
     ("labels.csv", "train",
      lambda line: line.split(",")[0] + ",x," + line.split(",")[2],
      "invalid literal for int()"),
+    ("labels.csv", "train",
+     lambda line: line.split(",")[0] + ",2," + line.split(",")[2],
+     "churned is 2, not 0 or 1"),
     ("scores_logreg.csv", "evaluate", lambda line: line.replace(",", ""),
      "not enough values to unpack"),
-], ids=["labels_two_fields", "labels_churned_x", "scores_no_comma"])
+], ids=["labels_two_fields", "labels_churned_x", "labels_churned_2",
+        "scores_no_comma"])
 def test_malformed_row_fails_with_file_and_line(run_copy, capsys, file, stage,
                                                 damage, message):
     path = run_copy / file
@@ -231,26 +293,6 @@ def test_malformed_row_fails_with_file_and_line(run_copy, capsys, file, stage,
     assert _stage(stage, run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{path}: line 5: bad " in err and message in err
-
-
-@pytest.mark.parametrize("damage,message", [
-    (lambda line: line.rsplit(",", 1)[0], "fields, expected"),
-    (lambda line: line.rsplit(",", 1)[0] + ",x",
-     "could not convert string to float: 'x'"),
-], ids=["short_row", "non_numeric_cell"])
-def test_malformed_csv_matrix_fails_select_with_file_and_line(
-        run_copy, capsys, damage, message):
-    cfg = run_copy / "csv.cfg"
-    cfg.write_text(Path(SMALL_CFG).read_text(encoding="utf-8").replace(
-        "features.matrix_format=binary", "features.matrix_format=csv"),
-        encoding="utf-8")
-    path = run_copy / "matrix.csv"
-    matrix_mod.save(matrix_mod.load(str(run_copy / "matrix.cfm")), str(path))
-    _damage_line(path, 3, damage)
-    assert main(["select", "--config", str(cfg), "--out",
-                 str(run_copy)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"{path}: line 3: " in err and message in err
 
 
 def _damage_cdr(out, form, damage):

@@ -10,10 +10,10 @@ from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  AxesConfig, ConfigError, FeatureSpec,
                                  InactivitySpec, RatioSpec,
                                  DEFAULT_DENOMINATORS, _BLOCK, compute_matrix,
-                                 count_features, enumerate_features,
-                                 parse_feature_name)
+                                 enumerate_features, parse_feature_name)
 from churnforge import matrix as matrix_mod
-from conftest import WINDOW, column, ingest_rows, make_store, random_rows
+from conftest import (WINDOW, column, count_features, ingest_rows,
+                      make_store, random_rows)
 
 AXES = AxesConfig()
 
@@ -405,19 +405,10 @@ class TestComputeErrors:
 
 
 class TestMatrixFormats:
-    def test_csv_round_trip(self, tmp_path, random_store):
-        specs = enumerate_features(AXES)[:50]
-        mat = compute_matrix(random_store, specs, AXES)
-        matrix_mod.save_csv(mat, str(tmp_path / "m.csv"))
-        again = matrix_mod.load(str(tmp_path / "m.csv"))
-        assert again.ego_ids == mat.ego_ids
-        assert again.feature_names == mat.feature_names
-        assert np.array_equal(again.values, mat.values)
-
     def test_binary_round_trip(self, tmp_path, random_store):
         specs = enumerate_features(AXES)[:64]
         mat = compute_matrix(random_store, specs, AXES)
-        matrix_mod.save_binary(mat, str(tmp_path / "m.cfm"))
+        matrix_mod.save(mat, str(tmp_path / "m.cfm"))
         again = matrix_mod.load(str(tmp_path / "m.cfm"))
         assert again.ego_ids == mat.ego_ids
         assert again.feature_names == mat.feature_names
@@ -426,27 +417,26 @@ class TestMatrixFormats:
     def test_binary_magic_check(self, tmp_path):
         p = tmp_path / "bad.cfm"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             matrix_mod.load(str(p))
+        assert str(exc.value) == f"{p}: not a CFM1 matrix"
 
     def test_load_named_columns(self, tmp_path, random_store):
         specs = enumerate_features(AXES)[:10]
         mat = compute_matrix(random_store, specs, AXES)
         names = [mat.feature_names[3], mat.feature_names[1]]
-        for fmt, file in (("csv", "m.csv"), ("binary", "m.cfm")):
-            path = str(tmp_path / file)
-            matrix_mod.save(mat, path, fmt)
-            sub = matrix_mod.load(path, names)
-            assert sub.ego_ids == mat.ego_ids
-            assert sub.feature_names == names
-            assert np.array_equal(sub.values, mat.values[:, [3, 1]])
-            assert sub.values.flags.c_contiguous
-            assert np.array_equal(matrix_mod.load(path, []).values,
-                                  np.zeros((len(mat.ego_ids), 0)))
-            with pytest.raises(KeyError) as exc:
-                matrix_mod.load(path, [names[0], "not.a.feature"])
-            assert f"{path}: no feature named 'not.a.feature'" in \
-                str(exc.value)
+        path = str(tmp_path / "m.cfm")
+        matrix_mod.save(mat, path)
+        sub = matrix_mod.load(path, names)
+        assert sub.ego_ids == mat.ego_ids
+        assert sub.feature_names == names
+        assert np.array_equal(sub.values, mat.values[:, [3, 1]])
+        assert sub.values.flags.c_contiguous
+        assert np.array_equal(matrix_mod.load(path, []).values,
+                              np.zeros((len(mat.ego_ids), 0)))
+        with pytest.raises(KeyError) as exc:
+            matrix_mod.load(path, [names[0], "not.a.feature"])
+        assert f"{path}: no feature named 'not.a.feature'" in str(exc.value)
 
 
 def test_small_config_featurize_bytes_pinned(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
 from churnforge.models import (FAMILIES, ModelSpec, kfold_cv, load_model,
-                               logreg_gradient, logreg_loss, predict_scores,
+                               logreg_gradient, predict_scores,
                                read_scores, save_model, threshold_baseline,
                                train, write_scores)
 from churnforge.tree import DecisionTree, BaggedForest
-from conftest import columns
+from conftest import columns, in_memory_columns, logreg_loss
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -348,7 +348,6 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     from churnforge.cdr import StudyWindow, ingest
     from churnforge.features import AxesConfig, compute_matrix, enumerate_features
     from churnforge.labeling import compute_labels, split_windows
-    from churnforge.matrix import columns as matrix_columns
     from churnforge.selection import scan
     from churnforge.simgen import SimConfig, generate
 
@@ -360,7 +359,7 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     axes = AxesConfig()
     mat = compute_matrix(store, enumerate_features(axes), axes)
     labels = compute_labels(store, split_windows(win)[1])
-    top = scan(matrix_columns(mat), labels).r2.names()[:40]
+    top = scan(in_memory_columns(mat), labels).r2.names()[:40]
     model = train(ModelSpec("logreg"), columns(mat, top), labels)
     hist = logreg_descent(model, columns(mat, top), labels)
     assert (np.diff(hist) <= 1e-12).all()

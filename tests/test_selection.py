@@ -5,14 +5,14 @@ import pytest
 
 from churnforge import matrix as matrix_mod
 from churnforge.labeling import LabelSet
-from churnforge.matrix import FeatureMatrix, columns
+from churnforge.matrix import FeatureMatrix
 from churnforge.selection import (R_SQUARED, T_STAT_ABS, FeatureRanking,
                                   _ranked, scan, tree_select,
                                   univariate_r2 as r2_scores,
                                   univariate_ttest as ttest_scores,
                                   write_ranking)
 from churnforge.tree import rank_block
-from conftest import read_ranking
+from conftest import in_memory_columns, read_ranking
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -28,15 +28,15 @@ def make_inputs(values, churned, pct=None, names=None):
 
 
 def univariate_ttest(mat, labels):
-    return scan(columns(mat), labels).ttest
+    return scan(in_memory_columns(mat), labels).ttest
 
 
 def univariate_r2(mat, labels):
-    return scan(columns(mat), labels).r2
+    return scan(in_memory_columns(mat), labels).r2
 
 
 def select_trees(mat, labels, workers=1, **kwargs):
-    return tree_select(scan(columns(mat), labels, workers), labels,
+    return tree_select(scan(in_memory_columns(mat), labels, workers), labels,
                        workers=workers, **kwargs)
 
 
@@ -285,20 +285,19 @@ def _mixed(seed, n, d):
     return X, churned, pct
 
 
-def test_cfm1_and_csv_give_the_same_rankings(tmp_path):
+def test_cfm1_scan_gives_the_in_memory_rankings(tmp_path):
     X, churned, pct = _mixed(11, 90, 150)
     mat, labels = make_inputs(X, churned, pct=pct)
+    path = str(tmp_path / "m.cfm")
+    matrix_mod.save(mat, path)
     got = []
-    for fmt, name in (("binary", "m.cfm"), ("csv", "m.csv")):
-        path = str(tmp_path / name)
-        matrix_mod.save(mat, path, fmt)
-        scanned = scan(columns(path), labels, workers=2)
+    for cols, workers in ((matrix_mod.columns(path), 2),
+                          (in_memory_columns(mat), 1)):
+        scanned = scan(cols, labels, workers)
         got.append([_entries(scanned.ttest), _entries(scanned.r2),
                     _entries(tree_select(scanned, labels, n_trees=6, k=20,
                                          seed=3))])
     assert got[0] == got[1]
-    scanned = scan(columns(mat), labels)
-    assert got[0][:2] == [_entries(scanned.ttest), _entries(scanned.r2)]
 
 
 @pytest.mark.parametrize("d,spans", [
@@ -317,7 +316,7 @@ def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
             _entries(_ranked(mat.feature_names, r2_scores(X, pct),
                              R_SQUARED))]
     for workers in (1, 2):
-        scanned = scan(columns(mat), labels, workers)
+        scanned = scan(in_memory_columns(mat), labels, workers)
         assert [_entries(scanned.ttest), _entries(scanned.r2)] == want
         codes, values, counts = rank_block(X.T)
         assert np.array_equal(scanned.ranks.codes, codes)
@@ -335,4 +334,4 @@ def test_nonfinite_cell_is_named_in_column_order(monkeypatch):
     with pytest.raises(ValueError, match=message):
         mat.check_finite()
     with pytest.raises(ValueError, match=message):
-        scan(columns(mat), labels, workers=2)
+        scan(in_memory_columns(mat), labels, workers=2)
