@@ -122,8 +122,8 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
             print(f"featurize:   {rest} for {len(tally) - _TALLY_LINES} "
                   f"other reasons")
     axes = cfg.axes()
-    specs = feat_mod.enumerate_features(axes, cfg.denominators())
-    mat = feat_mod.compute_matrix(store, specs, axes)
+    names = feat_mod.enumerate_features(axes, cfg.denominators())
+    mat = feat_mod.compute_matrix(store, names, axes)
     mat.check_finite()
 
     matrix_path = out / "matrix.cfm"

@@ -11,16 +11,8 @@ import datetime
 from dataclasses import dataclass, field
 
 from .cdr import StudyWindow
-from .features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS, MEASURES,
-                       STATISTICS, TIMES_OF_DAY, WINDOWS, AxesConfig,
-                       ConfigError)
+from .features import AXIS_TABLE, AxesConfig, ConfigError
 from .models import FAMILIES
-
-_AXIS_KEYS = {
-    "measure": MEASURES, "kind": KINDS, "direction": DIRECTIONS,
-    "time_of_day": TIMES_OF_DAY, "day_type": DAY_TYPES,
-    "alter_class": ALTER_CLASSES, "window": WINDOWS, "statistic": STATISTICS,
-}
 
 _SCALARS = {
     "seed": (int, "42"),
@@ -88,7 +80,7 @@ class PipelineConfig:
                 continue
             if key.startswith("features.axes."):
                 axis = key[len("features.axes."):]
-                if axis not in _AXIS_KEYS:
+                if axis not in (k for k, _, _ in AXIS_TABLE):
                     raise ConfigError(f"unknown axis key {key!r}")
                 continue
             if key.startswith("models."):
@@ -137,14 +129,10 @@ class PipelineConfig:
 
     def axes(self) -> AxesConfig:
         kwargs = {}
-        field_of = {"measure": "measures", "kind": "kinds",
-                    "direction": "directions", "time_of_day": "times_of_day",
-                    "day_type": "day_types", "alter_class": "alter_classes",
-                    "window": "windows", "statistic": "statistics"}
-        for axis in _AXIS_KEYS:
-            raw = self.raw.get(f"features.axes.{axis}", "").strip()
+        for key, attr, _ in AXIS_TABLE:
+            raw = self.raw.get(f"features.axes.{key}", "").strip()
             if raw:
-                kwargs[field_of[axis]] = tuple(
+                kwargs[attr] = tuple(
                     t.strip() for t in raw.split(",") if t.strip())
         return AxesConfig(
             short_call_threshold_s=self._get("features.short_call_threshold_s"),

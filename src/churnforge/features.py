@@ -8,6 +8,15 @@ under one pruning rule (monthly-trend statistics only make sense over
 the full window) yields the feature vocabulary; the matrix is one row
 per subscriber with those features evaluated over the training window.
 
+A feature is its canonical name and has no other form: its eight axis
+values joined by dots in AXIS_TABLE order (for example
+``activity.sms.in.any.weekend.competitor.full.total``),
+``inactivity.<window>``, or a ratio ``<numerator>/<denominator>`` of
+two of those. ``enumerate_features`` returns names, and
+``compute_matrix`` reads each name it is given into the place of its
+value, so any ratio is computed on demand by naming it:
+``compute_matrix(store, ["inactivity.m1/inactivity.full"], axes)``.
+
 Values are computed over blocks of subscribers: events are binned into
 an atomic (subscriber, kind, direction, time, day type, class, month)
 count tensor, and every axis marginal (the ``any`` dimensions, kind
@@ -20,8 +29,8 @@ in a marginal cell iff it is present in any constituent atomic cell.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -50,8 +59,22 @@ DEFAULT_DENOMINATORS = (
 )
 
 
+# The eight axes of a base feature, in name order: the config key
+# (``features.axes.<key>``), the AxesConfig field, and the allowed values.
+AXIS_TABLE = (
+    ("measure", "measures", MEASURES),
+    ("kind", "kinds", KINDS),
+    ("direction", "directions", DIRECTIONS),
+    ("time_of_day", "times_of_day", TIMES_OF_DAY),
+    ("day_type", "day_types", DAY_TYPES),
+    ("alter_class", "alter_classes", ALTER_CLASSES),
+    ("window", "windows", WINDOWS),
+    ("statistic", "statistics", STATISTICS),
+)
+
+
 class ConfigError(ValueError):
-    """Invalid axes, denominator, or window configuration."""
+    """Invalid axes, denominator, feature name, or window configuration."""
 
 
 def _check_subset(name, values, allowed):
@@ -82,22 +105,9 @@ class AxesConfig:
     day_hours: tuple = (8, 20)
 
     def __post_init__(self):
-        object.__setattr__(self, "measures",
-                           _check_subset("measure", self.measures, MEASURES))
-        object.__setattr__(self, "kinds",
-                           _check_subset("kind", self.kinds, KINDS))
-        object.__setattr__(self, "directions",
-                           _check_subset("direction", self.directions, DIRECTIONS))
-        object.__setattr__(self, "times_of_day",
-                           _check_subset("time_of_day", self.times_of_day, TIMES_OF_DAY))
-        object.__setattr__(self, "day_types",
-                           _check_subset("day_type", self.day_types, DAY_TYPES))
-        object.__setattr__(self, "alter_classes",
-                           _check_subset("alter_class", self.alter_classes, ALTER_CLASSES))
-        object.__setattr__(self, "windows",
-                           _check_subset("window", self.windows, WINDOWS))
-        object.__setattr__(self, "statistics",
-                           _check_subset("statistic", self.statistics, STATISTICS))
+        for key, field, allowed in AXIS_TABLE:
+            object.__setattr__(self, field, _check_subset(
+                key, getattr(self, field), allowed))
         if self.short_call_threshold_s < 1:
             raise ConfigError("short_call_threshold_s must be >= 1")
         lo, hi = self.day_hours
@@ -105,130 +115,27 @@ class AxesConfig:
             raise ConfigError(f"day_hours {self.day_hours} must satisfy 0 <= lo < hi <= 24")
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """One point of the eight-axis tree."""
-
-    measure: str
-    kind: str
-    direction: str
-    time_of_day: str
-    day_type: str
-    alter_class: str
-    window: str
-    statistic: str
-
-    def __post_init__(self):
-        for value, allowed, axis in (
-                (self.measure, MEASURES, "measure"),
-                (self.kind, KINDS, "kind"),
-                (self.direction, DIRECTIONS, "direction"),
-                (self.time_of_day, TIMES_OF_DAY, "time_of_day"),
-                (self.day_type, DAY_TYPES, "day_type"),
-                (self.alter_class, ALTER_CLASSES, "alter_class"),
-                (self.window, WINDOWS, "window"),
-                (self.statistic, STATISTICS, "statistic")):
-            if value not in allowed:
-                raise ConfigError(f"{axis}: unknown dimension {value!r}")
-        if self.statistic in FULL_ONLY_STATS and self.window != "full":
-            raise ConfigError(
-                f"statistic {self.statistic} requires window 'full', "
-                f"got {self.window!r}")
-
-    @property
-    def canonical_name(self) -> str:
-        return ".".join((self.measure, self.kind, self.direction,
-                         self.time_of_day, self.day_type, self.alter_class,
-                         self.window, self.statistic))
-
-
-@dataclass(frozen=True)
-class InactivitySpec:
-    """Fraction of days in the window with zero events of any type."""
-
-    window: str
-
-    def __post_init__(self):
-        if self.window not in WINDOWS:
-            raise ConfigError(f"window: unknown dimension {self.window!r}")
-
-    @property
-    def canonical_name(self) -> str:
-        return f"inactivity.{self.window}"
-
-
-BaseLike = Union[FeatureSpec, InactivitySpec]
-
-
-@dataclass(frozen=True)
-class RatioSpec:
-    numerator: BaseLike
-    denominator: BaseLike
-
-    def __post_init__(self):
-        if self.numerator == self.denominator:
-            raise ConfigError(
-                f"ratio of {self.numerator.canonical_name} to itself")
-
-    @property
-    def canonical_name(self) -> str:
-        return f"{self.numerator.canonical_name}/{self.denominator.canonical_name}"
-
-
-AnySpec = Union[FeatureSpec, InactivitySpec, RatioSpec]
-
-
-def parse_feature_name(name: str) -> AnySpec:
-    """Inverse of canonical_name. Raises ConfigError on unknown names."""
-    if "/" in name:
-        num_s, _, den_s = name.partition("/")
-        if "/" in den_s:
-            raise ConfigError(f"bad feature name {name!r}")
-        return RatioSpec(parse_feature_name(num_s), parse_feature_name(den_s))
-    parts = name.split(".")
-    if len(parts) == 2 and parts[0] == "inactivity":
-        return InactivitySpec(parts[1])
-    if len(parts) != 8:
-        raise ConfigError(f"bad feature name {name!r}")
-    return FeatureSpec(*parts)
-
-
 def enumerate_features(config: AxesConfig,
-                       denominators: tuple[str, ...] = ()) -> list[AnySpec]:
-    """Deterministic, ordered feature vocabulary.
+                       denominators: tuple[str, ...] = ()) -> list[str]:
+    """Deterministic, ordered feature vocabulary of canonical names.
 
     Order: the pruned axis product (statistic varies fastest), then the
-    five inactivity windows, then ratios (numerators in enumeration
-    order within each denominator taken in the given order, self-ratios
+    five inactivity windows, then ratios (for each numerator in
+    enumeration order, the denominators in the given order, self-ratios
     skipped). Denominators must name members of the base enumeration.
     """
-    bases: list[BaseLike] = []
-    for m in config.measures:
-        for k in config.kinds:
-            for d in config.directions:
-                for t in config.times_of_day:
-                    for y in config.day_types:
-                        for a in config.alter_classes:
-                            for w in config.windows:
-                                for s in config.statistics:
-                                    if s in FULL_ONLY_STATS and w != "full":
-                                        continue
-                                    bases.append(FeatureSpec(m, k, d, t, y, a, w, s))
-    bases.extend(InactivitySpec(w) for w in WINDOWS)
-    by_name = {b.canonical_name: b for b in bases}
-    den_specs = []
-    for name in denominators:
-        if name not in by_name:
+    bases = [".".join(p) for p in itertools.product(
+                 *(getattr(config, field) for _, field, _ in AXIS_TABLE))
+             if p[7] not in FULL_ONLY_STATS or p[6] == "full"]
+    bases.extend(f"inactivity.{w}" for w in WINDOWS)
+    known = set(bases)
+    for i, name in enumerate(denominators):
+        if name not in known:
             raise ConfigError(f"unknown denominator feature {name!r}")
-        if by_name[name] in den_specs:
+        if name in denominators[:i]:
             raise ConfigError(f"duplicate denominator {name!r}")
-        den_specs.append(by_name[name])
-    specs: list[AnySpec] = list(bases)
-    for num in bases:
-        for den in den_specs:
-            if num != den:
-                specs.append(RatioSpec(num, den))
-    return specs
+    return bases + [f"{num}/{den}" for num in bases for den in denominators
+                    if num != den]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +171,7 @@ def _expand_all(arr: np.ndarray, lead: int, op=np.add) -> np.ndarray:
 
 @dataclass
 class _Plan:
-    """Gather plan mapping spec list positions to source values.
+    """Gather plan mapping feature list positions to source values.
 
     Every operand is an absolute index into a subscriber's source
     values: the concatenation of the raveled planes in _SOURCE_ORDER.
@@ -304,37 +211,50 @@ def _source_sizes(n_months: int) -> dict:
 _PLANE_SHAPE_FILT = (4, 3, 3, 3, 7)
 
 
+def _axis_position(axis: int, value: str) -> int:
+    key, _, allowed = AXIS_TABLE[axis]
+    try:
+        return allowed.index(value)
+    except ValueError:
+        raise ConfigError(f"{key}: unknown dimension {value!r}") from None
+
+
 def _window_index(window: str, n_months: int) -> int:
+    """Position of ``window`` on the last axis of the total planes."""
+    w = _axis_position(6, window)
     if window == "full":
         return n_months
-    idx = int(window[1:]) - 1
-    if idx >= n_months:
+    if w >= n_months:
         raise ConfigError(
             f"window {window!r} lies outside the {n_months} training months")
-    return idx
+    return w
 
 
-def _spec_source_offset(spec: BaseLike, n_months: int):
-    """(plane name, flat offset) of one base-family value."""
-    if isinstance(spec, InactivitySpec):
-        return "inact", _window_index(spec.window, n_months)
-    m = MEASURES.index(spec.measure)
-    k = KINDS.index(spec.kind)
-    d = DIRECTIONS.index(spec.direction)
-    t = TIMES_OF_DAY.index(spec.time_of_day)
-    y = DAY_TYPES.index(spec.day_type)
-    a = ALTER_CLASSES.index(spec.alter_class)
-    off = 0  # the C-order offset of (m, k, d, t, y, a) in its plane
-    for i, n in zip((m, k, d, t, y, a), (2,) + _PLANE_SHAPE_FILT):
+def _base_index(name: str, n_months: int, start: dict) -> int:
+    """Index of the base feature ``name`` among a subscriber's source
+    values; ``start`` maps each plane of _SOURCE_ORDER to its first."""
+    parts = name.split(".")
+    if len(parts) == 2 and parts[0] == "inactivity":
+        return start["inact"] + _window_index(parts[1], n_months)
+    if len(parts) != len(AXIS_TABLE):
+        raise ConfigError(f"expected {len(AXIS_TABLE)} dot-separated parts "
+                          f"or inactivity.<window>, got {len(parts)}")
+    pos = [_axis_position(axis, part) for axis, part in enumerate(parts)]
+    window, statistic = parts[6], parts[7]
+    if statistic in FULL_ONLY_STATS and window != "full":
+        raise ConfigError(f"statistic {statistic} requires window 'full', "
+                          f"got {window!r}")
+    off = 0  # the C-order offset of the six filter axes in their plane
+    for i, n in zip(pos[:6], (2,) + _PLANE_SHAPE_FILT):
         off = off * n + i
-    w = _window_index(spec.window, n_months)  # validates the window
-    if spec.statistic in ("total", "per_active_day"):
-        off = off * (n_months + 1) + w
-        return ("total" if spec.statistic == "total" else "pad"), off
-    return ("delta" if spec.statistic == "max_monthly_delta" else "slope"), off
+    # _SOURCE_ORDER has one plane per statistic, in STATISTICS order
+    plane = start[_SOURCE_ORDER[pos[7]]]
+    if statistic in FULL_ONLY_STATS:
+        return plane + off
+    return plane + off * (n_months + 1) + _window_index(window, n_months)
 
 
-def _build_plan(specs, window, train_range, axes: AxesConfig) -> _Plan:
+def _build_plan(names, window, train_range, axes: AxesConfig) -> _Plan:
     lo, hi = train_range
     tiles = window.month_ranges
     starts = [t[0] for t in tiles]
@@ -351,26 +271,39 @@ def _build_plan(specs, window, train_range, axes: AxesConfig) -> _Plan:
     n_months = len(months)
 
     sizes = _source_sizes(n_months)
-    bases = {}
+    start = {}
     base = 0
     for src in _SOURCE_ORDER:
-        bases[src] = base
+        start[src] = base
         base += sizes[src]
 
-    def source_index(spec):
-        src, off = _spec_source_offset(spec, n_months)
-        return bases[src] + off
+    index = {}  # of each base feature read so far; ratios repeat them
 
+    def source_index(part):
+        if part not in index:
+            index[part] = _base_index(part, n_months, start)
+        return index[part]
+
+    # a feature is a base feature or a ratio <numerator>/<denominator>
     base_out, base_src = [], []
     ratio_out, ratio_num, ratio_den = [], [], []
-    for pos, spec in enumerate(specs):
-        if isinstance(spec, RatioSpec):
-            ratio_out.append(pos)
-            ratio_num.append(source_index(spec.numerator))
-            ratio_den.append(source_index(spec.denominator))
-        else:
+    for pos, name in enumerate(names):
+        parts = name.split("/")
+        try:
+            if len(parts) > 2:
+                raise ConfigError("a ratio's parts cannot hold '/'")
+            if len(parts) == 2 and parts[0] == parts[1]:
+                raise ConfigError("ratio of a feature to itself")
+            src = [source_index(part) for part in parts]
+        except ConfigError as exc:
+            raise ConfigError(f"feature {name!r}: {exc}") from None
+        if len(src) == 1:
             base_out.append(pos)
-            base_src.append(source_index(spec))
+            base_src.append(src[0])
+        else:
+            ratio_out.append(pos)
+            ratio_num.append(src[0])
+            ratio_den.append(src[1])
 
     def ints(values):
         return np.asarray(values, dtype=np.int64)
@@ -390,7 +323,7 @@ def _build_plan(specs, window, train_range, axes: AxesConfig) -> _Plan:
         ratio_out=ints(ratio_out),
         ratio_num=ints(ratio_num),
         ratio_den=ints(ratio_den),
-        n_cols=len(specs),
+        n_cols=len(names),
     )
 
 
@@ -486,10 +419,13 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
                            (total, pad, delta, slope, inact)], axis=1)
 
 
-def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
+def compute_matrix(store: RecordStore, names: list[str], axes: AxesConfig,
                    train_range: tuple[int, int] | None = None):
     """Dense subscribers x features matrix over the training window.
 
+    ``names`` are canonical feature names, in column order: any base
+    feature, ``inactivity.<window>``, or a ratio ``<num>/<den>`` of two
+    of those; a name that is not a feature raises ConfigError naming it.
     Every subscriber gets a row, including fully inactive ones (count
     features 0, inactivity 1.0, ratios 0). Rows are computed over blocks
     of subscribers; a row does not depend on the other subscribers of
@@ -500,7 +436,7 @@ def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
 
     if train_range is None:
         train_range = (0, store.window.train_days)
-    plan = _build_plan(specs, store.window, train_range, axes)
+    plan = _build_plan(names, store.window, train_range, axes)
     n = len(store)
     values = np.empty((n, plan.n_cols), order="F")
     for b0 in range(0, n, _BLOCK):
@@ -511,6 +447,5 @@ def compute_matrix(store: RecordStore, specs: list, axes: AxesConfig,
         den = np.take(src, plan.ratio_den, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             values[b0:b1, plan.ratio_out] = np.where(den != 0, num / den, 0.0)
-    names = [s.canonical_name for s in specs]
-    return FeatureMatrix(ego_ids=list(store.ego_ids), feature_names=names,
-                         values=values)
+    return FeatureMatrix(ego_ids=list(store.ego_ids),
+                         feature_names=list(names), values=values)

@@ -80,6 +80,9 @@ def read_labels(path: str) -> LabelSet:
                 c, p = int(c), float(p)
                 if c not in (0, 1):
                     raise ValueError(f"churned is {c}, not 0 or 1")
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(
+                        f"pct_inactive_eval is {p!r}, not in [0, 1]")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad labels row "
                                  f"{line.rstrip()!r}: {exc}") from None

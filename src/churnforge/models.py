@@ -666,6 +666,8 @@ def read_scores(path: str) -> tuple[list[str], np.ndarray]:
             try:
                 e, s = line.rstrip("\n").split(",")
                 score = float(s)
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"churn_score is {score!r}, not in [0, 1]")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad scores row "
                                  f"{line.rstrip()!r}: {exc}") from None

@@ -15,8 +15,7 @@ import pytest
 from churnforge import matrix as matrix_mod
 from churnforge.cdr import CSV_HEADER, SECONDS_PER_DAY, ingest
 from churnforge.cli import main
-from churnforge.features import (AxesConfig, compute_matrix,
-                                 enumerate_features, parse_feature_name)
+from churnforge.features import AxesConfig, compute_matrix, enumerate_features
 from churnforge.labeling import compute_labels, read_labels, split_windows
 from churnforge.metrics import roc_auc
 from churnforge.models import logreg_gradient, threshold_baseline
@@ -52,7 +51,7 @@ def benchmark_run(tmp_path_factory):
 
 def test_criterion_01_feature_count_oracle():
     started = time.perf_counter()
-    specs = enumerate_features(AXES)
+    names = enumerate_features(AXES)
     counted = count_features(AXES, 0)
     elapsed = time.perf_counter() - started
     # independent closed form: product of the six filter axes times the
@@ -61,21 +60,20 @@ def test_criterion_01_feature_count_oracle():
     filter_combos = 2 * 4 * 3 * 3 * 3 * 7
     window_stat_pairs = 5 * 2 + 1 * 2
     oracle = filter_combos * window_stat_pairs + 5
-    ok = (len(specs) == counted == oracle == 18149) and elapsed < 1.0
-    _verdict(1, ok, f"enumerate={len(specs)} count={counted} "
+    ok = (len(names) == counted == oracle == 18149) and elapsed < 1.0
+    _verdict(1, ok, f"enumerate={len(names)} count={counted} "
                     f"oracle={oracle} in {elapsed:.3f}s")
 
 
 def test_criterion_02_vocabulary_coverage():
     from test_features import (TOP_PREDICTORS_INDIVIDUAL,
                                TOP_PREDICTORS_JOINT)
-    base_names = {s.canonical_name for s in enumerate_features(AXES)}
+    base_names = set(enumerate_features(AXES))
     missing = []
     for label, name in TOP_PREDICTORS_INDIVIDUAL + TOP_PREDICTORS_JOINT:
-        spec = parse_feature_name(name)
-        parts = ([spec.numerator, spec.denominator]
-                 if hasattr(spec, "numerator") else [spec])
-        if any(p.canonical_name not in base_names for p in parts):
+        # a base feature, or a ratio of two
+        parts = name.split("/")
+        if len(parts) > 2 or any(p not in base_names for p in parts):
             missing.append(label)
     _verdict(2, not missing,
              f"all 20 top-predictor features expressible"
@@ -196,9 +194,7 @@ def test_criterion_03_micro_fixture(tmp_path):
 
     ratio_names = sorted({n for exp in MICRO_EXPECTED.values()
                           for n in exp if "/" in n})
-    specs = enumerate_features(AXES) + \
-        [parse_feature_name(n) for n in ratio_names]
-    mat = compute_matrix(store, specs, AXES)
+    mat = compute_matrix(store, enumerate_features(AXES) + ratio_names, AXES)
     row_of = {e: i for i, e in enumerate(mat.ego_ids)}
     worst = 0.0
     for ego, expectations in MICRO_EXPECTED.items():
@@ -219,8 +215,7 @@ def test_criterion_04_additivity_on_synthetic(tmp_path):
                     seed=1042)
     generate(cfg, str(tmp_path / "cdr.csv"), str(tmp_path / "truth.csv"))
     store = ingest(str(tmp_path / "cdr.csv"), WINDOW)
-    specs = enumerate_features(AXES)
-    mat = compute_matrix(store, specs, AXES)
+    mat = compute_matrix(store, enumerate_features(AXES), AXES)
     by_name = {n: i for i, n in enumerate(mat.feature_names)}
     checked = 0
     for name, idx in by_name.items():

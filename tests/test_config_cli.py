@@ -6,7 +6,7 @@ import pytest
 
 from churnforge.cli import main
 from churnforge.config import PipelineConfig
-from churnforge.features import ConfigError
+from churnforge.features import AxesConfig, ConfigError
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +78,31 @@ class TestConfigParsing:
         axes = cfg.axes()
         assert axes.kinds == ("call", "sms")
         assert axes.windows == ("m1", "full")
+
+    @pytest.mark.parametrize("axis,attr,value", [
+        ("measure", "measures", "degree"),
+        ("kind", "kinds", "short_call"),
+        ("direction", "directions", "out"),
+        ("time_of_day", "times_of_day", "night"),
+        ("day_type", "day_types", "weekend"),
+        ("alter_class", "alter_classes", "mobile_money"),
+        ("window", "windows", "m2"),
+        ("statistic", "statistics", "trend_slope"),
+    ])
+    def test_each_axis_key_restricts_its_field(self, tmp_path, axis, attr,
+                                               value):
+        cfg = PipelineConfig.from_file(write_cfg(
+            tmp_path / "c.txt", f"features.axes.{axis}={value}\n"))
+        axes, default = cfg.axes(), AxesConfig()
+        for other in ("measures", "kinds", "directions", "times_of_day",
+                      "day_types", "alter_classes", "windows", "statistics"):
+            want = (value,) if other == attr else getattr(default, other)
+            assert getattr(axes, other) == want, other
+
+    def test_unknown_axis_key_fatal(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown axis key"):
+            PipelineConfig.from_file(write_cfg(
+                tmp_path / "c.txt", "features.axes.colour=red\n"))
 
     def test_model_param_keys(self, tmp_path):
         cfg = PipelineConfig.from_file(write_cfg(

@@ -273,6 +273,10 @@ def _damage_line(path, line_no, damage):
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _set_last_field(value):
+    return lambda line: line.rsplit(",", 1)[0] + "," + value
+
+
 @pytest.mark.parametrize("file,stage,damage,message", [
     ("labels.csv", "select", lambda line: line.rsplit(",", 1)[0],
      "not enough values to unpack"),
@@ -284,8 +288,17 @@ def _damage_line(path, line_no, damage):
      "churned is 2, not 0 or 1"),
     ("scores_logreg.csv", "evaluate", lambda line: line.replace(",", ""),
      "not enough values to unpack"),
+    *[("labels.csv", stage, _set_last_field(value),
+       f"pct_inactive_eval is {value}, not in [0, 1]")
+      for stage in ("select", "evaluate") for value in ("nan", "1.5", "-0.1")],
+    *[("scores_knn.csv", "evaluate", _set_last_field(value),
+       f"churn_score is {value}, not in [0, 1]")
+      for value in ("nan", "inf", "1.5", "-0.1")],
 ], ids=["labels_two_fields", "labels_churned_x", "labels_churned_2",
-        "scores_no_comma"])
+        "scores_no_comma",
+        *[f"labels_pct_{value}-{stage}" for stage in ("select", "evaluate")
+          for value in ("nan", "1.5", "-0.1")],
+        *[f"scores_{value}" for value in ("nan", "inf", "1.5", "-0.1")]])
 def test_malformed_row_fails_with_file_and_line(run_copy, capsys, file, stage,
                                                 damage, message):
     path = run_copy / file

@@ -7,10 +7,9 @@ import pytest
 from churnforge.cdr import SECONDS_PER_DAY
 from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  MEASURES, STATISTICS, TIMES_OF_DAY, WINDOWS,
-                                 AxesConfig, ConfigError, FeatureSpec,
-                                 InactivitySpec, RatioSpec,
+                                 AxesConfig, ConfigError,
                                  DEFAULT_DENOMINATORS, _BLOCK, compute_matrix,
-                                 enumerate_features, parse_feature_name)
+                                 enumerate_features)
 from churnforge import matrix as matrix_mod
 from conftest import (WINDOW, column, count_features, ingest_rows,
                       make_store, random_rows)
@@ -18,16 +17,16 @@ from conftest import (WINDOW, column, count_features, ingest_rows,
 AXES = AxesConfig()
 
 
-def one_ego_matrix(events, specs=None):
+def one_ego_matrix(events, names=None):
     """events: (day, hour, kind, direction, duration, alter, alter_class)."""
     store = ingest_rows(
         [("e", alter, WINDOW.start_epoch + day * SECONDS_PER_DAY
           + hour * 3600 + j, kind, direction, dur, ac)
          for j, (day, hour, kind, direction, dur, alter, ac)
          in enumerate(events)])
-    if specs is None:
-        specs = enumerate_features(AXES)
-    return compute_matrix(store, specs, AXES)
+    if names is None:
+        names = enumerate_features(AXES)
+    return compute_matrix(store, names, AXES)
 
 
 class TestEnumeration:
@@ -47,17 +46,19 @@ class TestEnumeration:
             assert 2 <= len(axis) <= 7
 
     def test_count_with_denominators(self):
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS)
-        assert len(specs) == 18149 + (18149 - 1) * 6
-        assert count_features(AXES, 6) == len(specs)
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS)
+        assert len(names) == 18149 + (18149 - 1) * 6
+        assert count_features(AXES, 6) == len(names)
 
     def test_degenerate_config(self):
         cfg = AxesConfig(measures=("activity",), kinds=("any",),
                          directions=("any",), times_of_day=("any",),
                          day_types=("any",), alter_classes=("any",),
                          windows=("full",), statistics=("total",))
-        specs = enumerate_features(cfg)
-        assert len(specs) == 1 + 5  # one base spec, five inactivity windows
+        names = enumerate_features(cfg)
+        assert names == ["activity.any.any.any.any.any.full.total",
+                         "inactivity.m1", "inactivity.m2", "inactivity.m3",
+                         "inactivity.m4", "inactivity.full"]
         assert count_features(cfg, 0) == 6
 
     def test_count_matches_enumeration_on_random_restrictions(self):
@@ -83,27 +84,31 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             enumerate_features(AXES, ("inactivity.full", "inactivity.full"))
 
-    def test_names_injective_and_parseable(self):
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])
-        names = [s.canonical_name for s in specs]
+    def test_names_injective(self):
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])
         assert len(set(names)) == len(names)
-        rng = np.random.default_rng(1)
-        for i in rng.choice(len(specs), size=200, replace=False):
-            assert parse_feature_name(names[i]) == specs[i]
 
-    def test_pruning_rule_enforced(self):
-        with pytest.raises(ConfigError):
-            FeatureSpec("activity", "call", "in", "any", "any", "any",
-                        "m1", "trend_slope")
-
-    def test_self_ratio_rejected(self):
-        spec = parse_feature_name("inactivity.full")
-        with pytest.raises(ConfigError):
-            RatioSpec(spec, spec)
+    @pytest.mark.parametrize("name,message", [
+        ("activity.fax.in.any.any.any.full.total",
+         "kind: unknown dimension 'fax'"),
+        ("activity.call.in.any.any.full.total",
+         "expected 8 dot-separated parts or inactivity.<window>, got 7"),
+        ("activity.call.in.any.any.any.m1.trend_slope",
+         "statistic trend_slope requires window 'full', got 'm1'"),
+        ("inactivity.m1/inactivity.m2/inactivity.full", "cannot hold '/'"),
+        ("inactivity.full/inactivity.full", "ratio of a feature to itself"),
+        ("inactivity.m9", "window: unknown dimension 'm9'"),
+    ], ids=["unknown_dimension", "part_count", "trend_outside_full",
+            "nested_ratio", "self_ratio", "unknown_window"])
+    def test_malformed_name_rejected(self, random_store, name, message):
+        with pytest.raises(ConfigError) as exc:
+            compute_matrix(random_store, [name], AXES)
+        assert str(exc.value).startswith(f"feature {name!r}: ")
+        assert message in str(exc.value)
 
     def test_deterministic_order(self):
-        a = [s.canonical_name for s in enumerate_features(AXES, DEFAULT_DENOMINATORS)]
-        b = [s.canonical_name for s in enumerate_features(AXES, DEFAULT_DENOMINATORS)]
+        a = enumerate_features(AXES, DEFAULT_DENOMINATORS)
+        b = enumerate_features(AXES, DEFAULT_DENOMINATORS)
         assert a == b
 
 
@@ -165,19 +170,15 @@ TOP_PREDICTORS_JOINT = [
 class TestVocabulary:
     @pytest.mark.parametrize("label,name", TOP_PREDICTORS_INDIVIDUAL + TOP_PREDICTORS_JOINT)
     def test_top_predictor_expressible(self, label, name):
-        spec = parse_feature_name(name)
-        assert spec.canonical_name == name
-        base_names = {s.canonical_name for s in enumerate_features(AXES)}
-        if isinstance(spec, RatioSpec):
-            assert spec.numerator.canonical_name in base_names
-            assert spec.denominator.canonical_name in base_names
-        else:
-            assert name in base_names
+        # a base feature, or a ratio of two
+        parts = name.split("/")
+        assert len(parts) <= 2
+        assert set(parts) <= set(enumerate_features(AXES))
 
     def test_vocabulary_computes(self):
-        specs = [parse_feature_name(n) for _, n in TOP_PREDICTORS_INDIVIDUAL + TOP_PREDICTORS_JOINT]
+        names = [n for _, n in TOP_PREDICTORS_INDIVIDUAL + TOP_PREDICTORS_JOINT]
         store = make_store(n_subscribers=5, seed=2)
-        mat = compute_matrix(store, specs, AXES)
+        mat = compute_matrix(store, names, AXES)
         mat.check_finite()
         assert mat.shape == (5, 20)
 
@@ -220,9 +221,9 @@ class TestComputeExamples:
         hub = [("H", f"A{i}", at(i % 122, 0), i % 2, 1 - i % 2,
                 60 * (1 - i % 2), i % 6) for i in range(3000)]
         light = random_rows(n_subscribers=5, seed=3)  # S000-S004
-        specs = enumerate_features(AXES)
-        mat = compute_matrix(ingest_rows(hub + light), specs, AXES)
-        alone = compute_matrix(ingest_rows(light), specs, AXES)
+        names = enumerate_features(AXES)
+        mat = compute_matrix(ingest_rows(hub + light), names, AXES)
+        alone = compute_matrix(ingest_rows(light), names, AXES)
         assert mat.ego_ids == ["H"] + alone.ego_ids
         np.testing.assert_array_equal(mat.values[1:], alone.values)
         m1_competitor_sms = sum(1 for i in range(3000) if i % 2 and
@@ -266,9 +267,9 @@ class TestComputeExamples:
             mat, "activity.any.any.any.any.any.full.per_active_day")[0] == 1.5
 
     def test_inactive_ego_all_zero(self):
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS)
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS)
         # events only after the training window
-        mat = one_ego_matrix([(150, 9, 0, 1, 60, "A1", 0)], specs)
+        mat = one_ego_matrix([(150, 9, 0, 1, 60, "A1", 0)], names)
         assert column(mat, "inactivity.full")[0] == 1.0
         assert column(mat, "inactivity.m2")[0] == 1.0
         assert column(mat, "activity.any.any.any.any.any.full.total")[0] == 0.0
@@ -281,16 +282,15 @@ class TestComputeExamples:
         # nonzero numerator, zero denominator (no incoming calls at all)
         num = "activity.sms.out.any.any.any.full.total"
         den = "activity.call.in.any.any.any.full.total"
-        specs = [parse_feature_name(num), parse_feature_name(den),
-                 RatioSpec(parse_feature_name(num), parse_feature_name(den))]
-        mat = one_ego_matrix([(1, 9, 1, 1, 0, "A1", 0)], specs)
+        mat = one_ego_matrix([(1, 9, 1, 1, 0, "A1", 0)],
+                             [num, den, f"{num}/{den}"])
         assert mat.values[0].tolist() == [1.0, 0.0, 0.0]
 
 
 class TestProperties:
     def test_total_activity_additive_over_months(self, random_store):
-        specs = enumerate_features(AXES)
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)
+        mat = compute_matrix(random_store, names, AXES)
         by_name = {n: i for i, n in enumerate(mat.feature_names)}
         checked = 0
         for name, idx in by_name.items():
@@ -307,8 +307,8 @@ class TestProperties:
 
     def test_degree_full_bounded_by_monthly_degrees(self, random_store):
         # unique alters over the window: at least any month, at most the sum
-        specs = enumerate_features(AXES)
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)
+        mat = compute_matrix(random_store, names, AXES)
         by_name = {n: i for i, n in enumerate(mat.feature_names)}
         for name, idx in by_name.items():
             parts = name.split(".")
@@ -322,8 +322,8 @@ class TestProperties:
             assert (mat.values[:, idx] <= months.sum(axis=0) + 1e-12).all()
 
     def test_monotone_slicing(self, random_store):
-        specs = enumerate_features(AXES)
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)
+        mat = compute_matrix(random_store, names, AXES)
         by_name = {n: i for i, n in enumerate(mat.feature_names)}
         rng = np.random.default_rng(5)
         axis_alternatives = {1: KINDS[:3], 2: DIRECTIONS[:2],
@@ -344,8 +344,8 @@ class TestProperties:
                 assert (narrow <= wide + 1e-12).all()
 
     def test_degree_never_exceeds_activity(self, random_store):
-        specs = enumerate_features(AXES)
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)
+        mat = compute_matrix(random_store, names, AXES)
         by_name = {n: i for i, n in enumerate(mat.feature_names)}
         for name, idx in by_name.items():
             if name.startswith("degree.") and name.endswith(".total"):
@@ -353,8 +353,8 @@ class TestProperties:
                 assert (mat.values[:, idx] <= mat.values[:, act] + 1e-12).all()
 
     def test_no_nan_inf_with_ratios(self, random_store):
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS)
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS)
+        mat = compute_matrix(random_store, names, AXES)
         mat.check_finite()
         by_name = {n: i for i, n in enumerate(mat.feature_names)}
         for w in ("m1", "m2", "m3", "m4", "full"):
@@ -369,45 +369,45 @@ class TestProperties:
         rows += [("S100", "A000", WINDOW.start_epoch + day * SECONDS_PER_DAY,
                   0, 1, 60, 0) for day in (130, 150)]
         store = ingest_rows(rows)
-        specs = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])[::37]
-        whole = compute_matrix(store, specs, AXES)
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])[::37]
+        whole = compute_matrix(store, names, AXES)
         assert len(store) > 2 * _BLOCK
         for i, ego in enumerate(store.ego_ids):
             alone = compute_matrix(
-                ingest_rows([r for r in rows if r[0] == ego]), specs, AXES)
+                ingest_rows([r for r in rows if r[0] == ego]), names, AXES)
             assert alone.ego_ids == [ego]
             assert whole.values[i].tobytes() == alone.values[0].tobytes()
 
 
 class TestComputeErrors:
     def test_window_outside_train_range_fatal(self, random_store):
-        specs = [parse_feature_name("activity.any.any.any.any.any.m3.total")]
+        names = ["activity.any.any.any.any.any.m3.total"]
         with pytest.raises(ConfigError):
-            compute_matrix(random_store, specs, AXES, train_range=(0, 61))
+            compute_matrix(random_store, names, AXES, train_range=(0, 61))
 
     def test_inactivity_window_outside_train_range_fatal(self, random_store):
-        specs = [InactivitySpec("m4")]
         with pytest.raises(ConfigError):
-            compute_matrix(random_store, specs, AXES, train_range=(0, 61))
+            compute_matrix(random_store, ["inactivity.m4"], AXES,
+                           train_range=(0, 61))
 
     def test_misaligned_train_range_fatal(self, random_store):
         with pytest.raises(ConfigError):
-            compute_matrix(random_store, [InactivitySpec("m1")], AXES,
+            compute_matrix(random_store, ["inactivity.m1"], AXES,
                            train_range=(0, 60))
 
     def test_restricted_range_works_for_valid_windows(self, random_store):
-        specs = [parse_feature_name("activity.any.any.any.any.any.m1.total"),
-                 parse_feature_name("activity.any.any.any.any.any.full.total")]
-        mat = compute_matrix(random_store, specs, AXES, train_range=(0, 61))
+        names = ["activity.any.any.any.any.any.m1.total",
+                 "activity.any.any.any.any.any.full.total"]
+        mat = compute_matrix(random_store, names, AXES, train_range=(0, 61))
         # "full" means the whole requested range here: months 1 and 2
-        m1 = compute_matrix(random_store, [specs[0]], AXES, train_range=(0, 61))
+        m1 = compute_matrix(random_store, names[:1], AXES, train_range=(0, 61))
         assert (mat.values[:, 1] >= m1.values[:, 0] - 1e-12).all()
 
 
 class TestMatrixFormats:
     def test_binary_round_trip(self, tmp_path, random_store):
-        specs = enumerate_features(AXES)[:64]
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)[:64]
+        mat = compute_matrix(random_store, names, AXES)
         matrix_mod.save(mat, str(tmp_path / "m.cfm"))
         again = matrix_mod.load(str(tmp_path / "m.cfm"))
         assert again.ego_ids == mat.ego_ids
@@ -422,8 +422,8 @@ class TestMatrixFormats:
         assert str(exc.value) == f"{p}: not a CFM1 matrix"
 
     def test_load_named_columns(self, tmp_path, random_store):
-        specs = enumerate_features(AXES)[:10]
-        mat = compute_matrix(random_store, specs, AXES)
+        names = enumerate_features(AXES)[:10]
+        mat = compute_matrix(random_store, names, AXES)
         names = [mat.feature_names[3], mat.feature_names[1]]
         path = str(tmp_path / "m.cfm")
         matrix_mod.save(mat, path)
