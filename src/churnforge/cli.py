@@ -213,13 +213,13 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
             roster, parallel.map(fit, roster, cfg.workers), strict=True):
         cv_path = out / f"cv_{family}.json"
         with open(cv_path, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         model_path = out / f"model_{family}.cfmd"
         models_mod.save_model(model, str(model_path))
         outputs.extend([cv_path, model_path])
-        print(f"train: {family} cv accuracy {report.mean_accuracy:.4f} "
-              f"auc {report.mean_auc:.4f}")
+        print(f"train: {family} cv accuracy {report['mean']['accuracy']:.4f} "
+              f"auc {report['mean']['auc']:.4f}")
     _write_manifest("train", cfg, out, [selected_path, out / "labels.csv"],
                     outputs)
 
@@ -267,7 +267,8 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
 
     churn_rate = float(np.mean(labels.churned))
     majority_accuracy = max(churn_rate, 1.0 - churn_rate)
-    baseline = models_mod.threshold_baseline(inactivity.values[:, 0], labels)
+    baseline = models_mod.threshold_baseline(inactivity.values[:, 0],
+                                             labels.churned)
     report = {
         "majority_accuracy": majority_accuracy,
         "churn_rate": churn_rate,
@@ -282,8 +283,9 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         egos, scores = models_mod.read_scores(str(scores_path))
         if egos != labels.ego_ids:
             raise ValueError(f"{scores_path.name} egos do not match labels")
-        rep = metrics_mod.classification_metrics(scores, labels, threshold)
-        curve, auc = metrics_mod.roc_auc(scores, labels)
+        rep = metrics_mod.classification_metrics(scores, labels.churned,
+                                                 threshold)
+        curve, auc = metrics_mod.roc_auc(scores, labels.churned)
         roc_path = out / f"roc_{family}.csv"
         metrics_mod.write_roc_csv(curve, str(roc_path))
         # score read as predicted inactive-day fraction vs the realized one
@@ -292,7 +294,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         err_path = out / f"error_hist_{family}.csv"
         metrics_mod.write_histogram_csv(err_hist, str(err_path))
         outputs.append(err_path)
-        row = {"model": family, "auc": auc, **rep.as_dict()}
+        row = {"model": family, "auc": auc, **rep}
         cv_path = out / f"cv_{family}.json"
         if cv_path.exists():
             row["cv_mean"] = _cv_mean(cv_path)
@@ -300,7 +302,8 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         report["models"].append(row)
         inputs.append(scores_path)
         outputs.append(roc_path)
-    hist = metrics_mod.inactivity_distribution(labels, bins)
+    hist = metrics_mod.inactivity_distribution(labels.pct_inactive_eval,
+                                               bins)
     hist_path = out / "inactivity_hist.csv"
     metrics_mod.write_histogram_csv(hist, str(hist_path))
     outputs.append(hist_path)

@@ -48,17 +48,6 @@ STATISTICS = ("total", "per_active_day", "max_monthly_delta", "trend_slope")
 
 FULL_ONLY_STATS = ("max_monthly_delta", "trend_slope")
 
-# Denominators used for the ratio family unless configured otherwise.
-DEFAULT_DENOMINATORS = (
-    "activity.call.in.any.any.any.full.total",
-    "activity.call.out.any.any.any.full.total",
-    "degree.call.any.any.any.any.full.total",
-    "degree.sms.any.any.any.any.full.total",
-    "degree.any.in.any.any.any.full.total",
-    "inactivity.full",
-)
-
-
 # The eight axes of a base feature, in name order: the config key
 # (``features.axes.<key>``), the AxesConfig field, and the allowed values.
 AXIS_TABLE = (

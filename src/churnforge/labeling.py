@@ -83,6 +83,10 @@ def read_labels(path: str) -> LabelSet:
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(
                         f"pct_inactive_eval is {p!r}, not in [0, 1]")
+                if (c == 1) != (p == 1.0):
+                    raise ValueError(
+                        f"churned is {c} but pct_inactive_eval is {p!r}: "
+                        f"churned means an inactive fraction of 1.0")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad labels row "
                                  f"{line.rstrip()!r}: {exc}") from None

@@ -10,6 +10,11 @@ margin-based families are squashed through a sigmoid rather than
 calibrated. Each family is one record in ``FAMILIES``: its
 hyperparameters, fit, score, and its part of the CFMD model file.
 
+``kfold_cv`` returns the out-of-fold report that ``train`` writes as
+``cv_<family>.json``. Its figures are taken after feature selection,
+which saw every label. ``evaluate`` scores each final model on its own
+training rows, so the model rows of ``report.json`` are in-sample.
+
 Also provides the single-feature linear-discriminant baseline: an
 exhaustive threshold sweep on the training-window inactivity fraction.
 """
@@ -441,95 +446,52 @@ def predict_scores(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FoldResult:
-    fold: int
-    accuracy: float = 0.0
-    precision: float = 0.0
-    recall: float = 0.0
-    f_score: float = 0.0
-    auc: float = 0.0
-    flagged: str | None = None
-
-    def as_dict(self) -> dict:
-        out = {"fold": self.fold, "accuracy": self.accuracy,
-               "precision": self.precision, "recall": self.recall,
-               "f_score": self.f_score, "auc": self.auc}
-        if self.flagged:
-            out["flagged"] = self.flagged
-        return out
-
-
-@dataclass
-class CvReport:
-    family: str
-    k: int
-    seed: int
-    hyperparameters: dict
-    folds: list[FoldResult]
-
-    def _mean(self, attr: str) -> float:
-        vals = [getattr(f, attr) for f in self.folds if f.flagged is None]
-        return float(np.mean(vals)) if vals else 0.0
-
-    @property
-    def mean_accuracy(self) -> float:
-        return self._mean("accuracy")
-
-    @property
-    def mean_auc(self) -> float:
-        return self._mean("auc")
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family, "k": self.k, "seed": self.seed,
-            "hyperparameters": {k: v for k, v in
-                                sorted(self.hyperparameters.items())},
-            "folds": [f.as_dict() for f in self.folds],
-            "mean": {m: self._mean(m) for m in
-                     ("accuracy", "precision", "recall", "f_score", "auc")},
-        }
+# the metrics of each fold and of their mean
+_CV_METRICS = ("accuracy", "precision", "recall", "f_score", "auc")
 
 
 def kfold_cv(spec: ModelSpec, matrix: FeatureMatrix, labels: LabelSet,
-             k: int, seed: int, threshold: float = 0.5) -> CvReport:
+             k: int, seed: int, threshold: float = 0.5) -> dict:
     """Shuffle rows by seed, split into k near-equal folds, train on k-1.
 
-    A fold whose training part or test part lacks one of the classes is
-    flagged and excluded from the means.
+    Returns the report ``train`` writes as ``cv_<family>.json``: the
+    family, ``k``, ``seed``, the resolved hyperparameters, one dict per
+    fold (``fold`` and the five metrics of its held-out rows) and their
+    ``mean``. A fold whose training part or test part lacks one of the
+    classes is reported with 0.0 metrics and a ``flagged`` reason, and
+    left out of the mean (0.0 when no fold is left).
     """
     n = len(matrix.ego_ids)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside 2..{n}")
     perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k)
-    results = []
+    parts = np.array_split(perm, k)
+    folds = []
     y_all = labels.churned
-    for fi, test_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != fi])
-        res = FoldResult(fold=fi)
+    for fi, test_idx in enumerate(parts):
+        train_idx = np.concatenate([f for j, f in enumerate(parts) if j != fi])
+        flagged = None
         if y_all[train_idx].min() == y_all[train_idx].max():
-            res.flagged = "single-class training fold"
-            results.append(res)
-            continue
-        if y_all[test_idx].min() == y_all[test_idx].max():
-            res.flagged = "single-class test fold"
-            results.append(res)
+            flagged = "single-class training fold"
+        elif y_all[test_idx].min() == y_all[test_idx].max():
+            flagged = "single-class test fold"
+        if flagged:
+            folds.append({"fold": fi, **dict.fromkeys(_CV_METRICS, 0.0),
+                          "flagged": flagged})
             continue
         sub_train = _take(matrix, labels, train_idx)
         sub_test = _take(matrix, labels, test_idx)
         model = train(spec, sub_train[0], sub_train[1])
         scores = predict_scores(model, sub_test[0])
-        rep = classification_metrics(scores, sub_test[1], threshold)
-        _, auc = roc_auc(scores, sub_test[1])
-        res.accuracy = rep.accuracy
-        res.precision = rep.precision
-        res.recall = rep.recall
-        res.f_score = rep.f_score
-        res.auc = auc
-        results.append(res)
-    return CvReport(family=spec.family, k=k, seed=seed,
-                    hyperparameters=spec.resolved(), folds=results)
+        churned = sub_test[1].churned
+        _, auc = roc_auc(scores, churned)
+        folds.append({"fold": fi, **classification_metrics(
+            scores, churned, threshold), "auc": auc})
+    kept = [f for f in folds if "flagged" not in f]
+    return {"family": spec.family, "k": k, "seed": seed,
+            "hyperparameters": spec.resolved(), "folds": folds,
+            "mean": {m: float(np.mean([f[m] for f in kept])) if kept else 0.0
+                     for m in _CV_METRICS}}
 
 
 def _take(matrix: FeatureMatrix, labels: LabelSet, idx: np.ndarray):
@@ -553,7 +515,7 @@ class BaselineResult:
     accuracy: float
 
 
-def threshold_baseline(train_inactivity, labels) -> BaselineResult:
+def threshold_baseline(train_inactivity, churned) -> BaselineResult:
     """Best 'churner iff inactivity > t' classifier over all thresholds.
 
     Candidates are midpoints between consecutive distinct values plus
@@ -562,7 +524,7 @@ def threshold_baseline(train_inactivity, labels) -> BaselineResult:
     make the result at least as accurate as the majority class.
     """
     v = np.asarray(train_inactivity, dtype=float)
-    y = np.asarray(getattr(labels, "churned", labels), dtype=bool)
+    y = np.asarray(churned, dtype=bool)
     if len(v) == 0:
         raise ValueError("empty input")
     if len(v) != len(y):

@@ -4,10 +4,6 @@ Children are forked, so they inherit the function and the arrays it
 reads without pickling them; only each item's result is pickled back.
 Results are yielded in item order as they arrive, so a caller that
 combines them in that order gets the same bytes at any worker count.
-At most two runs of items per worker are in flight at once (handed
-out and not yet taken), so a caller that writes or stores each result
-as it comes holds only a few runs of results, however far the children
-run ahead.
 
 Each child starts on its own CPU and may move from there: forked
 children otherwise tend to share their parent's CPU, for seconds, while
@@ -23,7 +19,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from collections import deque
 from typing import Callable, Iterable, Iterator
 
 # (fn, items) of the map this pool child serves; set only in children,
@@ -45,9 +40,9 @@ def _install(fn: Callable, items: list, started) -> None:
         pass
 
 
-def _call(lo: int, hi: int) -> list:
+def _call(run: slice) -> list:
     fn, items = _task
-    return [fn(item) for item in items[lo:hi]]
+    return [fn(item) for item in items[run]]
 
 
 def map(fn: Callable, items: Iterable, workers: int) -> Iterator:
@@ -68,22 +63,11 @@ def map(fn: Callable, items: Iterable, workers: int) -> Iterator:
             n = min(workers, len(items))
             # the runs Pool.map would cut: about four per worker
             chunk = -(-len(items) // (4 * n))
-            runs = iter(range(0, len(items), chunk))
+            runs = [slice(lo, lo + chunk)
+                    for lo in range(0, len(items), chunk)]
             with ctx.Pool(n, _install,
                           (fn, items, ctx.Value("i", 0))) as pool:
-                pending = deque()
-
-                def hand_out():
-                    lo = next(runs, None)
-                    if lo is not None:
-                        pending.append(pool.apply_async(
-                            _call, (lo, lo + chunk)))
-
-                for _ in range(2 * n):
-                    hand_out()
-                while pending:
-                    results = pending.popleft().get()
-                    hand_out()
+                for results in pool.imap(_call, runs):
                     yield from results
             return
     for item in items:

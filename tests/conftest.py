@@ -75,6 +75,19 @@ def in_memory_columns(mat):
                    lambda lo, hi: values[:, lo:hi].T)
 
 
+# Six ratio denominators for the tests of ratio enumeration and
+# computation. Pipelines enumerate no ratios unless a config lists its
+# own under `features.denominators`, whose default is empty.
+DEFAULT_DENOMINATORS = (
+    "activity.call.in.any.any.any.full.total",
+    "activity.call.out.any.any.any.full.total",
+    "degree.call.any.any.any.any.full.total",
+    "degree.sms.any.any.any.any.full.total",
+    "degree.any.in.any.any.any.full.total",
+    "inactivity.full",
+)
+
+
 def count_features(config, n_denominators=0):
     """Closed-form size of ``enumerate_features``'s output for the axes
     ``config``: criterion 1's oracle."""

@@ -277,6 +277,11 @@ def _set_last_field(value):
     return lambda line: line.rsplit(",", 1)[0] + "," + value
 
 
+def _flip_churned(line):
+    ego, churned, pct = line.split(",")
+    return f"{ego},{1 - int(churned)},{pct}"
+
+
 @pytest.mark.parametrize("file,stage,damage,message", [
     ("labels.csv", "select", lambda line: line.rsplit(",", 1)[0],
      "not enough values to unpack"),
@@ -286,6 +291,8 @@ def _set_last_field(value):
     ("labels.csv", "train",
      lambda line: line.split(",")[0] + ",2," + line.split(",")[2],
      "churned is 2, not 0 or 1"),
+    ("labels.csv", "select", _flip_churned,
+     "churned means an inactive fraction of 1.0"),
     ("scores_logreg.csv", "evaluate", lambda line: line.replace(",", ""),
      "not enough values to unpack"),
     *[("labels.csv", stage, _set_last_field(value),
@@ -295,6 +302,7 @@ def _set_last_field(value):
        f"churn_score is {value}, not in [0, 1]")
       for value in ("nan", "inf", "1.5", "-0.1")],
 ], ids=["labels_two_fields", "labels_churned_x", "labels_churned_2",
+        "labels_churned_disagrees_with_pct",
         "scores_no_comma",
         *[f"labels_pct_{value}-{stage}" for stage in ("select", "evaluate")
           for value in ("nan", "1.5", "-0.1")],

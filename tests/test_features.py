@@ -7,12 +7,11 @@ import pytest
 from churnforge.cdr import SECONDS_PER_DAY
 from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  MEASURES, STATISTICS, TIMES_OF_DAY, WINDOWS,
-                                 AxesConfig, ConfigError,
-                                 DEFAULT_DENOMINATORS, _BLOCK, compute_matrix,
-                                 enumerate_features)
+                                 AxesConfig, ConfigError, _BLOCK,
+                                 compute_matrix, enumerate_features)
 from churnforge import matrix as matrix_mod
-from conftest import (WINDOW, column, count_features, ingest_rows,
-                      make_store, random_rows)
+from conftest import (DEFAULT_DENOMINATORS, WINDOW, column, count_features,
+                      ingest_rows, make_store, random_rows)
 
 AXES = AxesConfig()
 

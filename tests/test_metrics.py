@@ -19,38 +19,38 @@ def concordance(scores, labels):
 
 class TestClassificationMetrics:
     def test_hand_confusion(self):
+        # tp, fp, tn, fn = 1, 1, 2, 0
         rep = classification_metrics([1, 1, 0, 0],
                                      np.array([True, False, False, False]), 0.5)
-        assert rep.accuracy == 0.75
-        assert rep.precision == 0.5
-        assert rep.recall == 1.0
-        assert rep.f_score == pytest.approx(2 / 3)
-        assert (rep.confusion.tp, rep.confusion.fp,
-                rep.confusion.tn, rep.confusion.fn) == (1, 1, 2, 0)
+        assert rep == {"accuracy": 0.75, "precision": 0.5, "recall": 1.0,
+                       "f_score": pytest.approx(2 / 3)}
 
     def test_perfect_scores(self):
         y = np.array([True, False, True])
         rep = classification_metrics([0.9, 0.1, 0.8], y, 0.5)
-        assert rep.accuracy == 1.0
-        assert rep.f_score == 1.0
+        assert rep["accuracy"] == 1.0
+        assert rep["f_score"] == 1.0
 
     def test_undefined_precision_flagged(self):
+        # tp, fp, tn, fn = 0, 0, 1, 1
         rep = classification_metrics([0.1, 0.2], np.array([True, False]), 0.9)
-        assert not rep.precision_defined
-        assert rep.precision == 0.0
+        assert rep == {"accuracy": 0.5, "precision": 0.0, "recall": 0.0,
+                       "f_score": 0.0}
 
     def test_undefined_recall_flagged(self):
+        # tp, fp, tn, fn = 0, 1, 1, 0
         rep = classification_metrics([0.9, 0.2], np.array([False, False]), 0.5)
-        assert not rep.recall_defined
+        assert rep == {"accuracy": 0.5, "precision": 0.0, "recall": 0.0,
+                       "f_score": 0.0}
 
     def test_sentinel_thresholds_give_prevalence(self):
         rng = np.random.default_rng(0)
         scores = rng.random(50)
         y = rng.random(50) < 0.3
         churn_rate = float(np.mean(y))
-        assert classification_metrics(scores, y, 0.0).accuracy == \
+        assert classification_metrics(scores, y, 0.0)["accuracy"] == \
             pytest.approx(churn_rate)
-        assert classification_metrics(scores, y, 1.0 + 1e-9).accuracy == \
+        assert classification_metrics(scores, y, 1.0 + 1e-9)["accuracy"] == \
             pytest.approx(1.0 - churn_rate)
 
     def test_empty_fatal(self):
@@ -62,7 +62,16 @@ class TestClassificationMetrics:
         scores = rng.random(37)
         y = rng.random(37) < 0.5
         rep = classification_metrics(scores, y, 0.4)
-        assert rep.confusion.total == 37
+        pairs = [(bool(s >= 0.4), bool(c)) for s, c in zip(scores, y)]
+        tp, fp, tn, fn = (pairs.count(p) for p in
+                          ((True, True), (True, False), (False, False),
+                           (False, True)))
+        assert tp + fp + tn + fn == 37 and min(tp, fp, tn, fn) > 0
+        precision, recall = tp / (tp + fp), tp / (tp + fn)
+        assert rep == pytest.approx({
+            "accuracy": (tp + tn) / 37, "precision": precision,
+            "recall": recall,
+            "f_score": 2 * precision * recall / (precision + recall)})
 
 
 class TestRocAuc:
@@ -89,12 +98,11 @@ class TestRocAuc:
         scores = np.round(rng.random(60), 1)
         y = rng.random(60) < 0.5
         y[0], y[1] = True, False
-        curve, _ = roc_auc(scores, y)
-        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
-        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
-        assert (np.diff(curve.fpr) >= 0).all()
-        assert (np.diff(curve.tpr) >= 0).all()
-        assert curve.thresholds[0] == np.inf
+        (fpr, tpr), _ = roc_auc(scores, y)
+        assert (fpr[0], tpr[0]) == (0.0, 0.0)
+        assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
+        assert (np.diff(fpr) >= 0).all()
+        assert (np.diff(tpr) >= 0).all()
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(4)
@@ -112,19 +120,19 @@ class TestRocAuc:
 
 class TestHistograms:
     def test_identical_predictions_all_in_bin_zero(self):
-        hist = error_distribution([0.2, 0.8, 0.5], [0.2, 0.8, 0.5], 10)
-        assert hist.counts[0] == 3
-        assert hist.counts[1:].sum() == 0
+        counts = error_distribution([0.2, 0.8, 0.5], [0.2, 0.8, 0.5], 10)
+        assert counts[0] == 3
+        assert counts[1:].sum() == 0
 
     def test_maximal_errors_in_top_bin(self):
-        hist = error_distribution([0.0, 1.0], [1.0, 0.0], 2)
-        assert hist.counts.tolist() == [0, 2]
+        counts = error_distribution([0.0, 1.0], [1.0, 0.0], 2)
+        assert counts.tolist() == [0, 2]
 
     def test_counts_sum_to_population(self):
         rng = np.random.default_rng(5)
         pred, actual = rng.random(123), rng.random(123)
-        hist = error_distribution(pred, actual, 7)
-        assert hist.total == 123
+        counts = error_distribution(pred, actual, 7)
+        assert counts.sum() == 123
 
     def test_bins_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -135,14 +143,13 @@ class TestHistograms:
             error_distribution([1.2], [0.1], 4)
 
     def test_inactivity_all_churners_mass_at_one(self):
-        hist = inactivity_distribution(np.array([1.0, 1.0, 1.0]), 5)
-        assert hist.counts.tolist() == [0, 0, 0, 0, 3]
-        assert hist.bin_high[-1] == 1.0
+        counts = inactivity_distribution(np.array([1.0, 1.0, 1.0]), 5)
+        assert counts.tolist() == [0, 0, 0, 0, 3]
 
     def test_inactivity_counts_conserved(self):
         rng = np.random.default_rng(6)
-        hist = inactivity_distribution(rng.random(64), 9)
-        assert hist.total == 64
+        counts = inactivity_distribution(rng.random(64), 9)
+        assert counts.sum() == 64
 
 
 def test_csv_writers(tmp_path):
@@ -154,10 +161,11 @@ def test_csv_writers(tmp_path):
     write_roc_csv(curve, str(tmp_path / "roc.csv"))
     lines = (tmp_path / "roc.csv").read_text().splitlines()
     assert lines[0] == "fpr,tpr"
-    assert len(lines) == 1 + len(curve.fpr)
+    assert len(lines) == 1 + len(curve[0])
 
-    hist = inactivity_distribution(rng.random(30), 4)
-    write_histogram_csv(hist, str(tmp_path / "h.csv"))
+    counts = inactivity_distribution(rng.random(30), 4)
+    write_histogram_csv(counts, str(tmp_path / "h.csv"))
     lines = (tmp_path / "h.csv").read_text().splitlines()
-    assert lines[0] == "bin_low,bin_high,count"
-    assert len(lines) == 5
+    assert lines == ["bin_low,bin_high,count",
+                     *[f"{lo!r},{lo + 0.25!r},{c}" for lo, c in
+                       zip((0.0, 0.25, 0.5, 0.75), counts)]]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -201,11 +202,14 @@ class TestAdaboost:
         assert (model.fitted["alphas"] > 0).all()
 
 
+_FOLD_KEYS = ("fold", "accuracy", "precision", "recall", "f_score", "auc")
+
+
 class TestKfold:
     def test_leave_one_out_partition(self):
         mat, labels = synthetic_problem(n=24, seed=10)
         report = kfold_cv(ModelSpec("linreg"), mat, labels, k=24, seed=0)
-        assert len(report.folds) == 24
+        assert [f["fold"] for f in report["folds"]] == list(range(24))
 
     def test_fold_sizes_near_equal(self):
         n = 103
@@ -222,17 +226,36 @@ class TestKfold:
         spec = ModelSpec("logreg", params={"epochs": 50})
         a = kfold_cv(spec, mat, labels, k=4, seed=3)
         b = kfold_cv(spec, mat, labels, k=4, seed=3)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
+
+    def test_report_is_the_json_it_is_written_as(self):
+        mat, labels = synthetic_problem(n=80, seed=12)
+        spec = ModelSpec("logreg", params={"epochs": 50}, seed=7)
+        report = kfold_cv(spec, mat, labels, k=4, seed=3)
+        assert json.loads(json.dumps(report)) == report
+        assert (report["family"], report["k"], report["seed"]) == \
+            ("logreg", 4, 3)
+        assert report["hyperparameters"] == spec.resolved()
+        assert [set(f) for f in report["folds"]] == [set(_FOLD_KEYS)] * 4
+        for m in _FOLD_KEYS[1:]:
+            assert report["mean"][m] == \
+                np.mean([f[m] for f in report["folds"]])
 
     def test_single_class_training_fold_flagged(self):
-        # 1 churner among 4 rows with k=4: when the churner is held out,
-        # the training part is single-class and the fold is excluded
+        # 1 churner among 4 rows with k=4: the fold that holds the churner
+        # out trains on one class, and every other fold tests on one row
         mat, labels = make_inputs([[1.0], [0.2], [0.1], [0.3]], [1, 0, 0, 0])
         report = kfold_cv(ModelSpec("linreg"), mat, labels, k=4, seed=0)
-        flagged = [f for f in report.folds if f.flagged]
-        assert flagged
-        d = report.as_dict()
-        assert 0.0 <= d["mean"]["accuracy"] <= 1.0
+        zeros = dict.fromkeys(_FOLD_KEYS[1:], 0.0)
+        churner_fold = list(np.random.default_rng(0).permutation(4)).index(0)
+        for i, fold in enumerate(report["folds"]):
+            part = "training" if i == churner_fold else "test"
+            want = {"fold": i, **zeros, "flagged": f"single-class {part} fold"}
+            # the JSON text tells 0.0 from 0, which == does not
+            assert json.dumps(fold, sort_keys=True) == \
+                json.dumps(want, sort_keys=True)
+        assert json.dumps(report["mean"], sort_keys=True) == \
+            json.dumps(zeros, sort_keys=True)
 
     def test_k_out_of_range(self):
         mat, labels = synthetic_problem(n=10, seed=13)

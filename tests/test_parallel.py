@@ -57,22 +57,6 @@ def test_map_yields_each_result_as_it_arrives(tmp_path):
         assert [i for i, _ in rest] == [1, 2, 3] and rest[-1] == (3, True)
 
 
-def test_map_hands_out_at_most_two_runs_per_worker(tmp_path):
-    # 40 items over 2 workers go out in runs of 5, four runs at first;
-    # taking the first result hands out one more, so while the caller
-    # holds it no more than 25 items may start
-    def touch(i):
-        (tmp_path / str(i)).touch()
-        return i
-
-    results = parallel.map(touch, range(40), 2)
-    assert next(results) == 0
-    time.sleep(1)
-    started = len(list(tmp_path.iterdir()))
-    assert list(results) == list(range(1, 40))
-    assert 5 <= started <= 25
-
-
 def test_map_raises_what_a_child_raises():
     def fail(i):
         if i == 3:
