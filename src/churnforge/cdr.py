@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
+
 SECONDS_PER_DAY = 86400
 
 KIND_TOKENS = ("CALL", "SMS")
@@ -462,12 +464,12 @@ def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):
     return None
 
 
-def write_header_sidecar(window: StudyWindow, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"start_day={window.start_day.isoformat()}\n")
-        fh.write(f"total_days={window.total_days}\n")
-        fh.write(f"train_months={window.train_months}\n")
-        fh.write(f"eval_months={window.eval_months}\n")
+def write_header_sidecar(window: StudyWindow, path: str) -> str:
+    return artifact.write_text(path,
+                               f"start_day={window.start_day.isoformat()}\n"
+                               f"total_days={window.total_days}\n"
+                               f"train_months={window.train_months}\n"
+                               f"eval_months={window.eval_months}\n")
 
 
 def read_header_sidecar(path: str) -> StudyWindow:

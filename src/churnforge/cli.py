@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from . import cdr as cdr_mod
 from . import features as feat_mod
 from . import labeling as label_mod
@@ -52,18 +53,16 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(stage: str, cfg: PipelineConfig, out: Path,
-                    inputs: list[Path], outputs: list[Path]) -> None:
-    manifest = {
+                    inputs: list[Path], outputs: dict[str, str]) -> None:
+    """Inputs are hashed by reading them; ``outputs`` maps each output's
+    file name to the sha256 its writer returned."""
+    artifact.write_json(out / f"manifest_{stage}.json", {
         "stage": stage,
         "config_sha256": hashlib.sha256(cfg.canonical().encode()).hexdigest(),
         "seed": cfg.seed,
         "inputs": {p.name: _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    path = out / f"manifest_{stage}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "outputs": outputs,
+    })
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -92,16 +91,15 @@ def stage_generate(cfg: PipelineConfig, out: Path) -> None:
         churn_decay_days=cfg._get("simgen.churn_decay_days"),
         competitor_signal_strength=cfg._get("simgen.competitor_signal_strength"),
         seed=cfg.seed)
-    cdr_path = out / "cdr.csv"
-    truth_path = out / "ground_truth.csv"
-    header_path = out / "cdr.header"
-    stats = simgen_mod.generate(sim, str(cdr_path), str(truth_path),
-                                cfg.workers)
-    cdr_mod.write_header_sidecar(window, str(header_path))
+    stats = simgen_mod.generate(sim, str(out / "cdr.csv"),
+                                str(out / "ground_truth.csv"), cfg.workers)
+    outputs = {"cdr.csv": stats["cdr_sha256"],
+               "ground_truth.csv": stats["truth_sha256"],
+               "cdr.header": cdr_mod.write_header_sidecar(
+                   window, str(out / "cdr.header"))}
     print(f"generate: {stats['rows']} rows, {stats['subscribers']} subscribers, "
           f"churn fraction {stats['churn_fraction']:.4f}")
-    _write_manifest("generate", cfg, out, [],
-                    [cdr_path, header_path, truth_path])
+    _write_manifest("generate", cfg, out, [], outputs)
 
 
 def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
@@ -123,22 +121,20 @@ def stage_featurize(cfg: PipelineConfig, out: Path) -> None:
                   f"other reasons")
     axes = cfg.axes()
     names = feat_mod.enumerate_features(axes, cfg.denominators())
-    mat = feat_mod.compute_matrix(store, names, axes)
-    mat.check_finite()
-
-    matrix_path = out / "matrix.cfm"
-    matrix_mod.save(mat, str(matrix_path))
-    features_path = out / "features.txt"
-    features_path.write_text("".join(n + "\n" for n in mat.feature_names),
-                             encoding="utf-8")
+    chunks = feat_mod.row_chunks(store, names, axes)
+    outputs = {
+        "matrix.cfm": matrix_mod.write(
+            str(out / "matrix.cfm"), store.ego_ids, names,
+            matrix_mod.check_chunks_finite(chunks, store.ego_ids, names)),
+        "features.txt": artifact.write_text(
+            out / "features.txt", "".join(n + "\n" for n in names))}
     train_range, eval_range = label_mod.split_windows(window)
     labels = label_mod.compute_labels(store, eval_range)
-    labels_path = out / "labels.csv"
-    label_mod.write_labels(labels, str(labels_path))
-    print(f"featurize: {mat.shape[0]} subscribers x {mat.shape[1]} features "
+    outputs["labels.csv"] = label_mod.write_labels(labels,
+                                                   str(out / "labels.csv"))
+    print(f"featurize: {len(store)} subscribers x {len(names)} features "
           f"(train days {train_range}, eval days {eval_range})")
-    _write_manifest("featurize", cfg, out, [cdr_path, header_path],
-                    [matrix_path, features_path, labels_path])
+    _write_manifest("featurize", cfg, out, [cdr_path, header_path], outputs)
 
 
 def _labels(out: Path, ego_ids: list[str]) -> label_mod.LabelSet:
@@ -166,15 +162,12 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
         seed=cfg.seed, max_depth=cfg._get("selection.max_depth"),
         workers=cfg.workers)
     r2 = scan.r2
-    outputs = []
-    for name, ranking in (("rank_ttest.csv", scan.ttest),
-                          ("rank_r2.csv", r2), ("rank_tree.csv", tree)):
-        select_mod.write_ranking(ranking, str(out / name))
-        outputs.append(out / name)
-    selected_path = out / "selected_features.txt"
-    selected_path.write_text("".join(n + "\n" for n in tree.names()),
-                             encoding="utf-8")
-    outputs.append(selected_path)
+    outputs = {name: select_mod.write_ranking(ranking, str(out / name))
+               for name, ranking in (("rank_ttest.csv", scan.ttest),
+                                     ("rank_r2.csv", r2),
+                                     ("rank_tree.csv", tree))}
+    outputs["selected_features.txt"] = artifact.write_text(
+        out / "selected_features.txt", "".join(n + "\n" for n in tree.names()))
     print(f"select: top {k} of {len(scan.feature_names)} features by "
           f"tree importance; best univariate r2 = "
           f"{r2.entries[0].name} ({r2.entries[0].score:.3f})")
@@ -208,16 +201,13 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
 
     # one task per family; files are written here, in roster order
     roster = cfg.roster()
-    outputs = []
+    outputs = {}
     for family, (report, model) in zip(
             roster, parallel.map(fit, roster, cfg.workers), strict=True):
-        cv_path = out / f"cv_{family}.json"
-        with open(cv_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        model_path = out / f"model_{family}.cfmd"
-        models_mod.save_model(model, str(model_path))
-        outputs.extend([cv_path, model_path])
+        outputs[f"cv_{family}.json"] = artifact.write_json(
+            out / f"cv_{family}.json", report)
+        outputs[f"model_{family}.cfmd"] = models_mod.save_model(
+            model, str(out / f"model_{family}.cfmd"))
         print(f"train: {family} cv accuracy {report['mean']['accuracy']:.4f} "
               f"auc {report['mean']['auc']:.4f}")
     _write_manifest("train", cfg, out, [selected_path, out / "labels.csv"],
@@ -227,7 +217,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
 def stage_score(cfg: PipelineConfig, out: Path) -> None:
     sub, selected_path = _selected_matrix(out)
     inputs = [selected_path]
-    outputs = []
+    outputs = {}
     for family in cfg.roster():
         model_path = _require(out / f"model_{family}.cfmd", "churnforge train")
         model = models_mod.load_model(str(model_path))
@@ -238,10 +228,9 @@ def stage_score(cfg: PipelineConfig, out: Path) -> None:
             scores = models_mod.predict_scores(model, sub)
         except ValueError as exc:  # e.g. a non-finite weight in the file
             raise ValueError(f"{model_path}: {exc}") from None
-        scores_path = out / f"scores_{family}.csv"
-        models_mod.write_scores(sub.ego_ids, scores, str(scores_path))
+        outputs[f"scores_{family}.csv"] = models_mod.write_scores(
+            sub.ego_ids, scores, str(out / f"scores_{family}.csv"))
         inputs.append(model_path)
-        outputs.append(scores_path)
     print(f"score: wrote churn scores for {len(outputs)} models")
     _write_manifest("score", cfg, out, inputs, outputs)
 
@@ -277,7 +266,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         "models": [],
     }
     inputs = [out / "labels.csv"]
-    outputs = []
+    outputs = {}
     for family in cfg.roster():
         scores_path = _require(out / f"scores_{family}.csv", "churnforge score")
         egos, scores = models_mod.read_scores(str(scores_path))
@@ -286,14 +275,13 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
         rep = metrics_mod.classification_metrics(scores, labels.churned,
                                                  threshold)
         curve, auc = metrics_mod.roc_auc(scores, labels.churned)
-        roc_path = out / f"roc_{family}.csv"
-        metrics_mod.write_roc_csv(curve, str(roc_path))
+        outputs[f"roc_{family}.csv"] = metrics_mod.write_roc_csv(
+            curve, str(out / f"roc_{family}.csv"))
         # score read as predicted inactive-day fraction vs the realized one
         err_hist = metrics_mod.error_distribution(
             scores, labels.pct_inactive_eval, bins)
-        err_path = out / f"error_hist_{family}.csv"
-        metrics_mod.write_histogram_csv(err_hist, str(err_path))
-        outputs.append(err_path)
+        outputs[f"error_hist_{family}.csv"] = metrics_mod.write_histogram_csv(
+            err_hist, str(out / f"error_hist_{family}.csv"))
         row = {"model": family, "auc": auc, **rep}
         cv_path = out / f"cv_{family}.json"
         if cv_path.exists():
@@ -301,17 +289,11 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
             inputs.append(cv_path)
         report["models"].append(row)
         inputs.append(scores_path)
-        outputs.append(roc_path)
     hist = metrics_mod.inactivity_distribution(labels.pct_inactive_eval,
                                                bins)
-    hist_path = out / "inactivity_hist.csv"
-    metrics_mod.write_histogram_csv(hist, str(hist_path))
-    outputs.append(hist_path)
-    report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(report_path)
+    outputs["inactivity_hist.csv"] = metrics_mod.write_histogram_csv(
+        hist, str(out / "inactivity_hist.csv"))
+    outputs["report.json"] = artifact.write_json(out / "report.json", report)
     print(f"evaluate: majority {majority_accuracy:.4f}, "
           f"baseline {baseline.accuracy:.4f} @ {baseline.threshold:.4f}, "
           f"{len(report['models'])} model rows")
@@ -360,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     stages = list(STAGES) if args.subcommand == "pipeline" else [args.subcommand]
     try:
         for stage in stages:
+            # the old manifest would vouch for a mix of old and new outputs
+            # if this run failed after replacing some of them
+            (out / f"manifest_{stage}.json").unlink(missing_ok=True)
             _STAGE_FN[stage](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matrix as matrix_mod
 from .cdr import KIND_SMS, SECONDS_PER_DAY, RecordStore
 
 MEASURES = ("activity", "degree")
@@ -135,7 +136,7 @@ _KIND_GROUPS = [[0, 1], [2], [1], [0, 1, 2]]   # call, sms, short_call, any
 _BIN_GROUPS = [[0], [1], [0, 1]]               # x, y, any
 _AC_GROUPS = [[0], [1], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]]
 
-# Subscribers per block of compute_matrix. Expanded, a block's degree
+# Subscribers per block of row_chunks. Expanded, a block's degree
 # presence holds 3,780 words of 8 bytes (four months) for each started
 # 64 counterparties of each of its subscribers.
 _BLOCK = 32
@@ -408,6 +409,35 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
                            (total, pad, delta, slope, inact)], axis=1)
 
 
+def row_chunks(store: RecordStore, names: list[str], axes: AxesConfig,
+               train_range: tuple[int, int] | None = None):
+    """The rows of ``compute_matrix``, yielded in order as chunks of
+    whole ``_BLOCK`` groups and about ``matrix._BLOCK_VALUES`` cells.
+
+    Each chunk is a Fortran-ordered (rows, features) array, so its
+    transpose is the chunk's rows column-major. The plan is built (and a
+    bad name raises) when the first chunk is asked for.
+    """
+    if train_range is None:
+        train_range = (0, store.window.train_days)
+    plan = _build_plan(names, store.window, train_range, axes)
+    n = len(store)
+    step = max(_BLOCK, matrix_mod._BLOCK_VALUES // max(plan.n_cols, 1)
+               // _BLOCK * _BLOCK)
+    for r0 in range(0, n, step):
+        chunk = np.empty((min(step, n - r0), plan.n_cols), order="F")
+        for b0 in range(0, len(chunk), _BLOCK):
+            b1 = min(b0 + _BLOCK, len(chunk))
+            src = _block_sources(store, r0 + b0, r0 + b1, plan)
+            chunk[b0:b1, plan.base_out] = np.take(src, plan.base_src, axis=1)
+            num = np.take(src, plan.ratio_num, axis=1)
+            den = np.take(src, plan.ratio_den, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                chunk[b0:b1, plan.ratio_out] = np.where(den != 0, num / den,
+                                                        0.0)
+        yield chunk
+
+
 def compute_matrix(store: RecordStore, names: list[str], axes: AxesConfig,
                    train_range: tuple[int, int] | None = None):
     """Dense subscribers x features matrix over the training window.
@@ -418,23 +448,13 @@ def compute_matrix(store: RecordStore, names: list[str], axes: AxesConfig,
     Every subscriber gets a row, including fully inactive ones (count
     features 0, inactivity 1.0, ratios 0). Rows are computed over blocks
     of subscribers; a row does not depend on the other subscribers of
-    its block. The values are stored column-major, the layout of the
-    binary matrix format.
+    its block. This is ``row_chunks`` held whole; ``featurize`` streams
+    the chunks to ``matrix.write`` instead.
     """
-    from .matrix import FeatureMatrix
-
-    if train_range is None:
-        train_range = (0, store.window.train_days)
-    plan = _build_plan(names, store.window, train_range, axes)
-    n = len(store)
-    values = np.empty((n, plan.n_cols), order="F")
-    for b0 in range(0, n, _BLOCK):
-        b1 = min(b0 + _BLOCK, n)
-        src = _block_sources(store, b0, b1, plan)
-        values[b0:b1, plan.base_out] = np.take(src, plan.base_src, axis=1)
-        num = np.take(src, plan.ratio_num, axis=1)
-        den = np.take(src, plan.ratio_den, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values[b0:b1, plan.ratio_out] = np.where(den != 0, num / den, 0.0)
-    return FeatureMatrix(ego_ids=list(store.ego_ids),
-                         feature_names=list(names), values=values)
+    values = np.empty((len(store), len(names)), order="F")
+    r0 = 0
+    for chunk in row_chunks(store, names, axes, train_range):
+        values[r0:r0 + len(chunk)] = chunk
+        r0 += len(chunk)
+    return matrix_mod.FeatureMatrix(ego_ids=list(store.ego_ids),
+                                    feature_names=list(names), values=values)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .cdr import SECONDS_PER_DAY, RecordStore, StudyWindow
 
 
@@ -60,12 +61,11 @@ def compute_labels(store: RecordStore, eval_range: tuple[int, int]) -> LabelSet:
                     (n_days - active) / n_days)
 
 
-def write_labels(labels: LabelSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ego_id,churned,pct_inactive_eval\n")
-        for e, c, p in zip(labels.ego_ids, labels.churned,
-                           labels.pct_inactive_eval):
-            fh.write(f"{e},{int(c)},{float(p)!r}\n")
+def write_labels(labels: LabelSet, path: str) -> str:
+    rows = zip(labels.ego_ids, labels.churned, labels.pct_inactive_eval)
+    return artifact.write_text(path, "ego_id,churned,pct_inactive_eval\n"
+                               + "".join(f"{e},{int(c)},{float(p)!r}\n"
+                                         for e, c, p in rows))
 
 
 def read_labels(path: str) -> LabelSet:

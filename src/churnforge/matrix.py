@@ -5,21 +5,26 @@ and feature-name tables, then the float64 values, little-endian and
 column-major. It round-trips exactly, and a reader can take any column
 without reading the others.
 
-``load`` returns the whole matrix or only the columns it is asked for,
-so ``train``, ``score`` and ``evaluate`` read only the columns they use.
-``columns`` reads a matrix one block of columns at a time (``select``
-never holds the whole float matrix), and ``column_blocks`` cuts those
-blocks.
+``write`` builds a CFM1 file from its row chunks, so ``featurize``
+never holds the whole float matrix either; ``save`` writes an in-memory
+matrix as its one chunk. ``load`` returns the whole matrix or only the
+columns it is asked for, so ``train``, ``score`` and ``evaluate`` read
+only the columns they use. ``columns`` reads a matrix one block of
+columns at a time (``select`` never holds the whole float matrix), and
+``column_blocks`` cuts those blocks.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+from . import artifact
 
 _MAGIC = b"CFM1"
 _BLOCK_VALUES = 1 << 20  # about this many cells per block of columns
@@ -41,16 +46,49 @@ def column_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _first_nonfinite(cols: np.ndarray) -> tuple[int, int] | None:
+    """(column, row) of the first non-finite cell, in column order, of
+    the (columns, rows) block ``cols``, or None."""
+    finite = np.isfinite(cols)
+    if finite.all():
+        return None
+    j, i = np.argwhere(~finite)[0]
+    return int(j), int(i)
+
+
+def _nonfinite(ego: str, name: str) -> ValueError:
+    return ValueError(f"non-finite value at ego {ego}, feature {name}")
+
+
 def check_block_finite(cols: np.ndarray, ego_ids: list[str],
                        feature_names: list[str], lo: int = 0) -> None:
     """ValueError naming the first non-finite cell, in column order, of
     ``cols``: the (columns, rows) block of the matrix's columns from
     ``lo`` on."""
-    finite = np.isfinite(cols)
-    if not finite.all():
-        j, i = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite value at ego {ego_ids[i]}, "
-                         f"feature {feature_names[lo + j]}")
+    bad = _first_nonfinite(cols)
+    if bad is not None:
+        raise _nonfinite(ego_ids[bad[1]], feature_names[lo + bad[0]])
+
+
+def check_chunks_finite(chunks: Iterable[np.ndarray], ego_ids: list[str],
+                        feature_names: list[str]) -> Iterator[np.ndarray]:
+    """Pass on the row chunks of a matrix; after the last, ValueError
+    naming its first non-finite cell in column order, if it has one.
+
+    The first non-finite cell of a later chunk comes first when it lies
+    in an earlier column, so the error waits for every chunk.
+    """
+    first = None  # (column, row) over the chunks so far
+    r0 = 0
+    for chunk in chunks:
+        bad = _first_nonfinite(chunk.T)
+        if bad is not None:
+            bad = (bad[0], r0 + bad[1])
+            first = bad if first is None else min(first, bad)
+        r0 += len(chunk)
+        yield chunk
+    if first is not None:
+        raise _nonfinite(ego_ids[first[1]], feature_names[first[0]])
 
 
 @dataclass
@@ -70,12 +108,6 @@ class FeatureMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def check_finite(self) -> None:
-        """``check_block_finite`` over each block of columns."""
-        for lo, hi in column_blocks(*self.shape):
-            check_block_finite(self.values[:, lo:hi].T, self.ego_ids,
-                               self.feature_names, lo)
-
 
 class Columns(NamedTuple):
     """A matrix read a block of columns at a time: ``read(lo, hi)``
@@ -85,19 +117,49 @@ class Columns(NamedTuple):
     read: Callable[[int, int], np.ndarray]
 
 
-def save(matrix: FeatureMatrix, path: str) -> None:
-    ego_blob = "\n".join(matrix.ego_ids).encode("utf-8")
-    name_blob = "\n".join(matrix.feature_names).encode("utf-8")
-    n_rows, n_cols = matrix.values.shape
-    cols = np.ascontiguousarray(matrix.values.T, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", n_rows, n_cols))
-        fh.write(struct.pack("<I", len(ego_blob)))
-        fh.write(ego_blob)
-        fh.write(struct.pack("<I", len(name_blob)))
-        fh.write(name_blob)
-        fh.write(cols)
+def write(path: str, ego_ids: list[str], feature_names: list[str],
+          chunks: Iterable[np.ndarray]) -> str:
+    """Write the CFM1 matrix whose rows ``chunks`` yields, in order, as
+    (rows, columns) arrays, through ``artifact.write``; return its sha256.
+
+    Each chunk is appended column-major to a spill file in the directory
+    of ``path``. Then each ``column_blocks`` span is read from every
+    chunk and written as one block of the value section, so the file is
+    written in order and the whole matrix is never held.
+    """
+    n_rows, n_cols = len(ego_ids), len(feature_names)
+    ego_blob = "\n".join(ego_ids).encode("utf-8")
+    name_blob = "\n".join(feature_names).encode("utf-8")
+    with tempfile.TemporaryFile(dir=os.path.dirname(path) or ".") as spill:
+        parts = []  # (first row, rows) of each chunk in the spill file
+        start = 0
+        for chunk in chunks:
+            spill.write(np.ascontiguousarray(chunk.T, dtype="<f8"))
+            parts.append((start, len(chunk)))
+            start += len(chunk)
+
+        def fill(fh):
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", n_rows, n_cols))
+            fh.write(struct.pack("<I", len(ego_blob)))
+            fh.write(ego_blob)
+            fh.write(struct.pack("<I", len(name_blob)))
+            fh.write(name_blob)
+            for lo, hi in column_blocks(n_rows, n_cols):
+                block = np.empty((hi - lo, n_rows), dtype="<f8")
+                for r0, rows in parts:
+                    part = np.empty((hi - lo, rows), dtype="<f8")
+                    spill.seek((r0 * n_cols + lo * rows) * 8)
+                    spill.readinto(part)
+                    block[:, r0:r0 + rows] = part
+                fh.write(block)
+
+        return artifact.write(path, fill)
+
+
+def save(matrix: FeatureMatrix, path: str) -> str:
+    """``write`` of an in-memory matrix, as one chunk."""
+    return write(path, matrix.ego_ids, matrix.feature_names, [matrix.values])
 
 
 def read_exact(fh, n: int, what: str) -> bytes:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import artifact
+
 
 def classification_metrics(scores, churned, threshold: float) -> dict:
     """Accuracy, precision, recall and F-score at ``score >= threshold``
@@ -92,18 +94,15 @@ def inactivity_distribution(pct_inactive_eval, bins: int) -> np.ndarray:
     return _fixed_histogram(np.asarray(pct_inactive_eval, dtype=float), bins)
 
 
-def write_roc_csv(curve: tuple[np.ndarray, np.ndarray], path: str) -> None:
+def write_roc_csv(curve: tuple[np.ndarray, np.ndarray], path: str) -> str:
     fpr, tpr = curve
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for f, t in zip(fpr, tpr):
-            fh.write(f"{float(f)!r},{float(t)!r}\n")
+    return artifact.write_text(path, "fpr,tpr\n" + "".join(
+        f"{float(f)!r},{float(t)!r}\n" for f, t in zip(fpr, tpr)))
 
 
-def write_histogram_csv(counts: np.ndarray, path: str) -> None:
+def write_histogram_csv(counts: np.ndarray, path: str) -> str:
     """One row per bin of ``counts``: its edges over [0, 1] and count."""
     edges = np.linspace(0.0, 1.0, len(counts) + 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_low,bin_high,count\n")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
+    return artifact.write_text(path, "bin_low,bin_high,count\n" + "".join(
+        f"{float(lo)!r},{float(hi)!r},{int(c)}\n"
+        for lo, hi, c in zip(edges[:-1], edges[1:], counts)))

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import artifact
 from .labeling import LabelSet
 from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
@@ -184,9 +185,15 @@ def _knn_scores(Ztr, ytr, k, Zte, block: int = 512) -> np.ndarray:
     for start in range(0, len(Zte), block):
         B = Zte[start:start + block]
         d2 = (B ** 2).sum(axis=1)[:, None] + tr_norm[None, :] - 2.0 * B @ Ztr.T
-        # stable sort keeps the lowest training index among tied distances
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start:start + block] = ytr[nearest].mean(axis=1)
+        # the k nearest: every row nearer than the k-th distance, then the
+        # lowest-indexed rows at it, the rows a stable sort would keep.
+        # The labels are 0/1, so their sum is exact in any order.
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        nearer = d2 < kth
+        tied = d2 == kth
+        need = k - nearer.sum(axis=1, keepdims=True)
+        nearest = nearer | (tied & (np.cumsum(tied, axis=1) <= need))
+        out[start:start + block] = (nearest @ ytr) / k
     return out
 
 
@@ -564,8 +571,8 @@ _MAGIC = b"CFMD"
 _VERSION = 1
 
 
-def save_model(model: TrainedModel, path: str) -> None:
-    with open(path, "wb") as fh:
+def save_model(model: TrainedModel, path: str) -> str:
+    def fill(fh):
         fh.write(_MAGIC)
         fh.write(struct.pack("<B", _VERSION))
         _w_str(fh, model.family)
@@ -576,6 +583,8 @@ def save_model(model: TrainedModel, path: str) -> None:
         fh.write(struct.pack("<q", model.seed))
         _w_str(fh, json.dumps(model.params, sort_keys=True))
         FAMILIES[model.family].dump(fh, model.fitted)
+
+    return artifact.write(path, fill)
 
 
 def load_model(path: str) -> TrainedModel:
@@ -611,11 +620,9 @@ def load_model(path: str) -> TrainedModel:
                         fitted=fitted)
 
 
-def write_scores(ego_ids: list[str], scores: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ego_id,churn_score\n")
-        for ego, s in zip(ego_ids, scores):
-            fh.write(f"{ego},{float(s)!r}\n")
+def write_scores(ego_ids: list[str], scores: np.ndarray, path: str) -> str:
+    return artifact.write_text(path, "ego_id,churn_score\n" + "".join(
+        f"{ego},{float(s)!r}\n" for ego, s in zip(ego_ids, scores)))
 
 
 def read_scores(path: str) -> tuple[list[str], np.ndarray]:

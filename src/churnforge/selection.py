@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from . import matrix as matrix_mod
 from . import parallel
 from .labeling import LabelSet
@@ -192,8 +193,8 @@ def tree_select(scanned: Scan, labels: LabelSet, n_trees: int = 100,
     return FeatureRanking(score_kind=TREE_IMPORTANCE, entries=top)
 
 
-def write_ranking(ranking: FeatureRanking, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,feature,score,score_kind\n")
-        for e in ranking.entries:
-            fh.write(f"{e.rank},{e.name},{e.score!r},{ranking.score_kind}\n")
+def write_ranking(ranking: FeatureRanking, path: str) -> str:
+    return artifact.write_text(path, "rank,feature,score,score_kind\n"
+                               + "".join(f"{e.rank},{e.name},{e.score!r},"
+                                         f"{ranking.score_kind}\n"
+                                         for e in ranking.entries))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
+from . import artifact, parallel
 from .cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                   KIND_TOKENS, SECONDS_PER_DAY, StudyWindow)
 
@@ -83,28 +83,30 @@ def generate(config: SimConfig, cdr_path: str, truth_path: str,
     """Write a CDR CSV and an ``ego_id,churned`` ground-truth CSV.
 
     Blocks of subscribers are generated over ``workers`` processes and
-    written in block order, each as it arrives. Returns a small stats
-    dict (rows written, realized churn fraction).
+    their CDR rows written in block order, each block as it arrives; the
+    ground truth, one short line per subscriber, is written after. Returns
+    a small stats dict (rows written, realized churn fraction, and the
+    sha256 of each file).
     """
     plan = _Plan(config)
     n = config.n_subscribers
     blocks = [range(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    truth = ["ego_id,churned\n"]
+    stats = {"rows": 0, "subscribers": n, "churners": 0}
 
-    n_churn = 0
-    total_rows = 0
-    with open(cdr_path, "w", encoding="utf-8") as cdr_fh, \
-            open(truth_path, "w", encoding="utf-8") as truth_fh:
-        cdr_fh.write(CSV_HEADER + "\n")
-        truth_fh.write("ego_id,churned\n")
+    def fill(fh):
+        fh.write((CSV_HEADER + "\n").encode("utf-8"))
         for cdr_text, truth_text, churners, rows in parallel.map(
                 plan.block, blocks, workers):
-            cdr_fh.write(cdr_text)
-            truth_fh.write(truth_text)
-            n_churn += churners
-            total_rows += rows
-    realized = n_churn / n if n else 0.0
-    return {"rows": total_rows, "subscribers": n,
-            "churners": n_churn, "churn_fraction": realized}
+            fh.write(cdr_text.encode("utf-8"))
+            truth.append(truth_text)
+            stats["churners"] += churners
+            stats["rows"] += rows
+
+    stats["cdr_sha256"] = artifact.write(cdr_path, fill)
+    stats["truth_sha256"] = artifact.write_text(truth_path, "".join(truth))
+    stats["churn_fraction"] = stats["churners"] / n if n else 0.0
+    return stats
 
 
 class _Plan:

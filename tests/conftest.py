@@ -103,6 +103,21 @@ def count_features(config, n_denominators=0):
     return base + (base - 1) * n_denominators
 
 
+def knn_scores_by_sort(Ztr, ytr, k, Zte, block=512):
+    """Mean label of each test row's k nearest training rows, ties at
+    the k-th distance broken toward the lowest training index by a full
+    stable argsort: the reference for ``models._knn_scores``."""
+    k = min(k, len(Ztr))
+    tr_norm = (Ztr ** 2).sum(axis=1)
+    out = np.empty(len(Zte))
+    for start in range(0, len(Zte), block):
+        B = Zte[start:start + block]
+        d2 = (B ** 2).sum(axis=1)[:, None] + tr_norm[None, :] - 2.0 * B @ Ztr.T
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start:start + block] = ytr[nearest].mean(axis=1)
+    return out
+
+
 def logreg_loss(w, b, Z, y, l2):
     """Mean cross-entropy plus (l2/2)||w||^2, bias unregularized: the
     reference for ``models.logreg_gradient``."""

@@ -4,14 +4,18 @@ One pipeline run is shared; each test damages a copy of its output.
 """
 
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from churnforge import features as feat_mod
 from churnforge import matrix as matrix_mod
+from churnforge import simgen as simgen_mod
 from churnforge.cli import EXIT_DATA, main
+from churnforge.config import PipelineConfig
 from churnforge.models import FAMILIES, load_model, save_model
 
 SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
@@ -352,3 +356,63 @@ def test_invalid_utf8_in_cdr_fails_featurize_with_line(run_copy, capsys,
     assert _stage("featurize", run_copy) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{cdr}: line 5: " in err and "can't decode byte 0xff" in err
+
+
+def test_failed_score_leaves_no_manifest(run_copy, capsys):
+    # the first three models' scores are replaced before the fourth fails;
+    # the old manifest must not vouch for them
+    assert PipelineConfig.from_file(SMALL_CFG).roster()[3] == "knn"
+    path = run_copy / "model_knn.cfmd"
+    _truncate(path, -1)
+    assert (run_copy / "manifest_score.json").exists()
+    assert _stage("score", run_copy) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+    assert not (run_copy / "manifest_score.json").exists()
+
+
+_FEATURIZE_OUTPUTS = ("matrix.cfm", "features.txt", "labels.csv",
+                      "manifest_featurize.json")
+
+
+def test_nonfinite_cell_in_a_later_row_chunk_fails_featurize_cleanly(
+        run_copy, capsys, monkeypatch):
+    for name in _FEATURIZE_OUTPUTS:
+        (run_copy / name).unlink()
+    before = sorted(os.listdir(run_copy))
+    # chunks of 32 rows: a nan in chunk 0 at column 9, and an inf in
+    # chunk 1 at column 5, which comes first in column order
+    monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", 1)
+    row_chunks = feat_mod.row_chunks
+    egos = []
+
+    def damaged(store, *args):
+        egos.extend(store.ego_ids)
+        for i, chunk in enumerate(row_chunks(store, *args)):
+            if i < 2:
+                chunk[1, 9 - 4 * i] = [np.nan, np.inf][i]
+            yield chunk
+
+    monkeypatch.setattr(feat_mod, "row_chunks", damaged)
+    assert _stage("featurize", run_copy) == EXIT_DATA
+    err = capsys.readouterr().err
+    first = feat_mod.enumerate_features(
+        PipelineConfig.from_file(SMALL_CFG).axes())[5]
+    assert f"non-finite value at ego {egos[33]}, feature {first}" in err
+    assert sorted(os.listdir(run_copy)) == before
+
+
+def test_generate_that_fails_mid_write_leaves_no_file(tmp_path, capsys,
+                                                      monkeypatch):
+    block = simgen_mod._Plan.block
+    calls = []
+
+    def fail_second(plan, idxs):
+        calls.append(idxs)
+        if len(calls) == 2:
+            raise ValueError("block 2 failed")
+        return block(plan, idxs)
+
+    monkeypatch.setattr(simgen_mod._Plan, "block", fail_second)
+    assert _stage("generate", tmp_path) == EXIT_DATA
+    assert "block 2 failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

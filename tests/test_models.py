@@ -6,12 +6,13 @@ import pytest
 
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
-from churnforge.models import (FAMILIES, ModelSpec, kfold_cv, load_model,
-                               logreg_gradient, predict_scores,
+from churnforge.models import (FAMILIES, ModelSpec, _knn_scores, kfold_cv,
+                               load_model, logreg_gradient, predict_scores,
                                read_scores, save_model, threshold_baseline,
                                train, write_scores)
 from churnforge.tree import DecisionTree, BaggedForest
-from conftest import columns, in_memory_columns, logreg_loss
+from conftest import (columns, in_memory_columns, knn_scores_by_sort,
+                      logreg_loss)
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -130,6 +131,17 @@ class TestPredictContracts:
         model = train(ModelSpec("knn", params={"k": 1}), mat, labels)
         scores = predict_scores(model, mat)
         assert np.array_equal(scores, labels.churned.astype(float))
+
+    @pytest.mark.parametrize("k", [1, 4, 150])
+    def test_knn_ties_broken_as_by_stable_sort(self, k):
+        # 50 rows repeated three times: every row is at distance 0 from
+        # its two copies, and the copies' labels differ
+        rng = np.random.default_rng(5)
+        Z = np.tile(rng.integers(0, 3, size=(50, 4)).astype(float), (3, 1))
+        y = (rng.random(150) < 0.4).astype(float)
+        want = knn_scores_by_sort(Z, y, k, Z)
+        assert np.array_equal(_knn_scores(Z, y, k, Z), want)
+        assert np.array_equal(_knn_scores(Z, y, k, Z, block=7), want)
 
     def test_random_forest_vote_fraction(self):
         # four trees voting 1, 1, 0, 1 must score 0.75

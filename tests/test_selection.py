@@ -331,7 +331,10 @@ def test_nonfinite_cell_is_named_in_column_order(monkeypatch):
     monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", 40 * 64)
     mat, labels = make_inputs(X, churned, pct=pct)
     message = "non-finite value at ego S030, feature f20"
-    with pytest.raises(ValueError, match=message):
-        mat.check_finite()
+    # featurize's check over row chunks, where the nan's chunk comes first
+    for chunks in ([X], [X[:20], X[20:]], [X[:1], X[1:3], X[3:31], X[31:]]):
+        with pytest.raises(ValueError, match=message):
+            list(matrix_mod.check_chunks_finite(chunks, mat.ego_ids,
+                                                mat.feature_names))
     with pytest.raises(ValueError, match=message):
         scan(in_memory_columns(mat), labels, workers=2)
