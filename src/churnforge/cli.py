@@ -153,24 +153,31 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
     columns = matrix_mod.columns(str(matrix_path))
     labels = _labels(out, columns.ego_ids)
     try:
-        scan = select_mod.scan(columns, labels, cfg.workers)
+        t, r2, ranks = select_mod.scan(columns, labels, cfg.workers)
     except ValueError as exc:  # e.g. a non-finite cell
         raise ValueError(f"{matrix_path}: {exc}") from None
     k = cfg._get("selection.k")
     tree = select_mod.tree_select(
-        scan, labels, n_trees=cfg._get("selection.n_trees"), k=k,
+        ranks, labels, n_trees=cfg._get("selection.n_trees"), k=k,
         seed=cfg.seed, max_depth=cfg._get("selection.max_depth"),
         workers=cfg.workers)
-    r2 = scan.r2
-    outputs = {name: select_mod.write_ranking(ranking, str(out / name))
-               for name, ranking in (("rank_ttest.csv", scan.ttest),
-                                     ("rank_r2.csv", r2),
-                                     ("rank_tree.csv", tree))}
+    names = columns.feature_names
+    r2_order = select_mod.ranked(names, r2)
+    top = select_mod.ranked(names, tree)[:k]
+    outputs = {
+        name: select_mod.write_ranking(str(out / name), kind, names, scores,
+                                       order)
+        for name, kind, scores, order in (
+            ("rank_ttest.csv", select_mod.T_STAT_ABS, t,
+             select_mod.ranked(names, t)),
+            ("rank_r2.csv", select_mod.R_SQUARED, r2, r2_order),
+            ("rank_tree.csv", select_mod.TREE_IMPORTANCE, tree, top))}
     outputs["selected_features.txt"] = artifact.write_text(
-        out / "selected_features.txt", "".join(n + "\n" for n in tree.names()))
-    print(f"select: top {k} of {len(scan.feature_names)} features by "
+        out / "selected_features.txt", "".join(names[i] + "\n" for i in top))
+    best = r2_order[0]
+    print(f"select: top {k} of {len(names)} features by "
           f"tree importance; best univariate r2 = "
-          f"{r2.entries[0].name} ({r2.entries[0].score:.3f})")
+          f"{names[best]} ({r2[best]:.3f})")
     _write_manifest("select", cfg, out, [matrix_path, out / "labels.csv"],
                     outputs)
 

@@ -9,9 +9,10 @@ without reading the others.
 never holds the whole float matrix either; ``save`` writes an in-memory
 matrix as its one chunk. ``load`` returns the whole matrix or only the
 columns it is asked for, so ``train``, ``score`` and ``evaluate`` read
-only the columns they use. ``columns`` reads a matrix one block of
-columns at a time (``select`` never holds the whole float matrix), and
-``column_blocks`` cuts those blocks.
+only the columns they use, and checks that every cell it reads is
+finite. ``columns`` reads a matrix one block of columns at a time
+(``select`` never holds the whole float matrix), and ``column_blocks``
+cuts those blocks.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _column_indices(path: str, feature_names: list[str],
 
 def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
     """The matrix at ``path``, or only its ``names`` columns in the order
-    named; KeyError naming the file for a name the matrix lacks."""
+    named; KeyError naming the file for a name the matrix lacks, and
+    ValueError naming it with the first non-finite cell read."""
     cols = columns(path)
     if names is None:
         names = cols.feature_names
@@ -196,6 +198,10 @@ def load(path: str, names: list[str] | None = None) -> FeatureMatrix:
         cells = np.empty((len(idx), len(cols.ego_ids)))
         for j, i in enumerate(idx):
             cells[j] = cols.read(i, i + 1)[0]
+    try:
+        check_block_finite(cells, cols.ego_ids, names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # C order: numpy sums the columns of an F-ordered array in another
     # order, and the last bits of every mean a model stores would change
     return FeatureMatrix(cols.ego_ids, list(names),

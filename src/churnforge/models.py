@@ -536,7 +536,7 @@ def threshold_baseline(train_inactivity, churned) -> BaselineResult:
         raise ValueError("empty input")
     if len(v) != len(y):
         raise ValueError("values and labels differ in length")
-    if np.any((v < 0) | (v > 1)):
+    if not ((v >= 0) & (v <= 1)).all():  # nan fails both comparisons
         raise ValueError("inactivity values must lie in [0, 1]")
     order = np.argsort(v, kind="stable")
     vs, ys = v[order], y[order]

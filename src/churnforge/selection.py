@@ -6,17 +6,17 @@ block is checked for non-finite cells and yields its two univariate
 scores (Welch t statistic against the binary label, R squared against
 the continuous inactivity label), its rank codes and its sorted distinct
 values. The scores are computed from a C-ordered copy of the block, so
-every sum runs in the order it would over the whole matrix. The joint
-top-k selection then grows a bagged tree ensemble from the rank codes
-alone and ranks columns by normalized Gini importance. All rankings sort
-by score descending with ties broken by canonical feature name, so
-results are stable across runs and row orderings.
+every sum runs in the order it would over the whole matrix.
+``tree_select`` then grows a bagged tree ensemble from the rank codes
+alone and scores columns by normalized Gini importance. A ranking is a
+score array plus its column order from ``ranked``: score descending
+with ties broken by canonical feature name, so results are stable
+across runs and row orderings. ``write_ranking`` writes one as CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,52 +31,20 @@ R_SQUARED = "r_squared"
 TREE_IMPORTANCE = "tree_importance"
 
 
-@dataclass
-class RankedFeature:
-    rank: int
-    name: str
-    score: float
-    degenerate: bool = False
+def ranked(names: list[str], scores) -> np.ndarray:
+    """The column order of a ranking: score descending, then name."""
+    # np.array(names) compares code points as str does
+    return np.lexsort((np.array(names), -np.asarray(scores, dtype=float)))
 
 
-@dataclass
-class FeatureRanking:
-    score_kind: str
-    entries: list[RankedFeature] = field(default_factory=list)
+def univariate_ttest(X: np.ndarray, churn: np.ndarray) -> np.ndarray:
+    """|t| of each column of X: Welch's two-sample t between churners
+    and non-churners.
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-
-@dataclass
-class Scan:
-    """What one pass over the matrix's column blocks yields."""
-    ego_ids: list[str]
-    feature_names: list[str]
-    ttest: FeatureRanking
-    r2: FeatureRanking
-    ranks: ColumnRanks
-
-
-def _ranked(names, scores, kind, degenerate=None) -> FeatureRanking:
-    degenerate = degenerate if degenerate is not None else [False] * len(names)
-    # by score descending, then name; np.array(names) compares code points
-    # as str does
-    order = np.lexsort((np.array(names), -np.asarray(scores, dtype=float)))
-    entries = [RankedFeature(rank=r + 1, name=names[i], score=float(scores[i]),
-                             degenerate=bool(degenerate[i]))
-               for r, i in enumerate(order)]
-    return FeatureRanking(score_kind=kind, entries=entries)
-
-
-def univariate_ttest(X: np.ndarray, churn: np.ndarray) -> tuple:
-    """(|t|, degenerate) of each column of X: Welch's two-sample t
-    between churners and non-churners.
-
-    A feature that is the same constant in both groups is degenerate
-    with score 0; a feature with zero variance in both groups but
-    different group means separates the classes perfectly and scores
-    +inf so it dominates every finite t.
+    A feature that is the same constant in both groups scores 0; a
+    feature with zero variance in both groups but different group means
+    separates the classes perfectly and scores +inf so it dominates
+    every finite t.
     """
     n_c, n_n = int(churn.sum()), int((~churn).sum())
     Xc = X[churn]
@@ -87,14 +55,12 @@ def univariate_ttest(X: np.ndarray, churn: np.ndarray) -> tuple:
     diff = mean_c - mean_n
     se2 = var_c / n_c + var_n / n_n
     scores = np.empty(len(diff))
-    degenerate = np.zeros(len(diff), dtype=bool)
     zero_se = se2 <= 0
     with np.errstate(invalid="ignore", divide="ignore"):
         scores[~zero_se] = np.abs(diff[~zero_se]) / np.sqrt(se2[~zero_se])
     scores[zero_se & (diff == 0)] = 0.0
-    degenerate[zero_se & (diff == 0)] = True
     scores[zero_se & (diff != 0)] = math.inf
-    return scores, degenerate
+    return scores
 
 
 def univariate_r2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -115,9 +81,9 @@ def univariate_r2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def scan(cols: matrix_mod.Columns, labels: LabelSet,
-         workers: int = 1) -> Scan:
-    """Score and rank every column of a matrix, a block of columns at a
-    time.
+         workers: int = 1) -> tuple[np.ndarray, np.ndarray, ColumnRanks]:
+    """(|t|, R squared, rank codes) of every column of a matrix, read a
+    block of columns at a time.
 
     ValueError names the first non-finite cell, in column order: split
     search needs a total order.
@@ -139,45 +105,37 @@ def scan(cols: matrix_mod.Columns, labels: LabelSet,
         matrix_mod.check_block_finite(cells, cols.ego_ids,
                                       cols.feature_names, lo)
         X = cells.T.copy()  # C order, as the whole matrix would be
-        return (*univariate_ttest(X, churn), univariate_r2(X, y)), \
+        return (univariate_ttest(X, churn), univariate_r2(X, y)), \
             rank_block(cells)
 
-    t, degenerate, r2 = np.empty(d), np.empty(d, dtype=bool), np.empty(d)
+    t, r2 = np.empty(d), np.empty(d)
 
-    def ranked():
+    def ranked_blocks():
         for (lo, hi), (scores, ranks) in zip(
                 spans, parallel.map(block, spans, workers)):
-            t[lo:hi], degenerate[lo:hi], r2[lo:hi] = scores
+            t[lo:hi], r2[lo:hi] = scores
             yield ranks
 
-    ranks = collect_ranks(n, spans, ranked())
-    names = cols.feature_names
-    return Scan(cols.ego_ids, names,
-                _ranked(names, t, T_STAT_ABS, degenerate),
-                _ranked(names, r2, R_SQUARED), ranks)
+    return t, r2, collect_ranks(n, spans, ranked_blocks())
 
 
-def tree_select(scanned: Scan, labels: LabelSet, n_trees: int = 100,
+def tree_select(ranks: ColumnRanks, labels: LabelSet, n_trees: int = 100,
                 k: int = 100, seed: int = 0, max_depth: int | None = 12,
-                workers: int = 1) -> FeatureRanking:
-    """Top-k features by normalized Gini importance of a bagged ensemble
-    grown from the scan's rank codes.
+                workers: int = 1) -> np.ndarray:
+    """Normalized Gini importance of each column in a bagged ensemble
+    grown from the scan's rank codes, whose rows are the labels' egos.
 
     Bootstrap rows, sqrt(d) random features per split, grown on up to
     ``workers`` processes. Rows are put in ego order internally so the
     result does not depend on how the caller happened to order the
-    matrix.
+    matrix. ``k``, the number of columns the caller keeps, is checked
+    before any tree is grown.
     """
-    if scanned.ego_ids != labels.ego_ids:
-        raise ValueError("matrix rows and labels are not aligned")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    n_features = len(scanned.feature_names)
+    n_features = len(ranks.codes)
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} outside 1..{n_features}")
-    ranks = scanned.ranks
     y = labels.churned.astype(np.float64)
-    egos = scanned.ego_ids
+    egos = labels.ego_ids
     if egos != sorted(egos):  # featurize writes them sorted
         order = np.argsort(np.asarray(egos, dtype=object), kind="stable")
         ranks = ColumnRanks(ranks.codes[:, order], ranks.values,
@@ -188,13 +146,13 @@ def tree_select(scanned: Scan, labels: LabelSet, n_trees: int = 100,
     imp = forest.feature_importances_
     if imp.sum() <= 0:
         raise ValueError("no informative splits: all importances are zero")
-    full = _ranked(scanned.feature_names, imp, TREE_IMPORTANCE)
-    top = full.entries[:k]
-    return FeatureRanking(score_kind=TREE_IMPORTANCE, entries=top)
+    return imp
 
 
-def write_ranking(ranking: FeatureRanking, path: str) -> str:
-    return artifact.write_text(path, "rank,feature,score,score_kind\n"
-                               + "".join(f"{e.rank},{e.name},{e.score!r},"
-                                         f"{ranking.score_kind}\n"
-                                         for e in ranking.entries))
+def write_ranking(path: str, kind: str, names: list[str], scores,
+                  order) -> str:
+    """Write the columns ``order`` lists, best first, as
+    ``rank,feature,score,score_kind`` rows; return the sha256."""
+    rows = "".join(f"{r},{names[i]},{float(scores[i])!r},{kind}\n"
+                   for r, i in enumerate(order, 1))
+    return artifact.write_text(path, "rank,feature,score,score_kind\n" + rows)

@@ -1,6 +1,7 @@
 import datetime
 import os
 import tempfile
+from types import SimpleNamespace
 
 import churnforge  # noqa: F401  (pins one BLAS thread before numpy loads)
 import numpy as np
@@ -10,7 +11,6 @@ from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                             KIND_TOKENS, SECONDS_PER_DAY, StudyWindow, ingest)
 from churnforge.features import FULL_ONLY_STATS, WINDOWS
 from churnforge.matrix import Columns, FeatureMatrix
-from churnforge.selection import FeatureRanking, RankedFeature
 
 WINDOW = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
 
@@ -141,14 +141,16 @@ def read_truth(path):
 
 
 def read_ranking(path):
-    """The FeatureRanking of a ``rank,feature,score,score_kind`` CSV."""
+    """A ``rank,feature,score,score_kind`` CSV as its ``score_kind`` and
+    its ``entries``, each with ``rank``, ``name`` and ``score``."""
     entries, kind = [], ""
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.readline() == "rank,feature,score,score_kind\n"
         for line in fh:
             rank, name, score, kind = line.rstrip("\n").split(",")
-            entries.append(RankedFeature(int(rank), name, float(score)))
-    return FeatureRanking(score_kind=kind, entries=entries)
+            entries.append(SimpleNamespace(rank=int(rank), name=name,
+                                           score=float(score)))
+    return SimpleNamespace(score_kind=kind, entries=entries)
 
 
 @pytest.fixture(scope="session")

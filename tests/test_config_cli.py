@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,3 +258,16 @@ def test_env_workers_fallback(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest_generate.json").read_text())
     assert manifest["seed"] == 3
+
+
+def test_benchmark_tracer_installs():
+    """``pipebench/stage.py`` wraps churnforge functions by name
+    (``features.compute_matrix``, ``matrix.save``,
+    ``selection.univariate_ttest``, ...); a rename or deletion of one of
+    them fails here."""
+    probe = ("import sys; sys.path[:0] = sys.argv[1:]; import stage; "
+             "stage.Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           str(ROOT / "pipebench"), str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -261,14 +261,23 @@ def test_ego_id_with_comma_is_rejected(run_copy, capsys):
 
 
 def test_nan_cell_fails_select_with_ego_and_feature(run_copy, capsys):
+    """Each stage that reads the matrix names it, the ego and the feature
+    of a nan in a column the stage reads."""
     path = run_copy / "matrix.cfm"
-    mat = matrix_mod.load(str(path))
-    mat.values[3, 7] = np.nan
-    matrix_mod.save(mat, str(path))
-    assert _stage("select", run_copy) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert str(path) in err
-    assert f"ego {mat.ego_ids[3]}, feature {mat.feature_names[7]}" in err
+    clean = matrix_mod.load(str(path))
+    first_selected = (run_copy / "selected_features.txt").read_text(
+        encoding="utf-8").splitlines()[0]
+    for stage, feature in (("select", clean.feature_names[7]),
+                           ("train", first_selected),
+                           ("score", first_selected),
+                           ("evaluate", "inactivity.full")):
+        values = clean.values.copy()
+        values[3, clean.feature_names.index(feature)] = np.nan
+        matrix_mod.save(matrix_mod.FeatureMatrix(
+            clean.ego_ids, clean.feature_names, values), str(path))
+        assert _stage(stage, run_copy) == EXIT_DATA, stage
+        assert (f"{path}: non-finite value at ego {clean.ego_ids[3]}, "
+                f"feature {feature}") in capsys.readouterr().err, stage
 
 
 def _damage_line(path, line_no, damage):

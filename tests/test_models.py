@@ -322,6 +322,11 @@ class TestThresholdBaseline:
         with pytest.raises(ValueError):
             threshold_baseline([], np.array([], dtype=bool))
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_value_outside_unit_interval_fatal(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            threshold_baseline([0.2, bad], np.array([False, True]))
+
 
 class TestPersistence:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -383,7 +388,7 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     from churnforge.cdr import StudyWindow, ingest
     from churnforge.features import AxesConfig, compute_matrix, enumerate_features
     from churnforge.labeling import compute_labels, split_windows
-    from churnforge.selection import scan
+    from churnforge.selection import ranked, scan
     from churnforge.simgen import SimConfig, generate
 
     win = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
@@ -394,7 +399,8 @@ def test_logreg_loss_monotone_on_generated_data(tmp_path):
     axes = AxesConfig()
     mat = compute_matrix(store, enumerate_features(axes), axes)
     labels = compute_labels(store, split_windows(win)[1])
-    top = scan(in_memory_columns(mat), labels).r2.names()[:40]
+    r2 = scan(in_memory_columns(mat), labels)[1]
+    top = [mat.feature_names[i] for i in ranked(mat.feature_names, r2)[:40]]
     model = train(ModelSpec("logreg"), columns(mat, top), labels)
     hist = logreg_descent(model, columns(mat, top), labels)
     assert (np.diff(hist) <= 1e-12).all()

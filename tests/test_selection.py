@@ -6,8 +6,7 @@ import pytest
 from churnforge import matrix as matrix_mod
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
-from churnforge.selection import (R_SQUARED, T_STAT_ABS, FeatureRanking,
-                                  _ranked, scan, tree_select,
+from churnforge.selection import (T_STAT_ABS, ranked, scan, tree_select,
                                   univariate_r2 as r2_scores,
                                   univariate_ttest as ttest_scores,
                                   write_ranking)
@@ -28,16 +27,23 @@ def make_inputs(values, churned, pct=None, names=None):
 
 
 def univariate_ttest(mat, labels):
-    return scan(in_memory_columns(mat), labels).ttest
+    return scan(in_memory_columns(mat), labels)[0]
 
 
 def univariate_r2(mat, labels):
-    return scan(in_memory_columns(mat), labels).r2
+    return scan(in_memory_columns(mat), labels)[1]
 
 
 def select_trees(mat, labels, workers=1, **kwargs):
-    return tree_select(scan(in_memory_columns(mat), labels, workers), labels,
-                       workers=workers, **kwargs)
+    _, _, ranks = scan(in_memory_columns(mat), labels, workers)
+    return tree_select(ranks, labels, workers=workers, **kwargs)
+
+
+def rows(names, scores, k=None):
+    """(rank, name, score) of the top ``k`` columns, as ``write_ranking``
+    writes them."""
+    return [(r, names[i], scores[i])
+            for r, i in enumerate(ranked(names, scores)[:k], 1)]
 
 
 class TestTtest:
@@ -46,17 +52,13 @@ class TestTtest:
         # variances 1 and 1, so t = -2 / sqrt(1/3 + 1/3) = -2.449489...
         mat, labels = make_inputs([[1], [2], [3], [3], [4], [5]],
                                   [1, 1, 1, 0, 0, 0])
-        ranking = univariate_ttest(mat, labels)
-        assert ranking.entries[0].score == pytest.approx(
-            2.449489742783178, abs=1e-12)
+        t = univariate_ttest(mat, labels)
+        assert t[0] == pytest.approx(2.449489742783178, abs=1e-12)
 
     def test_constant_feature_degenerate(self):
         mat, labels = make_inputs([[7.0, 1], [7.0, 2], [7.0, 3], [7.0, 4]],
                                   [1, 1, 0, 0])
-        ranking = univariate_ttest(mat, labels)
-        const = next(e for e in ranking.entries if e.name == "f00")
-        assert const.score == 0.0
-        assert const.degenerate
+        assert univariate_ttest(mat, labels)[0] == 0.0  # f00
 
     def test_label_copy_dominates(self):
         rng = np.random.default_rng(0)
@@ -64,9 +66,8 @@ class TestTtest:
         churned = rng.random(40) < 0.4
         X[:, 3] = churned.astype(float)  # the label itself
         mat, labels = make_inputs(X, churned)
-        ranking = univariate_ttest(mat, labels)
-        assert ranking.entries[0].name == "f03"
-        assert ranking.entries[0].score == math.inf
+        top = rows(mat.feature_names, univariate_ttest(mat, labels), 1)
+        assert top == [(1, "f03", math.inf)]
 
     @pytest.mark.parametrize("flags,msg", [([1, 1], "non-churner"),
                                            ([0, 0], "churner")])
@@ -78,23 +79,22 @@ class TestTtest:
     def test_sorted_desc_with_name_tiebreak(self):
         mat, labels = make_inputs([[1, 1, 5], [2, 2, 6], [3, 3, 4], [4, 4, 3]],
                                   [1, 1, 0, 0])
-        ranking = univariate_ttest(mat, labels)
-        scores = [e.score for e in ranking.entries]
+        ranking = rows(mat.feature_names, univariate_ttest(mat, labels))
+        scores = [score for _, _, score in ranking]
         assert scores == sorted(scores, reverse=True)
-        assert ranking.entries[0].name < ranking.entries[1].name  # tied pair
+        assert ranking[0][1] < ranking[1][1]  # tied pair
 
 
 class TestR2:
     def test_identical_feature_r2_one(self):
         pct = [0.1, 0.5, 0.9, 0.3]
         mat, labels = make_inputs([[v] for v in pct], [0, 0, 1, 0], pct=pct)
-        ranking = univariate_r2(mat, labels)
-        assert ranking.entries[0].score == pytest.approx(1.0, abs=1e-12)
+        assert univariate_r2(mat, labels)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_feature_r2_zero(self):
         mat, labels = make_inputs([[2.0], [2.0], [2.0]], [1, 0, 0],
                                   pct=[1.0, 0.2, 0.1])
-        assert univariate_r2(mat, labels).entries[0].score == 0.0
+        assert univariate_r2(mat, labels)[0] == 0.0
 
     def test_equals_explicit_regression_r2(self):
         # independent check: R^2 from actually fitting y = a + b x
@@ -102,24 +102,23 @@ class TestR2:
         X = rng.normal(size=(60, 8))
         pct = np.clip(0.5 + 0.3 * X[:, 2] + 0.1 * rng.normal(size=60), 0, 1)
         mat, labels = make_inputs(X, pct > 0.5, pct=pct)
-        ranking = univariate_r2(mat, labels)
-        score = {e.name: e.score for e in ranking.entries}
+        score = univariate_r2(mat, labels)
         y = labels.pct_inactive_eval
-        for j, name in enumerate(mat.feature_names):
+        for j in range(X.shape[1]):
             A = np.vstack([np.ones(60), X[:, j]]).T
             coef, *_ = np.linalg.lstsq(A, y, rcond=None)
             resid = y - A @ coef
             ss_res = float(resid @ resid)
             ss_tot = float(((y - y.mean()) ** 2).sum())
             expected = 1.0 - ss_res / ss_tot
-            assert score[name] == pytest.approx(expected, abs=1e-12)
+            assert score[j] == pytest.approx(expected, abs=1e-12)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(4)
         mat, labels = make_inputs(rng.normal(size=(30, 10)),
                                   rng.random(30) < 0.5, pct=rng.random(30))
-        for e in univariate_r2(mat, labels).entries:
-            assert 0.0 <= e.score <= 1.0
+        for score in univariate_r2(mat, labels):
+            assert 0.0 <= score <= 1.0
 
 
 class TestPermutationInvariance:
@@ -138,16 +137,14 @@ class TestPermutationInvariance:
 
         # ranks and names match exactly; scores agree up to float
         # summation order over the permuted rows
+        names = mat.feature_names
         for fn in (univariate_ttest, univariate_r2):
             a, b = fn(mat, labels), fn(mat_p, labels_p)
-            assert [(e.rank, e.name) for e in a.entries] == \
-                   [(e.rank, e.name) for e in b.entries]
-            for x, y in zip(a.entries, b.entries):
-                assert x.score == pytest.approx(y.score, abs=1e-12)
+            assert np.array_equal(ranked(names, a), ranked(names, b))
+            assert a == pytest.approx(b, abs=1e-12)
         a = select_trees(mat, labels, n_trees=10, k=5, seed=3)
         b = select_trees(mat_p, labels_p, n_trees=10, k=5, seed=3)
-        assert [(e.rank, e.name, e.score) for e in a.entries] == \
-               [(e.rank, e.name, e.score) for e in b.entries]
+        assert rows(names, a, 5) == rows(names, b, 5)
 
 
 class TestTreeSelect:
@@ -160,9 +157,9 @@ class TestTreeSelect:
         churned = rng.random(1500) < 0.4
         X[:, 2] = churned.astype(float)
         mat, labels = make_inputs(X, churned)
-        ranking = select_trees(mat, labels, n_trees=20, k=5, seed=0)
-        assert ranking.entries[0].name == "f02"
-        assert ranking.entries[0].score > 0.9
+        imp = select_trees(mat, labels, n_trees=20, k=5, seed=0)
+        assert rows(mat.feature_names, imp)[0][1] == "f02"
+        assert imp[2] > 0.9
 
     def test_duplicated_label_features_share_importance(self):
         rng = np.random.default_rng(2)
@@ -171,9 +168,8 @@ class TestTreeSelect:
         X[:, 1] = churned.astype(float)
         X[:, 4] = churned.astype(float)
         mat, labels = make_inputs(X, churned)
-        ranking = select_trees(mat, labels, n_trees=30, k=6, seed=0)
-        score = {e.name: e.score for e in ranking.entries}
-        combined = score["f01"] + score["f04"]
+        imp = select_trees(mat, labels, n_trees=30, k=6, seed=0)
+        combined = imp[1] + imp[4]
         assert combined >= 0.95
 
     def test_all_constant_features_fatal(self):
@@ -196,61 +192,59 @@ class TestTreeSelect:
         mat, labels = make_inputs(X, churned)
         a = select_trees(mat, labels, n_trees=15, k=10, seed=4)
         b = select_trees(mat, labels, n_trees=15, k=10, seed=4)
-        assert [(e.name, e.score) for e in a.entries] == \
-               [(e.name, e.score) for e in b.entries]
+        assert np.array_equal(a, b)
         c = select_trees(mat, labels, n_trees=15, k=10, seed=5)
-        assert [(e.name, e.score) for e in a.entries] != \
-               [(e.name, e.score) for e in c.entries]
+        assert not np.array_equal(a, c)
 
     def test_same_ranking_at_any_worker_count(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 30))
         churned = X[:, 2] - X[:, 5] + 0.3 * rng.normal(size=80) > 0
         mat, labels = make_inputs(X, churned)
-        got = {workers: [(e.rank, e.name, e.score) for e in select_trees(
-            mat, labels, n_trees=9, k=30, seed=2, workers=workers).entries]
-            for workers in (1, 2, 3)}
-        assert got[1] == got[2] == got[3]
+        got = {workers: select_trees(mat, labels, n_trees=9, k=30, seed=2,
+                                     workers=workers)
+               for workers in (1, 2, 3)}
+        assert np.array_equal(got[1], got[2])
+        assert np.array_equal(got[1], got[3])
 
     def test_unsorted_rows_give_the_sorted_ranking(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(70, 12))
         churned = X[:, 3] + X[:, 7] + 0.3 * rng.normal(size=70) > 0
         mat, labels = make_inputs(X, churned)
-        want = [(e.rank, e.name, e.score) for e in select_trees(
-            mat, labels, n_trees=8, k=12, seed=1).entries]
+        want = select_trees(mat, labels, n_trees=8, k=12, seed=1)
         for perm in (np.arange(70)[::-1], rng.permutation(70)):
             egos = [mat.ego_ids[i] for i in perm]
             got = select_trees(
                 FeatureMatrix(egos, list(mat.feature_names), X[perm]),
                 LabelSet(egos, churned[perm], labels.pct_inactive_eval[perm]),
                 n_trees=8, k=12, seed=1)
-            assert [(e.rank, e.name, e.score) for e in got.entries] == want
+            assert np.array_equal(got, want)
 
     def test_importances_nonnegative_sum_to_one(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(60, 8))
         churned = X[:, 1] > 0.2
         mat, labels = make_inputs(X, churned)
-        full = select_trees(mat, labels, n_trees=10, k=8, seed=0)
-        scores = [e.score for e in full.entries]
-        assert all(s >= 0 for s in scores)
-        assert sum(scores) == pytest.approx(1.0, abs=1e-9)
+        imp = select_trees(mat, labels, n_trees=10, k=8, seed=0)
+        assert (imp >= 0).all()
+        assert imp.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ranking_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     mat, labels = make_inputs(rng.normal(size=(30, 5)), rng.random(30) < 0.5)
-    ranking = univariate_ttest(mat, labels)
+    t = univariate_ttest(mat, labels)
     path = tmp_path / "rank.csv"
-    write_ranking(ranking, str(path))
+    write_ranking(str(path), T_STAT_ABS, mat.feature_names, t,
+                  ranked(mat.feature_names, t))
     again = read_ranking(str(path))
-    assert isinstance(again, FeatureRanking)
-    assert [e.name for e in again.entries] == [e.name for e in ranking.entries]
-    assert [e.score for e in again.entries] == [e.score for e in ranking.entries]
+    assert again.score_kind == T_STAT_ABS
+    assert [(e.rank, e.name, e.score) for e in again.entries] == \
+        rows(mat.feature_names, t)
 
 
-def test_ranked_order_equals_python_sort():
+def test_ranked_order_equals_python_sort(tmp_path):
     """Score descending, then name, as ``sorted`` with key (-score, name)
     gave: tied scores, infinities and signed zeros, names that prefix one
     another and names outside ASCII."""
@@ -261,16 +255,16 @@ def test_ranked_order_equals_python_sort():
     perm = rng.permutation(len(names))
     names = [names[i] for i in perm]
     old = sorted(range(len(names)), key=lambda i: (-scores[i], names[i]))
-    ranking = _ranked(names, scores, "kind")
+    order = ranked(names, scores)
+    assert list(order) == old
+    path = tmp_path / "rank.csv"
+    write_ranking(str(path), "kind", names, scores, order)
+    ranking = read_ranking(str(path))
     assert [e.name for e in ranking.entries] == [names[i] for i in old]
     assert [e.rank for e in ranking.entries] == list(range(1, len(names) + 1))
     # a signed zero keeps its sign in the score
     assert [math.copysign(1, e.score) for e in ranking.entries] == \
         [math.copysign(1, scores[i]) for i in old]
-
-
-def _entries(ranking):
-    return [(e.rank, e.name, e.score, e.degenerate) for e in ranking.entries]
 
 
 def _mixed(seed, n, d):
@@ -293,10 +287,10 @@ def test_cfm1_scan_gives_the_in_memory_rankings(tmp_path):
     got = []
     for cols, workers in ((matrix_mod.columns(path), 2),
                           (in_memory_columns(mat), 1)):
-        scanned = scan(cols, labels, workers)
-        got.append([_entries(scanned.ttest), _entries(scanned.r2),
-                    _entries(tree_select(scanned, labels, n_trees=6, k=20,
-                                         seed=3))])
+        t, r2, ranks = scan(cols, labels, workers)
+        imp = tree_select(ranks, labels, n_trees=6, k=20, seed=3)
+        got.append([rows(mat.feature_names, t), rows(mat.feature_names, r2),
+                    rows(mat.feature_names, imp, 20)])
     assert got[0] == got[1]
 
 
@@ -311,17 +305,15 @@ def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
     monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", n * 64)
     assert matrix_mod.column_blocks(n, d) == spans
     mat, labels = make_inputs(X, churned, pct=pct)
-    t, degenerate = ttest_scores(X, churned)  # over the whole matrix
-    want = [_entries(_ranked(mat.feature_names, t, T_STAT_ABS, degenerate)),
-            _entries(_ranked(mat.feature_names, r2_scores(X, pct),
-                             R_SQUARED))]
+    # over the whole matrix
+    want = [ttest_scores(X, churned), r2_scores(X, pct)]
     for workers in (1, 2):
-        scanned = scan(in_memory_columns(mat), labels, workers)
-        assert [_entries(scanned.ttest), _entries(scanned.r2)] == want
+        t, r2, ranks = scan(in_memory_columns(mat), labels, workers)
+        assert np.array_equal(t, want[0]) and np.array_equal(r2, want[1])
         codes, values, counts = rank_block(X.T)
-        assert np.array_equal(scanned.ranks.codes, codes)
-        assert np.array_equal(scanned.ranks.values, values)
-        assert np.array_equal(np.diff(scanned.ranks.offsets), counts)
+        assert np.array_equal(ranks.codes, codes)
+        assert np.array_equal(ranks.values, values)
+        assert np.array_equal(np.diff(ranks.offsets), counts)
 
 
 def test_nonfinite_cell_is_named_in_column_order(monkeypatch):
