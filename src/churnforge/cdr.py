@@ -472,18 +472,24 @@ def write_header_sidecar(window: StudyWindow, path: str) -> str:
                                f"eval_months={window.eval_months}\n")
 
 
+_SIDECAR_KEYS = ("start_day", "total_days", "train_months", "eval_months")
+
+
 def read_header_sidecar(path: str) -> StudyWindow:
     kv: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise CdrFormatError(f"{path}: bad header line {line!r}")
-                k, v = line.split("=", 1)
-                kv[k.strip()] = v.strip()
+                k, eq, v = (part.strip() for part in line.partition("="))
+                if not eq or k not in _SIDECAR_KEYS or k in kv:
+                    why = "expected key=value" if not eq else (
+                        "duplicate key" if k in kv else "unknown key")
+                    raise CdrFormatError(
+                        f"{path}:{line_no}: {why}: {line!r}")
+                kv[k] = v
     except OSError as exc:
         raise CdrFormatError(f"cannot read header sidecar {path}: {exc}") from exc
     try:

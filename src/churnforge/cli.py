@@ -289,13 +289,10 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
             scores, labels.pct_inactive_eval, bins)
         outputs[f"error_hist_{family}.csv"] = metrics_mod.write_histogram_csv(
             err_hist, str(out / f"error_hist_{family}.csv"))
-        row = {"model": family, "auc": auc, **rep}
-        cv_path = out / f"cv_{family}.json"
-        if cv_path.exists():
-            row["cv_mean"] = _cv_mean(cv_path)
-            inputs.append(cv_path)
-        report["models"].append(row)
-        inputs.append(scores_path)
+        cv_path = _require(out / f"cv_{family}.json", "churnforge train")
+        report["models"].append({"model": family, "auc": auc, **rep,
+                                 "cv_mean": _cv_mean(cv_path)})
+        inputs += [cv_path, scores_path]
     hist = metrics_mod.inactivity_distribution(labels.pct_inactive_eval,
                                                bins)
     outputs["inactivity_hist.csv"] = metrics_mod.write_histogram_csv(
@@ -332,15 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        cfg = PipelineConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.override("seed", args.seed)
         workers = args.workers
-        if workers is None and os.environ.get("CHURNFORGE_WORKERS"):
-            workers = int(os.environ["CHURNFORGE_WORKERS"])
-        if workers is not None:
-            cfg.override("workers", workers)
-        out = Path(args.out) if args.out else Path(cfg.raw.get("out_dir", "out"))
+        if workers is None:
+            workers = os.environ.get("CHURNFORGE_WORKERS") or None
+        cfg = PipelineConfig.from_file(
+            args.config, {"seed": args.seed, "workers": workers})
+        out = Path(args.out) if args.out else Path(cfg._get("out_dir"))
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,14 @@
 """Flat key=value pipeline configuration.
 
 One dotted key per line, '#' comments, order-insensitive. Unknown keys
-are fatal so typos cannot silently fall back to defaults. The resolved
-config renders canonically (sorted keys) for manifest hashing.
+are fatal so typos cannot silently fall back to defaults. Each key's
+default, type and range is one ``Param`` entry: ``_SCALARS`` for the
+scalar keys, ``models.FAMILIES`` for ``models.<family>.<param>``.
+``validate`` checks every key against its entry, and the study window,
+feature axes and model roster that several keys make together, when the
+config is read, so a bad value is a config error (exit 1) before any
+stage runs. The resolved config renders canonically (sorted keys) for
+manifest hashing.
 """
 
 from __future__ import annotations
@@ -12,39 +18,56 @@ from dataclasses import dataclass, field
 
 from .cdr import StudyWindow
 from .features import AXIS_TABLE, AxesConfig, ConfigError
-from .models import FAMILIES
+from .models import FAMILIES, Param
 
+
+def _is_day(text: str) -> bool:
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Every scalar key: its default, type and range (any value if none is
+# given). README.md lists them. window(), axes() and roster() check what
+# several keys make together; a stage checks a limit that needs the data.
 _SCALARS = {
-    "seed": (int, "42"),
-    "workers": (int, "1"),
-    "out_dir": (str, "out"),
-    "data.cdr": (str, ""),
-    "data.header": (str, ""),
-    "window.start_day": (str, "2024-01-01"),
-    "window.total_days": (int, "183"),
-    "window.train_months": (int, "4"),
-    "window.eval_months": (int, "2"),
-    "simgen.n_subscribers": (int, "5000"),
-    "simgen.target_churn_fraction": (float, "0.26"),
-    "simgen.daily_call_rate": (float, "1.0"),
-    "simgen.daily_sms_rate": (float, "2.0"),
-    "simgen.alter_pool_size": (int, "1000"),
-    "simgen.churn_decay_days": (int, "110"),
-    "simgen.competitor_signal_strength": (float, "3.0"),
-    "features.short_call_threshold_s": (int, "10"),
-    "features.day_start_hour": (int, "8"),
-    "features.day_end_hour": (int, "20"),
-    "features.denominators": (str, ""),
+    "seed": Param(42, int, lambda v: v >= 0),
+    "workers": Param(1, int),  # below 1 runs as 1
+    "out_dir": Param("out", str),
+    "data.cdr": Param("", str),
+    "data.header": Param("", str),
+    "window.start_day": Param("2024-01-01", str, _is_day),
+    "window.total_days": Param(183, int),
+    "window.train_months": Param(4, int, lambda v: v >= 1),
+    "window.eval_months": Param(2, int, lambda v: v >= 1),
+    "simgen.n_subscribers": Param(5000, int, lambda v: v >= 0),
+    "simgen.target_churn_fraction": Param(0.26, float, lambda v: 0 <= v <= 1),
+    "simgen.daily_call_rate": Param(1.0, float, lambda v: v >= 0),
+    "simgen.daily_sms_rate": Param(2.0, float, lambda v: v >= 0),
+    "simgen.alter_pool_size": Param(1000, int, lambda v: v >= 1),
+    "simgen.churn_decay_days": Param(110, int, lambda v: v >= 1),
+    "simgen.competitor_signal_strength": Param(3.0, float, lambda v: v >= 0),
+    "features.short_call_threshold_s": Param(10, int, lambda v: v >= 1),
+    "features.day_start_hour": Param(8, int),
+    "features.day_end_hour": Param(20, int),
+    "features.denominators": Param("", str),
     # one value; kept so that configs which set it parse and hash as before
-    "features.matrix_format": (str, "binary"),
-    "selection.n_trees": (int, "100"),
-    "selection.max_depth": (int, "12"),
-    "selection.k": (int, "100"),
-    "models.roster": (str, ",".join(FAMILIES)),
-    "cv.folds": (int, "5"),
-    "evaluate.threshold": (float, "0.5"),
-    "evaluate.bins": (int, "20"),
+    "features.matrix_format": Param("binary", str, lambda v: v == "binary"),
+    "selection.n_trees": Param(100, int, lambda v: v >= 1),
+    "selection.max_depth": Param(12, int, lambda v: v >= 1),
+    "selection.k": Param(100, int, lambda v: v >= 1),
+    "models.roster": Param(",".join(FAMILIES), str),
+    "cv.folds": Param(5, int, lambda v: v >= 2),
+    "evaluate.threshold": Param(0.5, float),
+    "evaluate.bins": Param(20, int, lambda v: v >= 1),
 }
+# every key; AxesConfig checks the dimensions an axis key lists
+_KEYS = {**_SCALARS,
+         **{f"features.axes.{a}": Param("", str) for a, _, _ in AXIS_TABLE},
+         **{f"models.{f}.{name}": p for f, family in FAMILIES.items()
+            for name, p in family.params.items()}}
 
 
 @dataclass
@@ -52,7 +75,10 @@ class PipelineConfig:
     raw: dict = field(default_factory=dict)
 
     @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
+    def from_file(cls, path: str,
+                  overrides: dict | None = None) -> "PipelineConfig":
+        """The checked config of the file at ``path``, with the values of
+        ``overrides`` that are not None put over the file's."""
         raw = {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -70,43 +96,38 @@ class PipelineConfig:
                     raw[key] = value.strip()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw.update((k, str(v)) for k, v in (overrides or {}).items()
+                   if v is not None)
         cfg = cls(raw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        for key in self.raw:
-            if key in _SCALARS:
-                continue
-            if key.startswith("features.axes."):
-                axis = key[len("features.axes."):]
-                if axis not in (k for k, _, _ in AXIS_TABLE):
-                    raise ConfigError(f"unknown axis key {key!r}")
-                continue
-            if key.startswith("models."):
-                parts = key.split(".")
-                if len(parts) == 3 and parts[1] in FAMILIES \
-                        and parts[2] in FAMILIES[parts[1]].params:
-                    continue
-            raise ConfigError(f"unknown config key {key!r}")
-        # force type errors now rather than mid-pipeline
-        for key, (typ, _default) in _SCALARS.items():
-            if key in self.raw and typ is not str:
-                try:
-                    typ(self.raw[key])
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {key}={self.raw[key]!r} is not {typ.__name__}")
-        if self._get("features.matrix_format") != "binary":
-            raise ConfigError("config key features.matrix_format: the only "
-                              "matrix format is binary")
-
-    def override(self, key: str, value) -> None:
-        self.raw[key] = str(value)
+        """Refuse an unknown key or a value outside its type or range,
+        naming the key, then build what several keys make together."""
+        for key, value in self.raw.items():
+            param = _KEYS.get(key)
+            if param is None:
+                kind = "axis" if key.startswith("features.axes.") else "config"
+                raise ConfigError(f"unknown {kind} key {key!r}")
+            try:
+                typed = param.type(value)
+            except ValueError:
+                raise ConfigError(f"config key {key}={value!r} is not "
+                                  f"{param.type.__name__}") from None
+            if not param.ok(typed):
+                raise ConfigError(
+                    f"config key {key}={value!r} is out of range")
+        try:
+            self.window()
+        except ValueError as exc:  # the month tiles do not add up
+            raise ConfigError(f"config key window.total_days: {exc}") from None
+        self.axes()
+        self.roster()
 
     def _get(self, key: str):
-        typ, default = _SCALARS[key]
-        return typ(self.raw.get(key, default))
+        param = _SCALARS[key]
+        return param.type(self.raw.get(key, param.default))
 
     @property
     def seed(self) -> int:
@@ -117,12 +138,9 @@ class PipelineConfig:
         return max(1, self._get("workers"))
 
     def window(self) -> StudyWindow:
-        try:
-            start = datetime.date.fromisoformat(self._get("window.start_day"))
-        except ValueError as exc:
-            raise ConfigError(f"window.start_day: {exc}") from exc
         return StudyWindow(
-            start_day=start,
+            start_day=datetime.date.fromisoformat(
+                self._get("window.start_day")),
             total_days=self._get("window.total_days"),
             train_months=self._get("window.train_months"),
             eval_months=self._get("window.eval_months"))
@@ -161,12 +179,7 @@ class PipelineConfig:
         for pname, param in FAMILIES[family].params.items():
             key = f"models.{family}.{pname}"
             if key in self.raw:
-                try:
-                    out[pname] = param.type(self.raw[key])
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {key}={self.raw[key]!r} is not "
-                        f"{param.type.__name__}")
+                out[pname] = param.type(self.raw[key])
         return out
 
     def canonical(self) -> str:
@@ -176,8 +189,7 @@ class PipelineConfig:
         change what the pipeline produces, so reruns at a different
         worker count hash identically.
         """
-        resolved = {k: str(typ(self.raw.get(k, d)))
-                    for k, (typ, d) in _SCALARS.items()}
+        resolved = {k: str(self._get(k)) for k in _SCALARS}
         for key, value in self.raw.items():
             if key not in _SCALARS:
                 resolved[key] = value

@@ -70,12 +70,13 @@ class ConfigError(ValueError):
 def _check_subset(name, values, allowed):
     values = tuple(values)
     if not values:
-        raise ConfigError(f"axis {name} must keep at least one dimension")
+        raise ConfigError(
+            f"features.axes.{name} must keep at least one dimension")
     for v in values:
         if v not in allowed:
-            raise ConfigError(f"axis {name}: unknown dimension {v!r}")
+            raise ConfigError(f"features.axes.{name}: unknown dimension {v!r}")
     if len(set(values)) != len(values):
-        raise ConfigError(f"axis {name}: duplicate dimensions")
+        raise ConfigError(f"features.axes.{name}: duplicate dimensions")
     return values
 
 
@@ -98,11 +99,11 @@ class AxesConfig:
         for key, field, allowed in AXIS_TABLE:
             object.__setattr__(self, field, _check_subset(
                 key, getattr(self, field), allowed))
-        if self.short_call_threshold_s < 1:
-            raise ConfigError("short_call_threshold_s must be >= 1")
         lo, hi = self.day_hours
         if not (0 <= lo < hi <= 24):
-            raise ConfigError(f"day_hours {self.day_hours} must satisfy 0 <= lo < hi <= 24")
+            raise ConfigError(
+                f"features.day_start_hour={lo} and features.day_end_hour={hi} "
+                f"must satisfy 0 <= start < end <= 24")
 
 
 def enumerate_features(config: AxesConfig,

@@ -102,11 +102,11 @@ def _r_arr(fh, dtype: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Param(NamedTuple):
-    """One hyperparameter: its default, its type in a config file, and
-    the range check a value must pass."""
+    """One config value: its default, its type in a config file, and
+    the range check a value must pass (none by default)."""
     default: object
     type: type
-    ok: Callable[[object], bool]
+    ok: Callable[[object], bool] = lambda v: True
 
 
 @dataclass(frozen=True)
@@ -355,12 +355,12 @@ FAMILIES: dict[str, Family] = {
         dump=_dump_knn, load=_load_knn),
     "random_forest": Family(
         params={"n_trees": Param(100, int, lambda v: v >= 1),
-                "max_depth": Param(12, int, lambda v: v is None or v >= 1)},
+                "max_depth": Param(12, int, lambda v: v >= 1)},
         fit=_fit_forest, score=lambda f, Z: f["forest"].predict_score(Z),
         dump=_dump_forest, load=_load_forest),
     "adaboost": Family(
         params={"rounds": Param(100, int, lambda v: v >= 1),
-                "max_depth": Param(2, int, lambda v: v is None or v >= 1)},
+                "max_depth": Param(2, int, lambda v: v >= 1)},
         fit=_fit_adaboost, score=_score_adaboost,
         dump=_dump_adaboost, load=_load_adaboost),
 }
@@ -368,21 +368,11 @@ FAMILIES: dict[str, Family] = {
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One family's fit settings. The config that gives ``params``
+    checked their range when it was read."""
     family: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        known = FAMILIES[self.family].params
-        for key, value in self.params.items():
-            if key not in known:
-                raise ValueError(
-                    f"{self.family}: unknown hyperparameter {key!r}")
-            if not known[key].ok(value):
-                raise ValueError(
-                    f"{self.family}: hyperparameter {key}={value!r} out of range")
 
     def resolved(self) -> dict:
         out = {key: p.default

@@ -53,6 +53,7 @@ _KIND_DIR = tuple(f",{k},{d}," for k in KIND_TOKENS for d in DIRECTION_TOKENS)
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Generator settings; the config checks their ranges when it is read."""
     n_subscribers: int
     window: StudyWindow
     target_churn_fraction: float = 0.26
@@ -62,20 +63,6 @@ class SimConfig:
     churn_decay_days: int = 110
     competitor_signal_strength: float = 3.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n_subscribers < 0:
-            raise ValueError("n_subscribers must be >= 0")
-        if not 0.0 <= self.target_churn_fraction <= 1.0:
-            raise ValueError("target_churn_fraction must be in [0, 1]")
-        if self.daily_call_rate < 0 or self.daily_sms_rate < 0:
-            raise ValueError("daily rates must be >= 0")
-        if self.alter_pool_size < 1:
-            raise ValueError("alter_pool_size must be >= 1")
-        if self.churn_decay_days < 1:
-            raise ValueError("churn_decay_days must be >= 1")
-        if self.competitor_signal_strength < 0:
-            raise ValueError("competitor_signal_strength must be >= 0")
 
 
 def generate(config: SimConfig, cdr_path: str, truth_path: str,

@@ -9,10 +9,25 @@ import pytest
 
 from churnforge.cdr import (ALTER_CLASS_TOKENS, CSV_HEADER, DIRECTION_TOKENS,
                             KIND_TOKENS, SECONDS_PER_DAY, StudyWindow, ingest)
-from churnforge.features import FULL_ONLY_STATS, WINDOWS
+from churnforge.config import PipelineConfig
+from churnforge.features import FULL_ONLY_STATS, WINDOWS, ConfigError
 from churnforge.matrix import Columns, FeatureMatrix
 
 WINDOW = StudyWindow(datetime.date(2024, 1, 1), 183, 4, 2)
+
+
+def read_config(tmp_path, text):
+    """The PipelineConfig of a config file holding ``text``."""
+    path = tmp_path / "c.cfg"
+    path.write_text(text, encoding="utf-8")
+    return PipelineConfig.from_file(str(path))
+
+
+def config_error(tmp_path, text) -> str:
+    """The message of the ConfigError that reading ``text`` raises."""
+    with pytest.raises(ConfigError) as exc:
+        read_config(tmp_path, text)
+    return str(exc.value)
 
 
 def ingest_rows(rows, window=WINDOW):

@@ -170,6 +170,24 @@ def test_header_sidecar_bad_content(tmp_path):
         read_header_sidecar(str(path))
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("total_days=184\n", "duplicate key: 'total_days=184'"),
+    ("days=183\n", "unknown key: 'days=183'"),
+    ("# a comment\n\ntotal_days 183\n",
+     "expected key=value: 'total_days 183'"),
+], ids=["duplicate", "unknown", "no_equals"])
+def test_header_sidecar_bad_line_names_file_and_line(tmp_path, extra,
+                                                     message):
+    # a repeated key must not silently win over the first
+    path = tmp_path / "h.txt"
+    write_header_sidecar(WINDOW, str(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    line_no = 4 + extra.count("\n")
+    with pytest.raises(CdrFormatError, match=f"{path}:{line_no}: {message}"):
+        read_header_sidecar(str(path))
+
+
 # A plain file is split in bulk; a quoted header field sends the same rows
 # through the csv module. Both must give the same store, and so must the
 # reference: every row checked one at a time by int() and _validate_fast.

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from churnforge.cli import main
-from churnforge.config import PipelineConfig
+from churnforge.config import _SCALARS, PipelineConfig
 from churnforge.features import AxesConfig, ConfigError
+from churnforge.models import FAMILIES
+from conftest import config_error
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,10 +118,42 @@ class TestConfigParsing:
                 tmp_path / "d.txt", "models.knn.neighbors=7\n"))
 
     def test_bad_roster(self, tmp_path):
-        cfg = PipelineConfig.from_file(write_cfg(
-            tmp_path / "c.txt", "models.roster=logreg,magic\n"))
-        with pytest.raises(ConfigError):
-            cfg.roster()
+        with pytest.raises(ConfigError, match="models.roster"):
+            PipelineConfig.from_file(write_cfg(
+                tmp_path / "c.txt", "models.roster=logreg,magic\n"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("seed=-1\n", "config key seed='-1' is out of range"),
+        ("models.knn.k=two\n", "config key models.knn.k='two' is not int"),
+        ("models.adaboost.max_depth=0\n",
+         "config key models.adaboost.max_depth='0' is out of range"),
+        ("window.start_day=2024-13-01\n",
+         "config key window.start_day='2024-13-01' is out of range"),
+        ("window.train_months=0\n",
+         "config key window.train_months='0' is out of range"),
+        ("window.total_days=100\n", "config key window.total_days: "
+         "total_days=100 does not tile into 6 months"),
+        ("features.short_call_threshold_s=0\n",
+         "config key features.short_call_threshold_s='0' is out of range"),
+        ("features.day_start_hour=21\n", "features.day_start_hour=21 and "
+         "features.day_end_hour=20 must satisfy 0 <= start < end <= 24"),
+        ("features.axes.kind=fax\n",
+         "features.axes.kind: unknown dimension 'fax'"),
+        ("models.roster=,\n", "models.roster is empty"),
+    ], ids=["range", "type", "hyperparameter_range", "start_day",
+            "months", "tiling", "short_call", "day_hours", "axis_dimension",
+            "empty_roster"])
+    def test_bad_value_fatal_naming_the_key(self, tmp_path, text, message):
+        assert message in config_error(tmp_path, text)
+
+    def test_overrides_are_checked(self, tmp_path):
+        path = write_cfg(tmp_path / "c.txt", "seed=3\n")
+        cfg = PipelineConfig.from_file(path, {"seed": 4, "workers": None})
+        assert (cfg.seed, cfg.workers) == (4, 1)
+        with pytest.raises(ConfigError, match="config key seed='-1'"):
+            PipelineConfig.from_file(path, {"seed": -1})
+        with pytest.raises(ConfigError, match="config key workers='x'"):
+            PipelineConfig.from_file(path, {"workers": "x"})
 
     def test_canonical_rendering_is_stable_and_sorted(self, tmp_path):
         a = PipelineConfig.from_file(write_cfg(tmp_path / "a.txt",
@@ -128,6 +163,41 @@ class TestConfigParsing:
         assert a.canonical() == b.canonical()
         lines = a.canonical().splitlines()
         assert lines == sorted(lines)
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, cells with
+    their backticks stripped."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip().strip("`") for c in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    scalars = {row[0]: row[1] for row in _readme_table(
+        "| key | default | range |") if "<" not in row[0]}
+    assert scalars == {k: str(p.default) or "empty"
+                       for k, p in _SCALARS.items()}
+    params = {f"models.{row[0]}.{row[1]}": row[2] for row in _readme_table(
+        "| family | parameter | default | range |")}
+    assert params == {f"models.{f}.{name}": str(p.default)
+                      for f, family in FAMILIES.items()
+                      for name, p in family.params.items()}
+
+
+def test_every_default_passes_its_own_type_and_range():
+    entries = list(_SCALARS.items()) + [
+        (f"models.{f}.{name}", p) for f, family in FAMILIES.items()
+        for name, p in family.params.items()]
+    for key, p in entries:
+        assert type(p.default) is p.type, key
+        assert p.type(str(p.default)) == p.default, key
+        assert p.ok(p.default), key
 
 
 class TestCliErrors:
@@ -246,6 +316,38 @@ class TestPipeline:
         scores = (out / "scores_logreg.csv").read_text().splitlines()[1:]
         assert [l.split(",")[0] for l in labels] == \
             [s.split(",")[0] for s in scores]
+
+
+def _snapshot(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"), ("simgen.alter_pool_size", "0"),
+    ("window.total_days", "100"), ("features.day_start_hour", "21"),
+    ("selection.n_trees", "0"), ("selection.k", "0"), ("models.knn.k", "0"),
+    ("models.roster", "magic"), ("cv.folds", "1"), ("evaluate.bins", "0"),
+    ("--seed", "-1"),
+])
+def test_bad_value_refused_before_any_stage(pipeline_out, tmp_path, capsys,
+                                            key, value):
+    cfg_path, out = pipeline_out
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    before = _snapshot(run)
+    argv = ["pipeline", "--out", str(run)]
+    if key.startswith("--"):
+        argv += [key, value, "--config", str(cfg_path)]
+        key = key[2:]
+    else:
+        lines = [line for line in SMALL_CFG.splitlines()
+                 if not line.startswith(f"{key}=")]
+        argv += ["--config", write_cfg(tmp_path / "bad.cfg", "\n".join(
+            lines + [f"{key}={value}\n"]))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert _snapshot(run) == before
 
 
 def test_env_workers_fallback(tmp_path, monkeypatch):

@@ -115,6 +115,28 @@ def test_bad_cv_report_fails_evaluate_with_path(run_copy, capsys, text,
     assert f"{path}: " in err and message in err
 
 
+def test_missing_cv_report_fails_evaluate_with_path(run_copy, capsys):
+    # a report row without its cross-validated figures would pass unnoticed
+    (run_copy / "cv_knn.json").unlink()
+    assert _stage("evaluate", run_copy) == EXIT_DATA
+    assert "missing cv_knn.json" in capsys.readouterr().err
+    assert not (run_copy / "manifest_evaluate.json").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("total_days=184", "duplicate key: 'total_days=184'"),
+    ("days=183", "unknown key: 'days=183'"),
+    ("total_days 183", "expected key=value: 'total_days 183'"),
+], ids=["duplicate", "unknown", "no_equals"])
+def test_bad_header_sidecar_fails_featurize_with_line(run_copy, capsys, line,
+                                                      message):
+    path = run_copy / "cdr.header"
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n",
+                    encoding="utf-8")
+    assert _stage("featurize", run_copy) == EXIT_DATA
+    assert f"{path}:5: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stage", ["train", "score"])
 def test_selected_feature_the_matrix_lacks_fails_with_path(run_copy, capsys,
                                                            stage):

@@ -11,8 +11,8 @@ from churnforge.models import (FAMILIES, ModelSpec, _knn_scores, kfold_cv,
                                read_scores, save_model, threshold_baseline,
                                train, write_scores)
 from churnforge.tree import DecisionTree, BaggedForest
-from conftest import (columns, in_memory_columns, knn_scores_by_sort,
-                      logreg_loss)
+from conftest import (columns, config_error, in_memory_columns,
+                      knn_scores_by_sort, logreg_loss, read_config)
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -54,11 +54,15 @@ def synthetic_problem(n=300, d=8, seed=0):
 
 
 class TestSpecValidation:
-    def test_families(self):
+    """A ModelSpec's family and parameters are checked by the config that
+    gives them, when it is read."""
+
+    def test_families(self, tmp_path):
         for family in FAMILIES:
-            ModelSpec(family=family)
-        with pytest.raises(ValueError):
-            ModelSpec(family="xgboost")
+            assert read_config(tmp_path, f"models.roster={family}\n"
+                               ).roster() == [family]
+        assert "models.roster: unknown family 'xgboost'" in config_error(
+            tmp_path, "models.roster=xgboost\n")
 
     @pytest.mark.parametrize("family,params", [
         ("logreg", {"lr": -1}),
@@ -67,9 +71,10 @@ class TestSpecValidation:
         ("adaboost", {"rounds": 0}),
         ("linear_svm", {"lam": 0}),
     ])
-    def test_bad_hyperparameters(self, family, params):
-        with pytest.raises(ValueError):
-            ModelSpec(family=family, params=params)
+    def test_bad_hyperparameters(self, tmp_path, family, params):
+        (name, value), = params.items()
+        key = f"models.{family}.{name}"
+        assert key in config_error(tmp_path, f"{key}={value}\n")
 
 
 class TestLogreg:

@@ -8,7 +8,7 @@ from churnforge.cdr import SECONDS_PER_DAY, ingest
 from churnforge.cli import main
 from churnforge.labeling import compute_labels, split_windows
 from churnforge.simgen import _BLOCK, _OUT_SHRINK, SimConfig, _cdf, generate
-from conftest import WINDOW, read_truth
+from conftest import WINDOW, config_error, read_truth
 
 SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
 
@@ -100,11 +100,12 @@ def test_generated_rows_are_all_well_formed(tmp_path):
     {"churn_decay_days": 0},
     {"competitor_signal_strength": -1.0},
 ])
-def test_config_validation(kwargs):
-    base = dict(n_subscribers=5, window=WINDOW)
-    base.update(kwargs)
-    with pytest.raises(ValueError):
-        SimConfig(**base)
+def test_config_validation(tmp_path, kwargs):
+    # refused when the config is read, naming the key, before any stage
+    (name, value), = kwargs.items()
+    key = f"simgen.{name}"
+    assert f"config key {key}='{value}' is out of range" in config_error(
+        tmp_path, f"{key}={value}\n")
 
 
 def test_competitor_signal_planted(tmp_path):
