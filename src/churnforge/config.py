@@ -14,6 +14,7 @@ manifest hashing.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 
 from .cdr import StudyWindow
@@ -60,7 +61,7 @@ _SCALARS = {
     "selection.k": Param(100, int, lambda v: v >= 1),
     "models.roster": Param(",".join(FAMILIES), str),
     "cv.folds": Param(5, int, lambda v: v >= 2),
-    "evaluate.threshold": Param(0.5, float),
+    "evaluate.threshold": Param(0.5, float, lambda v: not math.isnan(v)),
     "evaluate.bins": Param(20, int, lambda v: v >= 1),
 }
 # every key; AxesConfig checks the dimensions an axis key lists
@@ -167,9 +168,11 @@ class PipelineConfig:
     def roster(self) -> list[str]:
         families = [f.strip() for f in self._get("models.roster").split(",")
                     if f.strip()]
-        for f in families:
+        for i, f in enumerate(families):
             if f not in FAMILIES:
                 raise ConfigError(f"models.roster: unknown family {f!r}")
+            if f in families[:i]:
+                raise ConfigError(f"models.roster: family {f!r} listed twice")
         if not families:
             raise ConfigError("models.roster is empty")
         return families

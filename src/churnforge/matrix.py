@@ -11,8 +11,9 @@ matrix as its one chunk. ``load`` returns the whole matrix or only the
 columns it is asked for, so ``train``, ``score`` and ``evaluate`` read
 only the columns they use, and checks that every cell it reads is
 finite. ``columns`` reads a matrix one block of columns at a time
-(``select`` never holds the whole float matrix), and ``column_blocks``
-cuts those blocks.
+(``select`` never holds the whole float matrix), ``column_blocks`` cuts
+those blocks, and ``column_spans`` cuts a block into the 64-column
+slices that ``select`` scores and ranks one at a time.
 """
 
 from __future__ import annotations
@@ -29,20 +30,32 @@ from . import artifact
 
 _MAGIC = b"CFM1"
 _BLOCK_VALUES = 1 << 20  # about this many cells per block of columns
+_NARROWEST = 4  # columns in a last block or slice; narrower ones join in
 
 
 def column_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """(lo, hi) spans that cut the columns into blocks of about
-    ``_BLOCK_VALUES`` cells.
+    ``_BLOCK_VALUES`` cells, by ``column_spans``."""
+    return column_spans(
+        n_cols, max(64, _BLOCK_VALUES // max(n_rows, 1) // 64 * 64))
 
-    Widths are multiples of 64, and a last block one column wide joins
-    the block before it: numpy sums a one-column block's rows pairwise,
-    and BLAS sums each column of a block as over the whole matrix only
-    where the blocks start on the same multiples.
+
+def column_spans(n_cols: int, width: int = 64) -> list[tuple[int, int]]:
+    """(lo, hi) spans that cut ``n_cols`` columns into ``width`` wide
+    ones, a multiple of 64.
+
+    A last span narrower than ``_NARROWEST`` columns joins the span
+    before it. BLAS sums each column of a block as over the whole matrix
+    only where the blocks start on the same multiples, and not in a
+    block of one to three columns: numpy sums a one-column block's rows
+    pairwise, and OpenBLAS's matrix-vector product sums a block of two
+    or three columns in another order than it sums the last columns of a
+    wider block. ``select`` scores and ranks each block in 64-column
+    slices cut by this rule too, so every slice sums as the whole
+    matrix would.
     """
-    width = max(64, _BLOCK_VALUES // max(n_rows, 1) // 64 * 64)
     spans = [(lo, min(lo + width, n_cols)) for lo in range(0, n_cols, width)]
-    if len(spans) > 1 and spans[-1][1] - spans[-1][0] == 1:
+    if len(spans) > 1 and spans[-1][1] - spans[-1][0] < _NARROWEST:
         spans[-2:] = [(spans[-2][0], n_cols)]
     return spans
 

@@ -2,10 +2,13 @@
 
 ``scan`` reads the matrix once, one block of columns at a time, on up to
 ``workers`` processes, and never holds the whole float matrix. Each
-block is checked for non-finite cells and yields its two univariate
-scores (Welch t statistic against the binary label, R squared against
-the continuous inactivity label), its rank codes and its sorted distinct
-values. The scores are computed from a C-ordered copy of the block, so
+block is checked for non-finite cells, then scored and ranked in
+64-column slices, so that a block's scratch is a few slices' worth, not
+several copies of the block. Each slice yields its two univariate scores
+(Welch t statistic against the binary label, R squared against the
+continuous inactivity label), its rank codes and its sorted distinct
+values. The scores are computed from a C-ordered copy of the slice, and
+slices start on the same multiples of 64 as over the whole matrix, so
 every sum runs in the order it would over the whole matrix.
 ``tree_select`` then grows a bagged tree ensemble from the rank codes
 alone and scores columns by normalized Gini importance. A ranking is a
@@ -83,7 +86,8 @@ def univariate_r2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 def scan(cols: matrix_mod.Columns, labels: LabelSet,
          workers: int = 1) -> tuple[np.ndarray, np.ndarray, ColumnRanks]:
     """(|t|, R squared, rank codes) of every column of a matrix, read a
-    block of columns at a time.
+    block of columns at a time and scored and ranked in the block's
+    64-column slices (``matrix.column_spans``).
 
     ValueError names the first non-finite cell, in column order: split
     search needs a total order.
@@ -97,26 +101,34 @@ def scan(cols: matrix_mod.Columns, labels: LabelSet,
         raise ValueError("non-churner class is empty, t-test undefined")
     y = labels.pct_inactive_eval
     n, d = len(cols.ego_ids), len(cols.feature_names)
-    spans = matrix_mod.column_blocks(n, d)
+    # each block's slices, (lo, hi) in matrix columns
+    blocks = [[(lo + a, lo + b) for a, b in matrix_mod.column_spans(hi - lo)]
+              for lo, hi in matrix_mod.column_blocks(n, d)]
 
-    def block(span):
-        lo, hi = span
-        cells = cols.read(lo, hi)
+    def block(slices):
+        lo = slices[0][0]
+        cells = cols.read(lo, slices[-1][1])
         matrix_mod.check_block_finite(cells, cols.ego_ids,
                                       cols.feature_names, lo)
-        X = cells.T.copy()  # C order, as the whole matrix would be
-        return (univariate_ttest(X, churn), univariate_r2(X, y)), \
-            rank_block(cells)
+        out = []
+        for a, b in slices:
+            part = cells[a - lo:b - lo]
+            X = part.T.copy()  # C order, as the whole matrix would be
+            out.append((univariate_ttest(X, churn), univariate_r2(X, y),
+                        rank_block(part)))
+        return out
 
     t, r2 = np.empty(d), np.empty(d)
 
-    def ranked_blocks():
-        for (lo, hi), (scores, ranks) in zip(
-                spans, parallel.map(block, spans, workers)):
-            t[lo:hi], r2[lo:hi] = scores
-            yield ranks
+    def ranked_slices():
+        for slices, results in zip(blocks,
+                                   parallel.map(block, blocks, workers)):
+            for (lo, hi), (ts, r2s, ranks) in zip(slices, results):
+                t[lo:hi], r2[lo:hi] = ts, r2s
+                yield ranks
 
-    return t, r2, collect_ranks(n, spans, ranked_blocks())
+    return t, r2, collect_ranks(n, [s for b in blocks for s in b],
+                                ranked_slices())
 
 
 def tree_select(ranks: ColumnRanks, labels: LabelSet, n_trees: int = 100,

@@ -136,7 +136,21 @@ class DecisionTree:
         self.left: np.ndarray | None = None
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
-        self.importances_: np.ndarray | None = None
+        self.n_features = 0
+        # Gini decrease summed per split column, in the order the columns
+        # were first split on
+        self.gains: dict[int, float] = {}
+
+    def __getattr__(self, name: str):
+        """``importances_``, the Gini decrease per column as a dense
+        array: ``gains`` with a 0 for every column the tree does not
+        split on, built when read and never stored."""
+        if name != "importances_":
+            raise AttributeError(f"{type(self).__name__!r} object has "
+                                 f"no attribute {name!r}")
+        imp = np.zeros(self.n_features)
+        imp[list(self.gains)] = list(self.gains.values())
+        return imp
 
     def fit(self, X, y: np.ndarray,
             sample_weight: np.ndarray | None = None,
@@ -162,7 +176,7 @@ class DecisionTree:
             counts = np.asarray(counts, dtype=np.int64)
             root = np.flatnonzero(counts)
             w = w * counts
-        self.importances_ = np.zeros(d)
+        self.n_features, self.gains = d, {}
 
         feature, threshold, left, right, value = [], [], [], [], []
         # stack of (node_id, row index array, depth)
@@ -189,7 +203,8 @@ class DecisionTree:
             if split is None:
                 continue
             feat, lo, hi, cost = split
-            self.importances_[feat] += max(float(wsum * imp - cost), 0.0)
+            self.gains[feat] = self.gains.get(feat, 0.0) + \
+                max(float(wsum * imp - cost), 0.0)
             vals = ranks.column_values(feat)
             thr = float((vals[lo] + vals[hi]) / 2.0)
             # X[rows, feat] <= thr, by code
@@ -240,15 +255,15 @@ class DecisionTree:
         if len(pos) == 0:
             return None
         cut = col * len(rows) + pos  # flat into `order`
-        ws = wr[order]
-        ys = yr[order]
-
-        cw = np.cumsum(ws, axis=1)
-        cwy = np.cumsum(ws * ys, axis=1)
-        lw = cw.ravel()[cut]
+        # at most two (columns, rows) float arrays live beside `order`: a
+        # node's scratch that outgrows glibc's trim threshold is handed
+        # back to the kernel and faulted in again at the next node
+        lw = np.cumsum(wr[order], axis=1).ravel()[cut]
         rw = wsum - lw
+        cwy = np.cumsum((wr * yr)[order], axis=1)
         lwy = cwy.ravel()[cut]
         rwy = cwy[col, -1] - lwy
+        del cwy
 
         with np.errstate(invalid="ignore", divide="ignore"):
             pl = np.where(lw > 0, lwy / lw, 0.0)
@@ -295,7 +310,13 @@ class DecisionTree:
 
 
 class BaggedForest:
-    """Bootstrap-aggregated trees with per-split feature subsampling."""
+    """Bootstrap-aggregated trees with per-split feature subsampling.
+
+    Each tree carries its Gini decrease per split column (``gains``),
+    not a dense array over every column, so a tree grown in a pool
+    child pickles back in a size set by its splits, not by the matrix's
+    width. ``feature_importances_`` is their sum, normalized.
+    """
 
     def __init__(self, n_trees: int = 100, max_depth: int | None = 12,
                  seed: int = 0):
@@ -313,7 +334,9 @@ class BaggedForest:
 
         Tree t draws only from its own ``[seed, t]`` stream, and the
         importances are summed in tree order, so the forest is the same
-        bit for bit at any worker count.
+        bit for bit at any worker count. Each tree's gains are added to
+        their columns alone: every gain is at least 0.0, so adding the 0
+        of a column a tree does not split on would change no bit.
         """
         ranks = X if isinstance(X, ColumnRanks) else rank_columns(X, workers)
         y = np.asarray(y, dtype=np.float64)
@@ -330,7 +353,8 @@ class BaggedForest:
         self.trees = list(parallel.map(grow, range(self.n_trees), workers))
         raw = np.zeros(d)
         for tree in self.trees:
-            raw += tree.importances_
+            for feat, gain in tree.gains.items():
+                raw[feat] += gain
         total = raw.sum()
         self.feature_importances_ = raw / total if total > 0 else raw
         return self

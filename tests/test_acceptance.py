@@ -7,6 +7,7 @@ label, baseline, and selection criteria.
 """
 
 import json
+import shutil
 import time
 
 import numpy as np
@@ -46,7 +47,8 @@ def benchmark_run(tmp_path_factory):
     code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
     elapsed = time.perf_counter() - started
     assert code == 0
-    return {"out": out, "elapsed": elapsed, "cfg": cfg_path}
+    yield {"out": out, "elapsed": elapsed, "cfg": cfg_path}
+    shutil.rmtree(root)  # the 727 MB matrix and the rest of the run
 
 
 def test_criterion_01_feature_count_oracle():

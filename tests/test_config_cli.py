@@ -140,9 +140,13 @@ class TestConfigParsing:
         ("features.axes.kind=fax\n",
          "features.axes.kind: unknown dimension 'fax'"),
         ("models.roster=,\n", "models.roster is empty"),
+        ("models.roster=knn,logreg,knn\n",
+         "models.roster: family 'knn' listed twice"),
+        ("evaluate.threshold=nan\n",
+         "config key evaluate.threshold='nan' is out of range"),
     ], ids=["range", "type", "hyperparameter_range", "start_day",
             "months", "tiling", "short_call", "day_hours", "axis_dimension",
-            "empty_roster"])
+            "empty_roster", "repeated_family", "nan_threshold"])
     def test_bad_value_fatal_naming_the_key(self, tmp_path, text, message):
         assert message in config_error(tmp_path, text)
 
@@ -245,7 +249,8 @@ def pipeline_out(tmp_path_factory):
     out = root / "out"
     assert main(["pipeline", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
-    return cfg_path, out
+    yield cfg_path, out
+    shutil.rmtree(root)
 
 
 class TestPipeline:
@@ -326,7 +331,8 @@ def _snapshot(out: Path) -> dict:
     ("seed", "-1"), ("simgen.alter_pool_size", "0"),
     ("window.total_days", "100"), ("features.day_start_hour", "21"),
     ("selection.n_trees", "0"), ("selection.k", "0"), ("models.knn.k", "0"),
-    ("models.roster", "magic"), ("cv.folds", "1"), ("evaluate.bins", "0"),
+    ("models.roster", "magic"), ("models.roster", "knn,knn"),
+    ("cv.folds", "1"), ("evaluate.threshold", "nan"), ("evaluate.bins", "0"),
     ("--seed", "-1"),
 ])
 def test_bad_value_refused_before_any_stage(pipeline_out, tmp_path, capsys,

@@ -25,14 +25,16 @@ SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small") / "out"
     assert main(["pipeline", "--config", SMALL_CFG, "--out", str(out)]) == 0
-    return out
+    yield out
+    shutil.rmtree(out)
 
 
 @pytest.fixture
 def run_copy(small_run, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(small_run, out)
-    return out
+    yield out
+    shutil.rmtree(out)
 
 
 def _stage(stage, out):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -107,6 +108,21 @@ def test_forest_same_at_any_worker_count(seed):
             for name in _TREE_ARRAYS:
                 assert np.array_equal(getattr(got, name),
                                       getattr(want, name)), name
+
+
+def test_wide_forest_tree_pickles_small():
+    # a tree comes back from a pool child pickled: its size must follow
+    # its splits, not the width of the matrix it was grown on
+    rng = np.random.default_rng(4)
+    n, d = 40, 20_000
+    X = rng.integers(0, 3, size=(n, d)).astype(float)
+    y = (X[:, 7] + rng.integers(0, 2, size=n) > 1).astype(float)
+    forest = BaggedForest(n_trees=2, max_depth=4, seed=0).fit(
+        rank_columns(X), y, workers=2)
+    for tree in forest.trees:
+        assert (tree.feature != -1).any()
+        assert len(tree.importances_) == d
+        assert len(pickle.dumps(tree)) < 8 * d // 20
 
 
 def test_rank_codes_same_at_any_worker_count(monkeypatch):

@@ -297,12 +297,18 @@ def test_cfm1_scan_gives_the_in_memory_rankings(tmp_path):
 @pytest.mark.parametrize("d,spans", [
     (129, [(0, 64), (64, 129)]),               # a one-column tail joins in
     (140, [(0, 64), (64, 128), (128, 140)]),   # a narrow last block
+    (131, [(0, 64), (64, 131)]),               # so does a three-column tail
+    (129, [(0, 129)]),                         # slices of 64 and 65
+    (130, [(0, 130)]),                         # slices of 64 and 64 + 2
+    (321, [(0, 192), (192, 321)]),             # 3 x 64, then 64 and 65
 ])
 def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
                                                          spans):
     n = 70
     X, churned, pct = _mixed(d, n, d)
-    monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", n * 64)
+    # blocks as wide as the first, rounded up to a multiple of 64
+    monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES",
+                        n * -(-spans[0][1] // 64) * 64)
     assert matrix_mod.column_blocks(n, d) == spans
     mat, labels = make_inputs(X, churned, pct=pct)
     # over the whole matrix
