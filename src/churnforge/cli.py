@@ -161,6 +161,7 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
         ranks, labels, n_trees=cfg._get("selection.n_trees"), k=k,
         seed=cfg.seed, max_depth=cfg._get("selection.max_depth"),
         workers=cfg.workers)
+    del ranks  # the rankings are written without the rank codes
     names = columns.feature_names
     r2_order = select_mod.ranked(names, r2)
     top = select_mod.ranked(names, tree)[:k]

@@ -29,7 +29,14 @@ import numpy as np
 from . import artifact
 
 _MAGIC = b"CFM1"
-_BLOCK_VALUES = 1 << 20  # about this many cells per block of columns
+# About this many cells per block of columns: 1 MB of float64, so that
+# ``select``'s scan blocks (and ``write``'s gather blocks) stay small.
+# The forest that ``select`` grows next does not need larger ones: its
+# histogram search bins at most 512 KB arrays at a time
+# (``tree._HIST_CELLS``), which glibc serves from its heap, where a
+# whole-node search ran fast only after the free of a larger block had
+# raised glibc's mmap threshold.
+_BLOCK_VALUES = 1 << 17
 _NARROWEST = 4  # columns in a last block or slice; narrower ones join in
 
 

@@ -2,8 +2,11 @@
 
 Children are forked, so they inherit the function and the arrays it
 reads without pickling them; only each item's result is pickled back.
-Results are yielded in item order as they arrive, so a caller that
-combines them in that order gets the same bytes at any worker count.
+A child takes one item at a time and sends its result back alone, so
+the caller holds one result's pickle, not a run of them, and gets each
+result as soon as it and those before it are done. Results are yielded
+in item order as they arrive, so a caller that combines them in that
+order gets the same bytes at any worker count.
 
 Each child starts on its own CPU and may move from there: forked
 children otherwise tend to share their parent's CPU, for seconds, while
@@ -40,14 +43,14 @@ def _install(fn: Callable, items: list, started) -> None:
         pass
 
 
-def _call(run: slice) -> list:
+def _call(i: int):
     fn, items = _task
-    return [fn(item) for item in items[run]]
+    return fn(items[i])
 
 
 def map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """``fn(item) for item in items``, spread over ``workers`` forked
-    processes in contiguous runs of items.
+    processes one item per task.
 
     ``fn`` may be a closure: it reaches the children by fork, not by
     pickle. An exception raised by ``fn`` in a child is raised here,
@@ -60,15 +63,9 @@ def map(fn: Callable, items: Iterable, workers: int) -> Iterator:
         except ValueError:  # no fork on this platform
             pass
         else:
-            n = min(workers, len(items))
-            # the runs Pool.map would cut: about four per worker
-            chunk = -(-len(items) // (4 * n))
-            runs = [slice(lo, lo + chunk)
-                    for lo in range(0, len(items), chunk)]
-            with ctx.Pool(n, _install,
+            with ctx.Pool(min(workers, len(items)), _install,
                           (fn, items, ctx.Value("i", 0))) as pool:
-                for results in pool.imap(_call, runs):
-                    yield from results
+                yield from pool.imap(_call, range(len(items)))
             return
     for item in items:
         yield fn(item)

@@ -4,13 +4,24 @@ Trees grow from a ``ColumnRanks`` alone: each column's dense rank codes
 plus its sorted distinct values, in the spirit of XGBoost's pre-sorted
 column blocks (Chen & Guestrin, 2016). A float matrix is ranked once per
 ensemble, a block of columns at a time; ``select`` builds the ranks from
-its column blocks and never holds the float matrix. At each node, split
-search gathers the node's codes for the sampled feature block, orders
-each column by a stable radix argsort of the codes, and scores every cut
-with prefix sums of the weights. A bootstrap is passed as integer row
-counts, not as copied rows. Trees classify 0/1 labels by Gini impurity
-and support sample weights (for boosting) and per-split feature
-subsampling (for bagging).
+its column blocks and never holds the float matrix. Columns of integers
+from 0 to the row count are ranked by counting, the others by argsort.
+A bootstrap is passed as integer row counts, not as copied rows. Trees
+classify 0/1 labels by Gini impurity and support sample weights (for
+boosting) and per-split feature subsampling (for bagging).
+
+Split search gathers the node's codes for the sampled feature block and
+scores every cut between two distinct values one of two ways. The sort
+path orders each column by a stable radix argsort of the codes and takes
+prefix sums of the weights. The histogram path, for a bootstrap tree's
+node with at least as many (row, column) cells as its sampled columns
+have distinct values, sums the weights per code with ``np.bincount``
+(as LightGBM does; Ke et al., 2017) and takes one prefix sum over the
+codes. A bootstrap tree's weights are its integer row
+counts and its labels are 0/1, so every one of these sums is an integer
+that float64 holds exactly in any order: both paths see the same sums,
+compute the same costs, and break ties alike, so they find the same
+split, bit for bit. Boosting's float weights keep the sort path.
 
 A split's threshold is the midpoint of the two distinct values either
 side of the cut, so the trees are exact CART trees. A node's rows are
@@ -33,6 +44,17 @@ from .matrix import column_blocks
 
 LEAF = -1                  # feature of a leaf node
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
+# A bootstrap node searches by histogram when _HIST_FACTOR x rows x
+# sampled columns >= the sampled columns' distinct values. Factors from
+# 0.25 to 4 grew the criterion-9 forest equally fast; below that, small
+# nodes bin mostly empty codes, and above it, large nodes sort.
+_HIST_FACTOR = 1.0
+# (row, column) cells binned at a time. A group's scratch is a few
+# arrays of at most 512 KB, which glibc serves from its heap once the
+# first has been freed, whatever earlier work in the process left
+# there. Binned whole, a large node's arrays were mapped and faulted in
+# afresh at every such node unless a larger block had been freed first.
+_HIST_CELLS = 1 << 16
 
 
 @dataclass
@@ -62,8 +84,58 @@ def _code_dtype(n_rows: int) -> type:
 def rank_block(cols: np.ndarray) -> tuple:
     """(codes, distinct values, distinct counts) of a (columns, rows)
     block of floats: the codes of each column, every column's distinct
-    values ascending one column after another, and how many each has."""
+    values ascending one column after another, and how many each has.
+
+    Columns of integers from 0 to the row count (``_countable``) are
+    ranked by counting, the others by argsort; both give the same codes
+    and the same values, bit for bit.
+    """
     cols = np.ascontiguousarray(cols, dtype=np.float64)
+    counted = _countable(cols)
+    if not counted.any():
+        return _sort_ranks(cols)
+    codes = np.empty(cols.shape, dtype=_code_dtype(cols.shape[1]))
+    counts = np.empty(len(cols), dtype=np.int64)
+    codes[counted], ints, counts[counted] = _count_ranks(cols[counted])
+    codes[~counted], floats, counts[~counted] = _sort_ranks(cols[~counted])
+    values = np.empty(counts.sum())
+    of_counted = np.repeat(counted, counts)  # each value's column
+    values[of_counted], values[~of_counted] = ints, floats
+    return codes, values, counts
+
+
+def _countable(cols: np.ndarray) -> np.ndarray:
+    """Which columns hold only integers from +0.0 to the row count: no
+    fraction, negative, -0.0, nan or inf."""
+    n = cols.shape[1]
+    if n == 0:
+        return np.zeros(len(cols), dtype=bool)
+    return ((cols == np.floor(cols)).all(axis=1)  # False for nan
+            & ~np.signbit(cols).any(axis=1)
+            & (cols.max(axis=1) <= n))
+
+
+def _count_ranks(cols: np.ndarray) -> tuple:
+    """``rank_block`` of ``_countable`` columns: each column's values
+    marked present in one run of bins, column after column, and a code
+    the count of present values below it."""
+    ints = cols.astype(np.intp)
+    span = ints.max(axis=1) + 1  # bins per column
+    first = np.cumsum(span) - span
+    ints += first[:, None]
+    present = np.zeros(span.sum(), dtype=bool)
+    present[ints.ravel()] = True
+    below = np.cumsum(present)  # present values up to each bin
+    ends = below[first + span - 1]
+    counts = np.diff(ends, prepend=0)
+    codes = (below[ints] - (ends - counts + 1)[:, None]).astype(
+        _code_dtype(cols.shape[1]))
+    values = np.flatnonzero(present) - np.repeat(first, counts)
+    return codes, values.astype(np.float64), counts
+
+
+def _sort_ranks(cols: np.ndarray) -> tuple:
+    """``rank_block`` by a stable argsort of each column."""
     order = np.argsort(cols, axis=1)
     srt = np.take_along_axis(cols, order, axis=1)
     if srt.shape[1] and np.isnan(srt[:, -1]).any():  # nan sorts last
@@ -80,18 +152,21 @@ def rank_block(cols: np.ndarray) -> tuple:
 def collect_ranks(n: int, spans: list, ranked: Iterable) -> ColumnRanks:
     """The ColumnRanks of a matrix of ``n`` rows from ``rank_block`` of
     each of its column ``spans`` (``(lo, hi)``, in column order), written
-    into one codes array as each block's result arrives."""
+    into one codes array and one values array as each block's result
+    arrives. The values array grows in place (``realloc``), so it is
+    not held twice, as a list of parts and their concatenation."""
     d = spans[-1][1] if spans else 0
     codes = np.empty((d, n), dtype=_code_dtype(n))
     offsets = np.zeros(d + 1, dtype=np.int64)
-    values = []
+    values = np.zeros(0)
     for (lo, hi), (block, vals, counts) in zip(spans, ranked, strict=True):
         codes[lo:hi] = block
         offsets[lo + 1:hi + 1] = counts
-        values.append(vals)
+        k = len(values)
+        values.resize(k + len(vals), refcheck=False)  # nothing views it
+        values[k:] = vals
     np.cumsum(offsets, out=offsets)
-    return ColumnRanks(codes, np.concatenate(values) if values
-                       else np.zeros(0), offsets)
+    return ColumnRanks(codes, values, offsets)
 
 
 def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
@@ -113,6 +188,70 @@ def node_order(block: np.ndarray) -> tuple:
     cs = np.take_along_axis(block, order, axis=1)
     pos, col = np.nonzero((cs[:, 1:] > cs[:, :-1]).T)
     return order, pos, col
+
+
+def _histogram_split(codes, feats, distinct, rows, yr, wr, wsum):
+    """``DecisionTree._best_split`` of a node whose weights ``wr`` are its
+    rows' integer bootstrap counts, from per-code sums of ``wr`` and
+    ``wr * yr`` (histograms, as in LightGBM; Ke et al., 2017).
+
+    The sampled columns are binned a group at a time, about
+    ``_HIST_CELLS`` (row, column) cells per group, so that a node's
+    scratch stays small at any row count. Every sum is of integers, so
+    it is exact in any order and equals the sort path's prefix sum at
+    the same cut: the costs are the same floats. Ties go to the lowest
+    cost, then the fewest left rows counted with multiplicity (``lw``),
+    then the earliest sampled column, as on the sort path.
+    """
+    wy = wr * yr
+    wysum = wy.sum()
+    step = max(1, _HIST_CELLS // len(rows))
+    cuts = []  # the best (cost, lw, sampled column, lo, hi) of each group
+    for a in range(0, len(feats), step):
+        cut = _best_cut(codes[feats[a:a + step]][:, rows],
+                        distinct[a:a + step], wr, wy, wsum, wysum)
+        if cut is not None:
+            cost, lw, j, lo, hi = cut
+            cuts.append((cost, lw, a + j, lo, hi))
+    if not cuts:
+        return None
+    cost, _, j, lo, hi = min(cuts)
+    return int(feats[j]), lo, hi, cost
+
+
+def _best_cut(block, distinct, wr, wy, wsum, wysum):
+    """(cost, lw, column, low code, high code) of the cheapest cut of a
+    (columns, node rows) block of codes, or None.
+
+    The columns' codes share one run of bins, column after column,
+    ``distinct`` bins each, and a cut lies between two consecutive codes
+    present in the node.
+    """
+    m = len(block)
+    first = np.cumsum(distinct) - distinct  # each column's first bin
+    bins = (block + first[:, None]).ravel()
+    hw = np.bincount(bins, np.tile(wr, m), distinct.sum())
+    hwy = np.bincount(bins, np.tile(wy, m), distinct.sum())
+    present = np.flatnonzero(hw)  # every node row counts at least 1
+    col = np.searchsorted(first, present, side="right") - 1
+    cut = np.flatnonzero(col[1:] == col[:-1])  # after present[cut]
+    if len(cut) == 0:
+        return None
+    col = col[cut]
+    # each column holds every node row once, so the columns before
+    # column c add c * wsum to the running sum
+    lw = np.cumsum(hw[present])[cut] - col * wsum
+    lwy = np.cumsum(hwy[present])[cut] - col * wysum
+    rw = wsum - lw
+    rwy = wysum - lwy
+    pl = lwy / lw
+    pr = rwy / rw
+    cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
+    tied = np.flatnonzero(cost == cost.min())
+    k = tied[np.lexsort((col[tied], lw[tied]))[0]]
+    j = col[k]
+    lo, hi = present[cut[k]:cut[k] + 2] - first[j]
+    return cost[k], lw[k], j, lo, hi
 
 
 class DecisionTree:
@@ -177,6 +316,7 @@ class DecisionTree:
             root = np.flatnonzero(counts)
             w = w * counts
         self.n_features, self.gains = d, {}
+        by_counts = counts is not None and sample_weight is None
 
         feature, threshold, left, right, value = [], [], [], [], []
         # stack of (node_id, row index array, depth)
@@ -199,7 +339,8 @@ class DecisionTree:
             cr = None if counts is None else counts[rows]
             presorted = self.root_order if node == 0 and counts is None \
                 else None
-            split = self._best_split(codes, rows, yr, wr, wsum, cr, presorted)
+            split = self._best_split(ranks, rows, yr, wr, wsum, cr, presorted,
+                                     by_counts)
             if split is None:
                 continue
             feat, lo, hi, cost = split
@@ -230,7 +371,8 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         return self
 
-    def _best_split(self, codes, rows, yr, wr, wsum, cr, presorted):
+    def _best_split(self, ranks, rows, yr, wr, wsum, cr, presorted,
+                    by_counts):
         """(feature, low code, high code, cost) of the cheapest split over
         a sample of columns, or None; the codes are those of the two
         distinct values either side of the cut.
@@ -241,13 +383,24 @@ class DecisionTree:
         weights ``wr`` and, under a bootstrap, the counts ``cr``.
         ``presorted`` is ``node_order`` of this node over every column,
         used when no columns are sampled.
+
+        When the weights are the bootstrap counts (``by_counts``) and the
+        node has at least as many (row, column) cells as the sampled
+        columns have distinct values (times ``_HIST_FACTOR``),
+        ``_histogram_split`` finds the same split without sorting.
         """
+        codes = ranks.codes
         d = codes.shape[0]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
             presorted = None
         else:
             feats = np.arange(d)
+        if by_counts:
+            distinct = ranks.offsets[feats + 1] - ranks.offsets[feats]
+            if _HIST_FACTOR * len(rows) * len(feats) >= distinct.sum():
+                return _histogram_split(codes, feats, distinct, rows, yr,
+                                        wr, wsum)
         if presorted is None:
             # (sampled columns, node rows)
             presorted = node_order(codes[feats][:, rows])

@@ -57,6 +57,23 @@ def test_map_yields_each_result_as_it_arrives(tmp_path):
         rest = list(results)
         assert [i for i, _ in rest] == [1, 2, 3] and rest[-1] == (3, True)
 
+    # more items than four runs per worker, each after the first waiting
+    # for the flag: a map that handed out runs of items would hold the
+    # first result back until the rest of its run gave up waiting
+    def wait_unless_first(i):
+        deadline = time.monotonic() + 10
+        while i > 0 and not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return i, flag.exists()
+
+    n = 4 * 2 * 3
+    for workers in (1, 2):
+        flag.unlink(missing_ok=True)
+        results = parallel.map(wait_unless_first, range(n), workers)
+        assert next(results) == (0, False)
+        flag.touch()
+        assert list(results) == [(i, True) for i in range(1, n)]
+
 
 def test_map_raises_what_a_child_raises():
     def fail(i):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from churnforge import tree as tree_mod
 from churnforge.tree import (BaggedForest, ColumnRanks, DecisionTree,
-                             rank_columns)
+                             rank_block, rank_columns)
 
 
 def test_memorizes_training_data_without_bootstrap():
@@ -209,11 +210,58 @@ def _duplicated(seed, n=40, d=6):
     return X, y
 
 
-@pytest.mark.parametrize("make", [_tied, _duplicated])
+def _few_codes(seed, n=300):
+    """Many rows over few codes: every split search bins by histogram."""
+    X, y = _tied(seed, n=n, levels=2)
+    X[::3, 1] = np.where(X[::3, 1] == 0, -0.0, X[::3, 1])  # signed zeros
+    return X, y
+
+
+def _many_codes(seed, n=60, d=12):
+    """Few rows over many distinct codes: every split search sorts."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    # repeated and mirrored columns give equal costs across columns
+    X = np.hstack([X, X[:, :2], -X[:, :2]])
+    X[::2, 3] = 0.0
+    X[1::4, 3] = -0.0
+    y = ((X[:, 0] + 0.5 * rng.normal(size=n)) > 0).astype(float)
+    return X, y
+
+
+# the split searches that must (and must not) run on each data set
+_SEARCHES = {_few_codes: ("_histogram_split", "node_order"),
+             _many_codes: ("node_order", "_histogram_split")}
+
+
+def _count_searches(monkeypatch, make):
+    """Calls per split search, for the data sets of ``_SEARCHES``. On
+    ``_few_codes`` a large node bins its columns in several groups."""
+    calls = {}
+    if make is _few_codes:
+        monkeypatch.setattr(tree_mod, "_HIST_CELLS", 256)
+    for name in _SEARCHES.get(make, ()):
+        def counted(*args, _fn=getattr(tree_mod, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(tree_mod, name, counted)
+    return calls
+
+
+def _assert_searches(calls, make):
+    if make in _SEARCHES:
+        taken, skipped = _SEARCHES[make]
+        assert calls.get(taken, 0) > 0 and calls.get(skipped, 0) == 0, calls
+
+
+@pytest.mark.parametrize("make", [_tied, _duplicated, _few_codes,
+                                  _many_codes])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_forest_equals_row_copy_reference(make, seed):
+def test_forest_equals_row_copy_reference(monkeypatch, make, seed):
     X, y = make(seed)
+    calls = _count_searches(monkeypatch, make)
     forest = BaggedForest(n_trees=6, seed=seed).fit(X, y)
+    _assert_searches(calls, make)
     trees, imp = _reference_forest(X, y, n_trees=6, seed=seed)
     for got, want in zip(forest.trees, trees, strict=True):
         _assert_same_tree(got, want)
@@ -234,14 +282,20 @@ def test_forest_equals_reference_on_continuous_columns(seed):
     assert np.array_equal(forest.feature_importances_, imp)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_counts_equal_repeated_rows(seed):
-    X, y = _tied(seed, n=50)
+@pytest.mark.parametrize("seed,make", [
+    *(pytest.param(seed, _tied, id=str(seed)) for seed in range(4)),
+    pytest.param(0, _few_codes, id="few_codes"),
+    pytest.param(0, _many_codes, id="many_codes")])
+def test_counts_equal_repeated_rows(monkeypatch, seed, make):
+    X, y = make(seed, n=50)
     counts = np.bincount(np.random.default_rng(seed).integers(0, 50, 50),
                          minlength=50)
     got = DecisionTree(max_features=4, rng=np.random.default_rng(seed))
     want = _ReferenceTree(max_features=4, rng=np.random.default_rng(seed))
-    _assert_same_tree(got.fit(X, y, counts=counts), want.fit(X, y, counts=counts))
+    calls = _count_searches(monkeypatch, make)
+    got.fit(X, y, counts=counts)
+    _assert_searches(calls, make)
+    _assert_same_tree(got, want.fit(X, y, counts=counts))
 
 
 @pytest.mark.parametrize("max_depth", [1, 2])
@@ -285,6 +339,42 @@ def test_rank_codes_share_ties_and_keep_order():
         # the code indexes the column's sorted distinct values
         assert np.array_equal(ranks.column_values(j), np.unique(col))
         assert np.array_equal(ranks.column_values(j)[c], col)
+    # a slice of columns ranked by counting (integers from +0.0 up to the
+    # row count) and by argsort ranks as argsort ranks every column
+    rng = np.random.default_rng(3)
+    n = 70
+    small = rng.integers(0, 9, n).astype(float)
+    signed = small.copy()
+    signed[small == 0] = -0.0
+    signed[::2] = np.abs(signed[::2])  # 0.0 and -0.0
+    up_to_n = rng.integers(0, n, n) * 1.0
+    up_to_n[5] = n
+    mixed = np.stack([
+        small,                                     # counted
+        up_to_n,                                   # counted, up to n
+        np.where(small > 4, n + 1.0, small),       # above the row count
+        signed,                                    # -0.0
+        small - 3,                                 # negatives
+        2.0 ** 40 + small,                         # large integers
+        small + 0.5,                               # fractions
+        np.zeros(n),                               # one value, counted
+        rng.normal(size=n).round(1),               # floats, 0.0 tied
+        np.full(n, 7.0),                           # one value, counted
+    ])
+    counted = tree_mod._countable(mixed)
+    assert counted.tolist() == [True, True, False, False, False, False,
+                                False, True, False, True]
+    got = rank_block(mixed)
+    want = tree_mod._sort_ranks(mixed)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()  # -0.0 stays -0.0
+    assert np.array_equal(got[2], want[2])
+    # and so does a matrix whose slices mix them, read through its ranks
+    ranks = rank_columns(mixed.T)
+    for j, col in enumerate(mixed):
+        assert np.array_equal(ranks.column_values(j)[ranks.codes[j]], col)
+        assert np.array_equal(np.argsort(ranks.codes[j], kind="stable"),
+                              np.argsort(col, kind="stable"))
 
 
 def test_rank_codes_widen_past_uint16_rows():
