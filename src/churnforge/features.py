@@ -137,10 +137,18 @@ _KIND_GROUPS = [[0, 1], [2], [1], [0, 1, 2]]   # call, sms, short_call, any
 _BIN_GROUPS = [[0], [1], [0, 1]]               # x, y, any
 _AC_GROUPS = [[0], [1], [2], [3], [4], [5], [0, 1, 2, 3, 4, 5]]
 
-# Subscribers per block of row_chunks. Expanded, a block's degree
-# presence holds 3,780 words of 8 bytes (four months) for each started
-# 64 counterparties of each of its subscribers.
-_BLOCK = 32
+# Subscribers whose source values ``_block_sources`` computes at once.
+# Its scratch grows with the block: a subscriber's source values are as
+# many as the 18,149 features of the full vocabulary (145 KB), held as
+# total and per-active-day planes, their concatenation and its gather,
+# and the expanded degree presence holds 3,780 words of 8 bytes (four
+# months) for each started 64 counterparties of each subscriber. At 8
+# subscribers that stays below one 32-row chunk of the full vocabulary.
+_BLOCK = 8
+# Rows per chunk at least. Each chunk is one part of ``matrix.write``'s
+# spill file, and every column block is read back from every part, so
+# fewer rows per chunk mean more and smaller reads.
+_CHUNK_ROWS = 32
 
 
 def _expand(arr: np.ndarray, axis: int, groups, op) -> np.ndarray:
@@ -202,6 +210,14 @@ def _source_sizes(n_months: int) -> dict:
 _PLANE_SHAPE_FILT = (4, 3, 3, 3, 7)
 
 
+def _filter_offsets() -> dict:
+    """The C-order offset in a plane of each combination of the six
+    filter axes, by its dotted name (``itertools.product`` varies the
+    last axis fastest)."""
+    return {".".join(p): off for off, p in enumerate(
+        itertools.product(*(allowed for _, _, allowed in AXIS_TABLE[:6])))}
+
+
 def _axis_position(axis: int, value: str) -> int:
     key, _, allowed = AXIS_TABLE[axis]
     try:
@@ -221,25 +237,29 @@ def _window_index(window: str, n_months: int) -> int:
     return w
 
 
-def _base_index(name: str, n_months: int, start: dict) -> int:
+def _base_index(name: str, n_months: int, start: dict,
+                offsets: dict) -> int:
     """Index of the base feature ``name`` among a subscriber's source
-    values; ``start`` maps each plane of _SOURCE_ORDER to its first."""
+    values; ``start`` maps each plane of _SOURCE_ORDER to its first, and
+    ``offsets`` is ``_filter_offsets()``."""
     parts = name.split(".")
     if len(parts) == 2 and parts[0] == "inactivity":
         return start["inact"] + _window_index(parts[1], n_months)
     if len(parts) != len(AXIS_TABLE):
         raise ConfigError(f"expected {len(AXIS_TABLE)} dot-separated parts "
                           f"or inactivity.<window>, got {len(parts)}")
-    pos = [_axis_position(axis, part) for axis, part in enumerate(parts)]
+    off = offsets.get(".".join(parts[:6]))
+    if off is None:  # raise naming the first part that is not a dimension
+        for axis, part in enumerate(parts[:6]):
+            _axis_position(axis, part)
     window, statistic = parts[6], parts[7]
+    _axis_position(6, window)
+    stat = _axis_position(7, statistic)
     if statistic in FULL_ONLY_STATS and window != "full":
         raise ConfigError(f"statistic {statistic} requires window 'full', "
                           f"got {window!r}")
-    off = 0  # the C-order offset of the six filter axes in their plane
-    for i, n in zip(pos[:6], (2,) + _PLANE_SHAPE_FILT):
-        off = off * n + i
     # _SOURCE_ORDER has one plane per statistic, in STATISTICS order
-    plane = start[_SOURCE_ORDER[pos[7]]]
+    plane = start[_SOURCE_ORDER[stat]]
     if statistic in FULL_ONLY_STATS:
         return plane + off
     return plane + off * (n_months + 1) + _window_index(window, n_months)
@@ -269,10 +289,11 @@ def _build_plan(names, window, train_range, axes: AxesConfig) -> _Plan:
         base += sizes[src]
 
     index = {}  # of each base feature read so far; ratios repeat them
+    offsets = _filter_offsets()
 
     def source_index(part):
         if part not in index:
-            index[part] = _base_index(part, n_months, start)
+            index[part] = _base_index(part, n_months, start, offsets)
         return index[part]
 
     # a feature is a base feature or a ratio <numerator>/<denominator>
@@ -413,29 +434,32 @@ def _block_sources(store: RecordStore, b0: int, b1: int,
 def row_chunks(store: RecordStore, names: list[str], axes: AxesConfig,
                train_range: tuple[int, int] | None = None):
     """The rows of ``compute_matrix``, yielded in order as chunks of
-    whole ``_BLOCK`` groups and about ``matrix._BLOCK_VALUES`` cells.
+    ``_CHUNK_ROWS`` rows, or of the most multiples of it that fit in
+    ``matrix._BLOCK_VALUES`` cells where that is more (up to 2,048
+    features); the last chunk holds the rows left.
 
     Each chunk is a Fortran-ordered (rows, features) array, so its
-    transpose is the chunk's rows column-major. The plan is built (and a
-    bad name raises) when the first chunk is asked for.
+    transpose is the chunk's rows column-major. It is filled ``_BLOCK``
+    subscribers at a time. The plan is built (and a bad name raises)
+    when the first chunk is asked for.
     """
     if train_range is None:
         train_range = (0, store.window.train_days)
     plan = _build_plan(names, store.window, train_range, axes)
     n = len(store)
-    step = max(_BLOCK, matrix_mod._BLOCK_VALUES // max(plan.n_cols, 1)
-               // _BLOCK * _BLOCK)
+    step = max(_CHUNK_ROWS, matrix_mod._BLOCK_VALUES // max(plan.n_cols, 1)
+               // _CHUNK_ROWS * _CHUNK_ROWS)
     for r0 in range(0, n, step):
         chunk = np.empty((min(step, n - r0), plan.n_cols), order="F")
         for b0 in range(0, len(chunk), _BLOCK):
-            b1 = min(b0 + _BLOCK, len(chunk))
-            src = _block_sources(store, r0 + b0, r0 + b1, plan)
-            chunk[b0:b1, plan.base_out] = np.take(src, plan.base_src, axis=1)
+            rows = chunk[b0:b0 + _BLOCK]  # a view: written in place
+            src = _block_sources(store, r0 + b0, r0 + b0 + len(rows), plan)
+            rows[:, plan.base_out] = np.take(src, plan.base_src, axis=1)
             num = np.take(src, plan.ratio_num, axis=1)
             den = np.take(src, plan.ratio_den, axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
-                chunk[b0:b1, plan.ratio_out] = np.where(den != 0, num / den,
-                                                        0.0)
+                rows[:, plan.ratio_out] = np.where(den != 0, num / den, 0.0)
+            del src, num, den  # before the next block's scratch
         yield chunk
 
 

@@ -110,9 +110,11 @@ def _countable(cols: np.ndarray) -> np.ndarray:
     n = cols.shape[1]
     if n == 0:
         return np.zeros(len(cols), dtype=bool)
-    return ((cols == np.floor(cols)).all(axis=1)  # False for nan
-            & ~np.signbit(cols).any(axis=1)
-            & (cols.max(axis=1) <= n))
+    # read as unsigned integers, the floats from +0.0 to n are the bit
+    # patterns up to n's; -0.0, negatives, nan and inf lie above it
+    return ((cols == np.floor(cols)).all(axis=1)
+            & (cols.view(np.uint64).max(axis=1)
+               <= np.float64(n).view(np.uint64)))
 
 
 def _count_ranks(cols: np.ndarray) -> tuple:

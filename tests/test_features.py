@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ from churnforge.cdr import SECONDS_PER_DAY
 from churnforge.features import (ALTER_CLASSES, DAY_TYPES, DIRECTIONS, KINDS,
                                  MEASURES, STATISTICS, TIMES_OF_DAY, WINDOWS,
                                  AxesConfig, ConfigError, _BLOCK,
-                                 compute_matrix, enumerate_features,
-                                 row_chunks)
+                                 _CHUNK_ROWS, compute_matrix,
+                                 enumerate_features, row_chunks)
+from churnforge import features as feat_mod
 from churnforge import matrix as matrix_mod
 from conftest import (DEFAULT_DENOMINATORS, WINDOW, column, count_features,
                       ingest_rows, make_store, random_rows)
@@ -378,6 +380,43 @@ class TestProperties:
             assert alone.ego_ids == [ego]
             assert whole.values[i].tobytes() == alone.values[0].tobytes()
 
+    def test_block_size_does_not_change_the_matrix(self, monkeypatch):
+        # ratios, a subscriber with no training events, chunks of
+        # _CHUNK_ROWS rows (the last short), and blocks that cut them
+        # evenly, unevenly, one row at a time or not at all
+        rows = random_rows(n_subscribers=_CHUNK_ROWS + 8, seed=8,
+                           max_events=30)
+        rows += [("S100", "A000", WINDOW.start_epoch + day * SECONDS_PER_DAY,
+                  0, 1, 60, 0) for day in (130, 150)]
+        store = ingest_rows(rows)
+        names = enumerate_features(AXES, DEFAULT_DENOMINATORS[:2])[::37]
+        monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", len(names))
+        want = compute_matrix(store, names, AXES).values.tobytes()
+        for block in (1, 3, 8, 32):
+            monkeypatch.setattr(feat_mod, "_BLOCK", block)
+            chunks = row_chunks(store, names, AXES)
+            assert [len(c) for c in chunks] == [_CHUNK_ROWS, 9]
+            assert compute_matrix(store, names, AXES).values.tobytes() == want
+
+    def test_row_chunks_scratch_stays_under_a_chunk(self):
+        # featurize holds each chunk while the next one fills; above those
+        # two, a block's scratch must stay under one more chunk (it was
+        # 3.4 chunks with blocks of 32 subscribers)
+        names = enumerate_features(AXES)
+        list(row_chunks(make_store(n_subscribers=1, seed=3), names[:50],
+                        AXES))  # numpy's first-use allocations
+        store = make_store(n_subscribers=2 * _CHUNK_ROWS + 6, seed=2)
+        chunk_bytes = _CHUNK_ROWS * len(names) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lengths = [len(chunk) for chunk in row_chunks(store, names, AXES)]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert lengths == [_CHUNK_ROWS, _CHUNK_ROWS, 6]
+        assert peak < 3 * chunk_bytes
+
 
 class TestComputeErrors:
     def test_window_outside_train_range_fatal(self, random_store):
@@ -416,15 +455,15 @@ class TestMatrixFormats:
 
     def test_streamed_write_equals_save_of_the_whole_matrix(
             self, tmp_path, monkeypatch):
-        store = make_store(n_subscribers=2 * _BLOCK + 1, seed=4)
+        store = make_store(n_subscribers=2 * _CHUNK_ROWS + 1, seed=4)
         names = enumerate_features(AXES)[:300]
         whole = compute_matrix(store, names, AXES)
         matrix_mod.save(whole, str(tmp_path / "whole.cfm"))
         want = (tmp_path / "whole.cfm").read_bytes()
         # rows of 32, 32 and 1; columns in blocks of 64
-        monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", _BLOCK * 64)
+        monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", _CHUNK_ROWS * 64)
         chunks = list(row_chunks(store, names, AXES))
-        assert [len(c) for c in chunks] == [_BLOCK, _BLOCK, 1]
+        assert [len(c) for c in chunks] == [_CHUNK_ROWS, _CHUNK_ROWS, 1]
         assert len(matrix_mod.column_blocks(len(store), len(names))) == 5
         path = tmp_path / "m.cfm"
         digest = matrix_mod.write(str(path), whole.ego_ids, names, chunks)

@@ -369,6 +369,17 @@ def test_rank_codes_share_ties_and_keep_order():
     assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
     assert got[1].tobytes() == want[1].tobytes()  # -0.0 stays -0.0
     assert np.array_equal(got[2], want[2])
+    # one cell outside the integers from +0.0 to n keeps a column of
+    # small integers from being counted
+    for odd in (n - 0.5, n + 0.5, n + 1.0, np.nextafter(n, 0.0), 5e-324,
+                -5e-324, -0.0, -1.0, np.inf, -np.inf, np.nan, -np.nan,
+                2.0 ** 52 + 1):
+        col = small.copy()
+        col[3] = odd
+        assert not tree_mod._countable(col[None])[0], odd
+        col[3] = n  # the largest countable value
+        assert tree_mod._countable(col[None])[0]
+    assert tree_mod._countable(np.zeros((3, 0))).tolist() == [False] * 3
     # and so does a matrix whose slices mix them, read through its ranks
     ranks = rank_columns(mixed.T)
     for j, col in enumerate(mixed):
