@@ -178,7 +178,7 @@ def _load_linear(fh, d: int) -> dict:
     return {"w": w, "b": b}
 
 
-def _knn_scores(Ztr, ytr, k, Zte, block: int = 512) -> np.ndarray:
+def _knn_scores(Ztr, ytr, k, Zte, block: int = 128) -> np.ndarray:
     k = min(k, len(Ztr))
     tr_norm = (Ztr ** 2).sum(axis=1)
     out = np.empty(len(Zte))
@@ -277,7 +277,9 @@ def _fit_adaboost(Z, y, params, seed):
     n = len(y)
     w = np.full(n, 1.0 / n)
     ranks = rank_columns(Z)
-    root_order = node_order(ranks.codes)  # each round's root has every row
+    # each round's root has every row and every column
+    root_order = node_order(ranks.take(np.arange(ranks.shape[0]),
+                                       np.arange(n)))
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     eps = 1e-12

@@ -6,10 +6,11 @@ block is checked for non-finite cells, then scored and ranked in
 64-column slices, so that a block's scratch is a few slices' worth, not
 several copies of the block. Each slice yields its two univariate scores
 (Welch t statistic against the binary label, R squared against the
-continuous inactivity label), its rank codes and its sorted distinct
-values. The scores are computed from a C-ordered copy of the slice, and
-slices start on the same multiples of 64 as over the whole matrix, so
-every sum runs in the order it would over the whole matrix.
+continuous inactivity label), its rank codes (one byte each in a column
+of at most 256 distinct values) and its sorted distinct values. The
+scores are computed from a C-ordered copy of the slice, and slices start
+on the same multiples of 64 as over the whole matrix, so every sum runs
+in the order it would over the whole matrix.
 ``tree_select`` then grows a bagged tree ensemble from the rank codes
 alone and scores columns by normalized Gini importance. A ranking is a
 score array plus its column order from ``ranked``: score descending
@@ -20,6 +21,7 @@ across runs and row orderings. ``write_ranking`` writes one as CSV.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -143,15 +145,15 @@ def tree_select(ranks: ColumnRanks, labels: LabelSet, n_trees: int = 100,
     matrix. ``k``, the number of columns the caller keeps, is checked
     before any tree is grown.
     """
-    n_features = len(ranks.codes)
+    n_features = ranks.shape[0]
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} outside 1..{n_features}")
     y = labels.churned.astype(np.float64)
     egos = labels.ego_ids
     if egos != sorted(egos):  # featurize writes them sorted
         order = np.argsort(np.asarray(egos, dtype=object), kind="stable")
-        ranks = ColumnRanks(ranks.codes[:, order], ranks.values,
-                            ranks.offsets)
+        ranks = replace(ranks, narrow=ranks.narrow[:, order],
+                        wide=ranks.wide[:, order])
         y = y[order]
     forest = BaggedForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
     forest.fit(ranks, y, workers)

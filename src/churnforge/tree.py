@@ -2,17 +2,23 @@
 
 Trees grow from a ``ColumnRanks`` alone: each column's dense rank codes
 plus its sorted distinct values, in the spirit of XGBoost's pre-sorted
-column blocks (Chen & Guestrin, 2016). A float matrix is ranked once per
-ensemble, a block of columns at a time; ``select`` builds the ranks from
-its column blocks and never holds the float matrix. Columns of integers
-from 0 to the row count are ranked by counting, the others by argsort.
+column blocks (Chen & Guestrin, 2016). A column of at most 256 distinct
+values keeps one byte per code, as LightGBM keeps its bin indices (Ke et
+al., 2017); the others keep two, or four above 65,535 rows. A float
+matrix is ranked once per ensemble, a block of columns at a time;
+``select`` builds the ranks from its column blocks and never holds the
+float matrix. Columns of integers from 0 to the row count are ranked by
+counting, the others by argsort; a slice of columns that all keep one
+byte is ranked straight into uint8.
 A bootstrap is passed as integer row counts, not as copied rows. Trees
 classify 0/1 labels by Gini impurity and support sample weights (for
 boosting) and per-split feature subsampling (for bagging).
 
-Split search gathers the node's codes for the sampled feature block and
-scores every cut between two distinct values one of two ways. The sort
-path orders each column by a stable radix argsort of the codes and takes
+Split search gathers the node's codes for the sampled feature block, in
+sampled order (``ColumnRanks.take``), and scores every cut between two
+distinct values one of two ways. The sort path orders each column by a
+stable radix argsort of the codes (of one byte where every sampled
+column is narrow, else of the wide codes' width) and takes
 prefix sums of the weights. The histogram path, for a bootstrap tree's
 node with at least as many (row, column) cells as its sampled columns
 have distinct values, sums the weights per code with ``np.bincount``
@@ -43,6 +49,7 @@ from . import parallel
 from .matrix import column_blocks
 
 LEAF = -1                  # feature of a leaf node
+_NARROW = 256              # most distinct values a column of uint8 codes has
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
 # A bootstrap node searches by histogram when _HIST_FACTOR x rows x
 # sampled columns >= the sampled columns' distinct values. Factors from
@@ -61,30 +68,76 @@ _HIST_CELLS = 1 << 16
 class ColumnRanks:
     """A matrix's columns as dense rank codes and sorted distinct values.
 
-    ``codes[j]`` holds column j's codes, one per row: equal values share
-    a code and codes keep the column's order, so a stable argsort of a
-    column's codes is the stable argsort of its values. The dtype is
-    uint16 up to 65,535 rows and uint32 above. Column j's distinct
-    values, ascending, are ``values[offsets[j]:offsets[j + 1]]``, and a
-    code indexes them.
+    Each column has one code per row: equal values share a code and codes
+    keep the column's order, so a stable argsort of a column's codes is
+    the stable argsort of its values. A column of at most 256 distinct
+    values keeps its codes in ``narrow`` (uint8), the others in ``wide``
+    (uint16 up to 65,535 rows, uint32 above). Column j's codes are row
+    ``at[j]`` of the two stacked, ``narrow`` first; ``take`` reads them.
+    Column j's distinct values, ascending, are
+    ``values[offsets[j]:offsets[j + 1]]``, and a code indexes them.
     """
 
-    codes: np.ndarray    # (columns, rows)
+    narrow: np.ndarray   # (narrow columns, rows) uint8
+    wide: np.ndarray     # (wide columns, rows) uint16 or uint32
+    at: np.ndarray       # (columns,) int64
     values: np.ndarray   # flat float64
     offsets: np.ndarray  # (columns + 1,) int64
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(columns, rows)."""
+        return len(self.at), self.narrow.shape[1]
 
     def column_values(self, j: int) -> np.ndarray:
         return self.values[self.offsets[j]:self.offsets[j + 1]]
 
+    def take(self, feats, rows) -> np.ndarray:
+        """The (len(feats), len(rows)) codes of columns ``feats`` at
+        ``rows``, both index arrays, in the order given: uint8 where
+        every column is narrow, else the wide codes' dtype. Given one
+        column index, the codes of that column at ``rows``."""
+        k = len(self.narrow)
+        if np.ndim(feats) == 0:
+            at = self.at[feats]
+            return self.narrow[at, rows] if at < k else \
+                self.wide[at - k, rows]
+        at = self.at[feats]
+        wide = at >= k
+        if wide.all():
+            return self.wide[at - k][:, rows]
+        # a wide column takes the last narrow row's place, then its own
+        out = self.narrow.take(at, axis=0, mode="clip")[:, rows]
+        if wide.any():
+            out = out.astype(self.wide.dtype)
+            out[wide] = self.wide[at[wide] - k][:, rows]
+        return out
+
 
 def _code_dtype(n_rows: int) -> type:
+    """The dtype of the wide codes of ``n_rows`` rows."""
     return np.uint16 if n_rows <= _UINT16_ROWS else np.uint32
 
 
+def _by_width(counts: np.ndarray, n_rows: int, codes_of) -> tuple:
+    """(narrow codes, wide codes) of columns with ``counts`` distinct
+    values, from ``codes_of(dtype)``, every column's codes in ``dtype``.
+    Columns all of at most 256 distinct values are ranked straight into
+    uint8; where the widths mix, the narrow columns' codes are cut to one
+    byte after ranking."""
+    narrow = counts <= _NARROW
+    if narrow.all():
+        return codes_of(np.uint8), np.empty((0, n_rows), _code_dtype(n_rows))
+    codes = codes_of(_code_dtype(n_rows))
+    return codes[narrow].astype(np.uint8), codes[~narrow]
+
+
 def rank_block(cols: np.ndarray) -> tuple:
-    """(codes, distinct values, distinct counts) of a (columns, rows)
-    block of floats: the codes of each column, every column's distinct
-    values ascending one column after another, and how many each has.
+    """(narrow codes, wide codes, distinct values, distinct counts) of a
+    (columns, rows) block of floats: the uint8 codes of the columns of at
+    most 256 distinct values and the wider codes of the rest, each in
+    column order, every column's distinct values ascending one column
+    after another, and how many each has.
 
     Columns of integers from 0 to the row count (``_countable``) are
     ranked by counting, the others by argsort; both give the same codes
@@ -92,16 +145,24 @@ def rank_block(cols: np.ndarray) -> tuple:
     """
     cols = np.ascontiguousarray(cols, dtype=np.float64)
     counted = _countable(cols)
+    if counted.all():
+        return _count_ranks(cols)
     if not counted.any():
         return _sort_ranks(cols)
-    codes = np.empty(cols.shape, dtype=_code_dtype(cols.shape[1]))
+    *by_count, ints, c_counts = _count_ranks(cols[counted])
+    *by_sort, floats, s_counts = _sort_ranks(cols[~counted])
     counts = np.empty(len(cols), dtype=np.int64)
-    codes[counted], ints, counts[counted] = _count_ranks(cols[counted])
-    codes[~counted], floats, counts[~counted] = _sort_ranks(cols[~counted])
+    counts[counted], counts[~counted] = c_counts, s_counts
+    narrow = counts <= _NARROW
+    codes = []
+    for sel, c, s in zip((narrow, ~narrow), by_count, by_sort, strict=True):
+        block = np.empty((len(c) + len(s), cols.shape[1]), dtype=c.dtype)
+        block[counted[sel]], block[~counted[sel]] = c, s
+        codes.append(block)
     values = np.empty(counts.sum())
     of_counted = np.repeat(counted, counts)  # each value's column
     values[of_counted], values[~of_counted] = ints, floats
-    return codes, values, counts
+    return *codes, values, counts
 
 
 def _countable(cols: np.ndarray) -> np.ndarray:
@@ -130,45 +191,67 @@ def _count_ranks(cols: np.ndarray) -> tuple:
     below = np.cumsum(present)  # present values up to each bin
     ends = below[first + span - 1]
     counts = np.diff(ends, prepend=0)
-    codes = (below[ints] - (ends - counts + 1)[:, None]).astype(
-        _code_dtype(cols.shape[1]))
+    lowest = ends - counts + 1  # `below` at each column's lowest value
+
+    def codes_of(dtype):
+        codes = np.empty(ints.shape, dtype=dtype)
+        return np.subtract(below[ints], lowest[:, None], out=codes,
+                           casting="unsafe")  # from 0 up, in `dtype`
+
+    codes = _by_width(counts, cols.shape[1], codes_of)
     values = np.flatnonzero(present) - np.repeat(first, counts)
-    return codes, values.astype(np.float64), counts
+    return *codes, values.astype(np.float64), counts
 
 
 def _sort_ranks(cols: np.ndarray) -> tuple:
     """``rank_block`` by a stable argsort of each column."""
     order = np.argsort(cols, axis=1)
-    srt = np.take_along_axis(cols, order, axis=1)
+    order += np.arange(len(cols))[:, None] * cols.shape[1]  # flat indices
+    srt = cols.ravel()[order]
     if srt.shape[1] and np.isnan(srt[:, -1]).any():  # nan sorts last
         raise ValueError("rank codes need values without nan")
     first = np.ones(srt.shape, dtype=bool)  # first of its value
     np.not_equal(srt[:, 1:], srt[:, :-1], out=first[:, 1:])
-    ranks = np.zeros(order.shape, dtype=_code_dtype(srt.shape[1]))
-    np.cumsum(first[:, 1:], axis=1, out=ranks[:, 1:])
-    codes = np.empty_like(ranks)
-    np.put_along_axis(codes, order, ranks, axis=1)
-    return codes, srt[first], first.sum(axis=1)
+    counts = first.sum(axis=1)
+
+    def codes_of(dtype):
+        ranks = np.zeros(order.shape, dtype=dtype)
+        np.cumsum(first[:, 1:], axis=1, out=ranks[:, 1:])
+        codes = np.empty_like(ranks)
+        codes.ravel()[order] = ranks
+        return codes
+
+    codes = _by_width(counts, srt.shape[1], codes_of)
+    return *codes, srt[first], counts
 
 
 def collect_ranks(n: int, spans: list, ranked: Iterable) -> ColumnRanks:
     """The ColumnRanks of a matrix of ``n`` rows from ``rank_block`` of
     each of its column ``spans`` (``(lo, hi)``, in column order), written
-    into one codes array and one values array as each block's result
-    arrives. The values array grows in place (``realloc``), so it is
-    not held twice, as a list of parts and their concatenation."""
+    into the narrow and wide codes arrays and the values array as each
+    block's result arrives. The three arrays grow in place (``realloc``),
+    so none is held twice, as a list of parts and their concatenation."""
     d = spans[-1][1] if spans else 0
-    codes = np.empty((d, n), dtype=_code_dtype(n))
+    narrow = np.zeros((0, n), dtype=np.uint8)
+    wide = np.zeros((0, n), dtype=_code_dtype(n))
+    at = np.empty(d, dtype=np.int64)  # the row in narrow or in wide
     offsets = np.zeros(d + 1, dtype=np.int64)
     values = np.zeros(0)
-    for (lo, hi), (block, vals, counts) in zip(spans, ranked, strict=True):
-        codes[lo:hi] = block
+    for (lo, hi), (*codes, vals, counts) in zip(spans, ranked, strict=True):
+        is_narrow = counts <= _NARROW
+        for array, block, sel in ((narrow, codes[0], is_narrow),
+                                  (wide, codes[1], ~is_narrow)):
+            k = len(array)
+            at[lo:hi][sel] = np.arange(k, k + len(block))
+            array.resize((k + len(block), n), refcheck=False)  # no views
+            array[k:] = block
         offsets[lo + 1:hi + 1] = counts
         k = len(values)
-        values.resize(k + len(vals), refcheck=False)  # nothing views it
+        values.resize(k + len(vals), refcheck=False)
         values[k:] = vals
     np.cumsum(offsets, out=offsets)
-    return ColumnRanks(codes, values, offsets)
+    at[np.diff(offsets) > _NARROW] += len(narrow)  # wide rows follow
+    return ColumnRanks(narrow, wide, at, values, offsets)
 
 
 def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
@@ -192,7 +275,7 @@ def node_order(block: np.ndarray) -> tuple:
     return order, pos, col
 
 
-def _histogram_split(codes, feats, distinct, rows, yr, wr, wsum):
+def _histogram_split(ranks, feats, distinct, rows, yr, wr, wsum):
     """``DecisionTree._best_split`` of a node whose weights ``wr`` are its
     rows' integer bootstrap counts, from per-code sums of ``wr`` and
     ``wr * yr`` (histograms, as in LightGBM; Ke et al., 2017).
@@ -210,7 +293,7 @@ def _histogram_split(codes, feats, distinct, rows, yr, wr, wsum):
     step = max(1, _HIST_CELLS // len(rows))
     cuts = []  # the best (cost, lw, sampled column, lo, hi) of each group
     for a in range(0, len(feats), step):
-        cut = _best_cut(codes[feats[a:a + step]][:, rows],
+        cut = _best_cut(ranks.take(feats[a:a + step], rows),
                         distinct[a:a + step], wr, wy, wsum, wysum)
         if cut is not None:
             cost, lw, j, lo, hi = cut
@@ -259,9 +342,9 @@ def _best_cut(block, distinct, wr, wy, wsum, wysum):
 class DecisionTree:
     """Single CART-style tree over float features and 0/1 targets.
 
-    ``root_order`` is ``node_order(ranks.codes)`` for the ranks that
-    ``fit`` will get. A tree over every column, fitted without counts,
-    then skips sorting its root: AdaBoost's rounds share one.
+    ``root_order`` is ``node_order`` of every column and row of the ranks
+    that ``fit`` will get. A tree over every column, fitted without
+    counts, then skips sorting its root: AdaBoost's rounds share one.
     """
 
     def __init__(self, max_depth: int | None = None,
@@ -282,17 +365,6 @@ class DecisionTree:
         # were first split on
         self.gains: dict[int, float] = {}
 
-    def __getattr__(self, name: str):
-        """``importances_``, the Gini decrease per column as a dense
-        array: ``gains`` with a 0 for every column the tree does not
-        split on, built when read and never stored."""
-        if name != "importances_":
-            raise AttributeError(f"{type(self).__name__!r} object has "
-                                 f"no attribute {name!r}")
-        imp = np.zeros(self.n_features)
-        imp[list(self.gains)] = list(self.gains.values())
-        return imp
-
     def fit(self, X, y: np.ndarray,
             sample_weight: np.ndarray | None = None,
             counts: np.ndarray | None = None) -> "DecisionTree":
@@ -306,9 +378,8 @@ class DecisionTree:
         label sums are integers.
         """
         ranks = X if isinstance(X, ColumnRanks) else rank_columns(X)
-        codes = ranks.codes
         y = np.asarray(y, dtype=np.float64)
-        d, n = codes.shape
+        d, n = ranks.shape
         w = np.ones(n) if sample_weight is None else \
             np.asarray(sample_weight, dtype=np.float64)
         if counts is None:
@@ -351,7 +422,7 @@ class DecisionTree:
             vals = ranks.column_values(feat)
             thr = float((vals[lo] + vals[hi]) / 2.0)
             # X[rows, feat] <= thr, by code
-            go_left = codes[feat, rows] <= \
+            go_left = ranks.take(feat, rows) <= \
                 np.searchsorted(vals, thr, side="right") - 1
             feature[node] = feat
             threshold[node] = thr
@@ -380,7 +451,7 @@ class DecisionTree:
         distinct values either side of the cut.
 
         Each sampled column's node rows are put in order by a stable
-        argsort of their rank codes (a radix sort for uint16), which is
+        argsort of their rank codes (a radix sort), which is
         the order a stable argsort of the values gives. Rows carry the
         weights ``wr`` and, under a bootstrap, the counts ``cr``.
         ``presorted`` is ``node_order`` of this node over every column,
@@ -391,8 +462,7 @@ class DecisionTree:
         columns have distinct values (times ``_HIST_FACTOR``),
         ``_histogram_split`` finds the same split without sorting.
         """
-        codes = ranks.codes
-        d = codes.shape[0]
+        d = ranks.shape[0]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
             presorted = None
@@ -401,11 +471,11 @@ class DecisionTree:
         if by_counts:
             distinct = ranks.offsets[feats + 1] - ranks.offsets[feats]
             if _HIST_FACTOR * len(rows) * len(feats) >= distinct.sum():
-                return _histogram_split(codes, feats, distinct, rows, yr,
+                return _histogram_split(ranks, feats, distinct, rows, yr,
                                         wr, wsum)
         if presorted is None:
             # (sampled columns, node rows)
-            presorted = node_order(codes[feats][:, rows])
+            presorted = node_order(ranks.take(feats, rows))
         order, pos, col = presorted
         if len(pos) == 0:
             return None
@@ -439,7 +509,7 @@ class DecisionTree:
                 k = int(tied[np.lexsort((col[tied], n_left))[0]])
         i, j = pos[k], col[k]
         feat = int(feats[j])
-        lo, hi = codes[feat, rows[order[j, i:i + 2]]]
+        lo, hi = ranks.take(feat, rows[order[j, i:i + 2]])
         return feat, lo, hi, cost[k]
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
@@ -495,7 +565,7 @@ class BaggedForest:
         """
         ranks = X if isinstance(X, ColumnRanks) else rank_columns(X, workers)
         y = np.asarray(y, dtype=np.float64)
-        d, n = ranks.codes.shape
+        d, n = ranks.shape
         mf = max(1, int(np.sqrt(d)))  # columns sampled per split
 
         def grow(t):

@@ -133,6 +133,14 @@ def knn_scores_by_sort(Ztr, ytr, k, Zte, block=512):
     return out
 
 
+def importances(tree):
+    """A tree's Gini decrease per column as a dense array: its ``gains``,
+    with a 0 for every column it does not split on."""
+    imp = np.zeros(tree.n_features)
+    imp[list(tree.gains)] = list(tree.gains.values())
+    return imp
+
+
 def logreg_loss(w, b, Z, y, l2):
     """Mean cross-entropy plus (l2/2)||w||^2, bias unregularized: the
     reference for ``models.logreg_gradient``."""

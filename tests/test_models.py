@@ -148,6 +148,21 @@ class TestPredictContracts:
         assert np.array_equal(_knn_scores(Z, y, k, Z), want)
         assert np.array_equal(_knn_scores(Z, y, k, Z, block=7), want)
 
+    def test_knn_scores_same_at_any_block_height(self):
+        # more rows than the widest block, of standardized floats: BLAS
+        # must sum each distance alike whatever the block's height
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(700, 30)) * rng.integers(1, 50, size=30)
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        y = (Z[:, 0] + rng.normal(size=700) > 0).astype(float)
+        Zte = Z[::3] + 0.1 * rng.normal(size=Z[::3].shape)
+        for test in (Z, Zte):
+            want = _knn_scores(Z, y, 7, test, block=512)
+            for block in (1, 7, 128):
+                assert np.array_equal(_knn_scores(Z, y, 7, test, block=block),
+                                      want), block
+            assert np.array_equal(_knn_scores(Z, y, 7, test), want)
+
     def test_random_forest_vote_fraction(self):
         # four trees voting 1, 1, 0, 1 must score 0.75
         forest = BaggedForest(n_trees=4, seed=0)

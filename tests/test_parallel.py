@@ -16,11 +16,11 @@ import pytest
 from churnforge import matrix, parallel
 from churnforge.cli import main
 from churnforge.tree import BaggedForest, rank_columns
+from conftest import importances
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL_CFG = str(ROOT / "configs" / "small.cfg")
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value",
-                "importances_")
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def _problem(seed=0, n=90, d=20):
@@ -125,6 +125,7 @@ def test_forest_same_at_any_worker_count(seed):
             for name in _TREE_ARRAYS:
                 assert np.array_equal(getattr(got, name),
                                       getattr(want, name)), name
+            assert np.array_equal(importances(got), importances(want))
 
 
 def test_wide_forest_tree_pickles_small():
@@ -138,22 +139,25 @@ def test_wide_forest_tree_pickles_small():
         rank_columns(X), y, workers=2)
     for tree in forest.trees:
         assert (tree.feature != -1).any()
-        assert len(tree.importances_) == d
+        assert len(importances(tree)) == d
         assert len(pickle.dumps(tree)) < 8 * d // 20
 
 
 def test_rank_codes_same_at_any_worker_count(monkeypatch):
-    X, _ = _problem(2, n=50, d=150)
-    monkeypatch.setattr(matrix, "_BLOCK_VALUES", 50 * 64)  # blocks of 64
-    assert matrix.column_blocks(50, 150) == [(0, 64), (64, 128), (128, 150)]
+    X, _ = _problem(2, n=300, d=150)
+    X[:, ::7] = np.random.default_rng(2).normal(size=(300, 22))  # wide codes
+    monkeypatch.setattr(matrix, "_BLOCK_VALUES", 300 * 64)  # blocks of 64
+    assert matrix.column_blocks(300, 150) == [(0, 64), (64, 128), (128, 150)]
     ranks = [rank_columns(X, workers) for workers in (1, 2, 3)]
     monkeypatch.undo()
     ranks.append(rank_columns(X))  # one block
+    assert ranks[0].narrow.shape == (128, 300)
+    assert ranks[0].wide.shape == (22, 300)
     for other in ranks[1:]:
-        assert other.codes.dtype == ranks[0].codes.dtype
-        for name in ("codes", "values", "offsets"):
-            assert np.array_equal(getattr(other, name),
-                                  getattr(ranks[0], name)), name
+        for name in ("narrow", "wide", "at", "values", "offsets"):
+            got, want = getattr(other, name), getattr(ranks[0], name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
 
 def test_forest_in_pool_child_runs_serially():

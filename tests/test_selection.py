@@ -10,7 +10,7 @@ from churnforge.selection import (T_STAT_ABS, ranked, scan, tree_select,
                                   univariate_r2 as r2_scores,
                                   univariate_ttest as ttest_scores,
                                   write_ranking)
-from churnforge.tree import rank_block
+from churnforge.tree import collect_ranks, rank_block
 from conftest import in_memory_columns, read_ranking
 
 
@@ -316,10 +316,13 @@ def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
     for workers in (1, 2):
         t, r2, ranks = scan(in_memory_columns(mat), labels, workers)
         assert np.array_equal(t, want[0]) and np.array_equal(r2, want[1])
-        codes, values, counts = rank_block(X.T)
-        assert np.array_equal(ranks.codes, codes)
-        assert np.array_equal(ranks.values, values)
-        assert np.array_equal(np.diff(ranks.offsets), counts)
+        whole = collect_ranks(n, [(0, d)], [rank_block(X.T)])
+        everything = np.arange(d), np.arange(n)
+        assert np.array_equal(ranks.take(*everything),
+                              whole.take(*everything))
+        for name in ("narrow", "wide", "at", "values", "offsets"):
+            assert np.array_equal(getattr(ranks, name),
+                                  getattr(whole, name)), name
 
 
 def test_nonfinite_cell_is_named_in_column_order(monkeypatch):

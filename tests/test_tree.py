@@ -4,6 +4,7 @@ import pytest
 from churnforge import tree as tree_mod
 from churnforge.tree import (BaggedForest, ColumnRanks, DecisionTree,
                              rank_block, rank_columns)
+from conftest import importances
 
 
 def test_memorizes_training_data_without_bootstrap():
@@ -42,7 +43,7 @@ def test_constant_features_yield_single_leaf():
     tree = DecisionTree()
     tree.fit(X, y)
     assert len(tree.feature) == 1
-    assert tree.importances_.sum() == 0.0
+    assert importances(tree).sum() == 0.0
     # majority leaf
     assert (tree.predict(X) == 0.0).all()
 
@@ -90,7 +91,7 @@ class _ReferenceTree(DecisionTree):
         n, d = X.shape
         w = np.ones(n) if sample_weight is None else \
             np.asarray(sample_weight, dtype=np.float64)
-        self.importances_ = np.zeros(d)
+        self.n_features, self.gains = d, {}
         feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
         stack = [(0, np.arange(n), 0)]
         while stack:
@@ -108,7 +109,7 @@ class _ReferenceTree(DecisionTree):
             if split is None:
                 continue
             feat, thr, decrease = split
-            self.importances_[feat] += decrease
+            self.gains[feat] = self.gains.get(feat, 0.0) + decrease
             go_left = X[rows, feat] <= thr
             feature[node] = feat
             threshold[node] = thr
@@ -164,8 +165,10 @@ class _ReferenceTree(DecisionTree):
 
 def _floats(ranks):
     """The float matrix whose ranks ``ranks`` are."""
+    d, n = ranks.shape
+    codes = ranks.take(np.arange(d), np.arange(n))
     return np.stack([ranks.column_values(j)[c]
-                     for j, c in enumerate(ranks.codes)], axis=1)
+                     for j, c in enumerate(codes)], axis=1)
 
 
 def _reference_forest(X, y, n_trees, max_depth=12, max_features="sqrt",
@@ -179,18 +182,18 @@ def _reference_forest(X, y, n_trees, max_depth=12, max_features="sqrt",
         rows = rng.integers(0, n, size=n)
         tree = _ReferenceTree(max_depth=max_depth, max_features=mf, rng=rng)
         tree.fit(X[rows], y[rows])
-        raw += tree.importances_
+        raw += importances(tree)
         trees.append(tree)
     return trees, raw / raw.sum()
 
 
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value",
-                "importances_")
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def _assert_same_tree(got, want):
     for name in _TREE_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(importances(got), importances(want))
 
 
 def _tied(seed, n=90, d=12, levels=3):
@@ -327,8 +330,9 @@ def test_rank_codes_share_ties_and_keep_order():
     X[:, 0] = np.where(X[:, 0] > 0, X[:, 0], -0.0)
     X[::2, 0] = np.abs(X[::2, 0])  # 0.0 and -0.0 in one column
     ranks = rank_columns(X)
-    codes = ranks.codes
-    assert codes.dtype == np.uint16 and codes.shape == X.T.shape
+    codes = ranks.take(np.arange(X.shape[1]), np.arange(len(X)))
+    assert codes.dtype == np.uint8 and codes.shape == X.T.shape
+    assert ranks.wide.dtype == np.uint16
     for j in range(X.shape[1]):
         col, c = X[:, j], codes[j].astype(np.int64)
         assert np.array_equal(col[:, None] == col[None, :],
@@ -366,9 +370,10 @@ def test_rank_codes_share_ties_and_keep_order():
                                 False, True, False, True]
     got = rank_block(mixed)
     want = tree_mod._sort_ranks(mixed)
-    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
-    assert got[1].tobytes() == want[1].tobytes()  # -0.0 stays -0.0
-    assert np.array_equal(got[2], want[2])
+    for g, w in zip(got[:2], want[:2]):  # narrow and wide codes
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[2].tobytes() == want[2].tobytes()  # -0.0 stays -0.0
+    assert np.array_equal(got[3], want[3])
     # one cell outside the integers from +0.0 to n keeps a column of
     # small integers from being counted
     for odd in (n - 0.5, n + 0.5, n + 1.0, np.nextafter(n, 0.0), 5e-324,
@@ -383,17 +388,101 @@ def test_rank_codes_share_ties_and_keep_order():
     # and so does a matrix whose slices mix them, read through its ranks
     ranks = rank_columns(mixed.T)
     for j, col in enumerate(mixed):
-        assert np.array_equal(ranks.column_values(j)[ranks.codes[j]], col)
-        assert np.array_equal(np.argsort(ranks.codes[j], kind="stable"),
+        codes = ranks.take([j], np.arange(n))[0]
+        assert np.array_equal(ranks.column_values(j)[codes], col)
+        assert np.array_equal(np.argsort(codes, kind="stable"),
                               np.argsort(col, kind="stable"))
 
 
 def test_rank_codes_widen_past_uint16_rows():
     tall = np.arange(70_000, 0, -1, dtype=np.float64)[:, None] / 7.0
-    codes = rank_columns(tall).codes
+    codes = rank_columns(tall).take([0], np.arange(70_000))
     assert codes.dtype == np.uint32
     assert np.array_equal(codes[0], np.arange(69_999, -1, -1))
-    assert rank_columns(tall[:65_535]).codes.dtype == np.uint16
+    assert rank_columns(tall[:65_535]).take(
+        [0], np.arange(65_535)).dtype == np.uint16
+
+
+def test_rank_codes_one_byte_up_to_256_distinct_values():
+    # columns of 1, 256, 257 and 65,536 distinct values, each ranked by
+    # counting and by argsort, narrow and wide interleaved
+    n = 65_536
+    rng = np.random.default_rng(7)
+    ints = {m: rng.permutation(np.arange(n) % m).astype(float)
+            for m in (1, 256, 257, n)}
+    cols = [ints[257], ints[1], ints[n], ints[256],
+            ints[257] / 8 - 3, ints[1] + 0.5, ints[n] / 3 - 7,
+            ints[256] * -1.5]
+    distinct = [257, 1, n, 256] * 2
+    ranks = rank_columns(np.stack(cols, axis=1))
+    assert ranks.narrow.dtype == np.uint8 and ranks.wide.dtype == np.uint32
+    assert ranks.narrow.shape == (4, n) and ranks.wide.shape == (4, n)
+    for j, (col, m) in enumerate(zip(cols, distinct)):
+        assert (ranks.at[j] < len(ranks.narrow)) == (m <= 256), j
+        codes = ranks.take([j], np.arange(n))[0]
+        assert codes.dtype == (np.uint8 if m <= 256 else np.uint32)
+        # equal values share a code, and codes keep the column's order
+        uniq, inverse = np.unique(col, return_inverse=True)
+        assert len(uniq) == m and np.array_equal(codes, inverse)
+        assert np.array_equal(ranks.column_values(j)[codes], col)
+    # a block of columns of both widths keeps the order it is asked in
+    feats, rows = [6, 3, 0, 5], rng.choice(n, 50)
+    block = ranks.take(feats, rows)
+    assert block.dtype == np.uint32
+    for code_row, j in zip(block, feats):
+        assert np.array_equal(code_row, ranks.take([j], rows)[0])
+
+
+def test_rank_codes_hold_one_byte_per_narrow_cell():
+    rng = np.random.default_rng(8)
+    n = 1_000
+    X = rng.integers(0, 200, size=(n, 103)).astype(float)
+    X[:, [4, 50, 90]] = rng.normal(size=(n, 3))  # n distinct values each
+    ranks = rank_columns(X)
+    assert ranks.narrow.nbytes + ranks.wide.nbytes == n * (100 * 1 + 3 * 2)
+    assert ranks.narrow.flags.owndata and ranks.wide.flags.owndata
+
+
+def _both_widths(seed, n=300, d=16):
+    """Rows enough for columns of more than 256 distinct values: half the
+    columns keep wide codes, half narrow, interleaved."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    X[:, 1::2] = rng.integers(0, 4, size=(n, d // 2))
+    X[:, 2] = X[:, 0].round(2)  # narrow: about 200 distinct, tied
+    y = ((X[:, 0] + X[:, 1] + 0.7 * rng.normal(size=n)) > 1).astype(float)
+    return X, y
+
+
+def _assert_both_widths(X):
+    ranks = rank_columns(X)
+    assert len(ranks.narrow) and len(ranks.wide)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forest_over_both_code_widths_equals_reference(seed):
+    X, y = _both_widths(seed)
+    _assert_both_widths(X)
+    forest = BaggedForest(n_trees=4, seed=seed).fit(X, y)
+    trees, imp = _reference_forest(X, y, n_trees=4, seed=seed)
+    for got, want in zip(forest.trees, trees, strict=True):
+        _assert_same_tree(got, want)
+    assert np.array_equal(forest.feature_importances_, imp)
+
+
+@pytest.mark.parametrize("max_depth", [1, 2])
+def test_adaboost_over_both_code_widths_equals_reference(monkeypatch,
+                                                         max_depth):
+    from churnforge import models
+    X, y = _both_widths(2, n=280)
+    _assert_both_widths(X)
+    params = {"rounds": 8, "max_depth": max_depth}
+    got = models._fit_adaboost(X, y, params, seed=3)
+    monkeypatch.setattr(models, "DecisionTree", _ReferenceTree)
+    want = models._fit_adaboost(X, y, params, seed=3)
+    assert np.array_equal(got["alphas"], want["alphas"])
+    for a, b in zip(got["trees"], want["trees"], strict=True):
+        _assert_same_tree(a, b)
 
 
 def test_rank_codes_refuse_nan():
