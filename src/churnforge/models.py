@@ -32,7 +32,7 @@ from . import artifact
 from .labeling import LabelSet
 from .matrix import FeatureMatrix, read_exact
 from .metrics import classification_metrics, roc_auc
-from .tree import LEAF, BaggedForest, DecisionTree, node_order, rank_columns
+from .tree import LEAF, BaggedForest, DecisionTree, rank_columns
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -277,16 +277,12 @@ def _fit_adaboost(Z, y, params, seed):
     n = len(y)
     w = np.full(n, 1.0 / n)
     ranks = rank_columns(Z)
-    # each round's root has every row and every column
-    root_order = node_order(ranks.take(np.arange(ranks.shape[0]),
-                                       np.arange(n)))
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     eps = 1e-12
     for m in range(params["rounds"]):
         tree = DecisionTree(max_depth=params["max_depth"],
-                            rng=np.random.default_rng([seed, m]),
-                            root_order=root_order)
+                            rng=np.random.default_rng([seed, m]))
         tree.fit(ranks, y, sample_weight=w)
         pred = tree.predict(Z)
         miss = pred != y

@@ -16,18 +16,18 @@ boosting) and per-split feature subsampling (for bagging).
 
 Split search gathers the node's codes for the sampled feature block, in
 sampled order (``ColumnRanks.take``), and scores every cut between two
-distinct values one of two ways. The sort path orders each column by a
-stable radix argsort of the codes (of one byte where every sampled
-column is narrow, else of the wide codes' width) and takes
-prefix sums of the weights. The histogram path, for a bootstrap tree's
+distinct values one of two ways, chosen by the node's size alone. A
 node with at least as many (row, column) cells as its sampled columns
-have distinct values, sums the weights per code with ``np.bincount``
-(as LightGBM does; Ke et al., 2017) and takes one prefix sum over the
-codes. A bootstrap tree's weights are its integer row
-counts and its labels are 0/1, so every one of these sums is an integer
-that float64 holds exactly in any order: both paths see the same sums,
-compute the same costs, and break ties alike, so they find the same
-split, bit for bit. Boosting's float weights keep the sort path.
+have distinct values sums its weights per code with ``np.bincount`` (a
+histogram, as LightGBM does; Ke et al., 2017) and takes one prefix sum
+over the codes. A smaller node orders each column by a stable radix
+argsort of the codes (of one byte where every sampled column is narrow,
+else of the wide codes' width) and takes prefix sums of the weights.
+Both hand their cuts to one step, ``_cheapest``, which prices them and
+breaks ties. Where every sum is exact in any order (a bootstrap tree's
+integer counts, or weights of k / 1024), both searches find the split
+that sorting the repeated rows finds, bit for bit; boosting's other
+float weights round by the order they are summed in.
 
 A split's threshold is the midpoint of the two distinct values either
 side of the cut, so the trees are exact CART trees. A node's rows are
@@ -51,8 +51,8 @@ from .matrix import column_blocks
 LEAF = -1                  # feature of a leaf node
 _NARROW = 256              # most distinct values a column of uint8 codes has
 _UINT16_ROWS = 65_535      # most rows whose codes fit in uint16
-# A bootstrap node searches by histogram when _HIST_FACTOR x rows x
-# sampled columns >= the sampled columns' distinct values. Factors from
+# A node searches by histogram when _HIST_FACTOR x rows x sampled
+# columns >= the sampled columns' distinct values. Factors from
 # 0.25 to 4 grew the criterion-9 forest equally fast; below that, small
 # nodes bin mostly empty codes, and above it, large nodes sort.
 _HIST_FACTOR = 1.0
@@ -265,8 +265,8 @@ def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
 
 
 def node_order(block: np.ndarray) -> tuple:
-    """The weight-free part of a node's split search: (order, pos, col)
-    of a (columns, node rows) block of rank codes. ``order`` is each
+    """The weight-free part of a small node's split search: (order, pos,
+    col) of a (columns, node rows) block of rank codes. ``order`` is each
     column's stable code order; the valid cuts, each between two
     distinct values, are listed in (position, column) order."""
     order = np.argsort(block, axis=1, kind="stable")
@@ -275,86 +275,93 @@ def node_order(block: np.ndarray) -> tuple:
     return order, pos, col
 
 
-def _histogram_split(ranks, feats, distinct, rows, yr, wr, wsum):
-    """``DecisionTree._best_split`` of a node whose weights ``wr`` are its
-    rows' integer bootstrap counts, from per-code sums of ``wr`` and
-    ``wr * yr`` (histograms, as in LightGBM; Ke et al., 2017).
+def _histogram_split(ranks, feats, distinct, rows, wr, wy, wsum, wysum,
+                     cr):
+    """``DecisionTree._best_split`` of a large node, from per-code sums of
+    its weights ``wr`` and of ``wy`` (histograms, as in LightGBM; Ke et
+    al., 2017).
 
     The sampled columns are binned a group at a time, about
     ``_HIST_CELLS`` (row, column) cells per group, so that a node's
-    scratch stays small at any row count. Every sum is of integers, so
-    it is exact in any order and equals the sort path's prefix sum at
-    the same cut: the costs are the same floats. Ties go to the lowest
-    cost, then the fewest left rows counted with multiplicity (``lw``),
-    then the earliest sampled column, as on the sort path.
+    scratch stays small at any row count. A group's columns share one
+    run of bins, column after column, ``distinct`` bins each, and a cut
+    lies between two consecutive codes present in the node. Each column
+    holds every node row once, so the columns before column c add
+    c * wsum to the running sum of the weights: exactly where every sum
+    is exact, and otherwise rounded by the columns summed before it.
     """
-    wy = wr * yr
-    wysum = wy.sum()
     step = max(1, _HIST_CELLS // len(rows))
-    cuts = []  # the best (cost, lw, sampled column, lo, hi) of each group
+    best = []  # the (cost, left rows, sampled column, lo, hi) of each group
     for a in range(0, len(feats), step):
-        cut = _best_cut(ranks.take(feats[a:a + step], rows),
-                        distinct[a:a + step], wr, wy, wsum, wysum)
-        if cut is not None:
-            cost, lw, j, lo, hi = cut
-            cuts.append((cost, lw, a + j, lo, hi))
-    if not cuts:
+        block = ranks.take(feats[a:a + step], rows)
+        m, bins_per = len(block), distinct[a:a + step]
+        first = np.cumsum(bins_per) - bins_per  # each column's first bin
+        bins = (block + first[:, None]).ravel()
+        hw = np.bincount(bins, np.tile(wr, m), bins_per.sum())
+        hwy = np.bincount(bins, np.tile(wy, m), bins_per.sum())
+        present = np.flatnonzero(hw)  # every node row weighs more than 0
+        col = np.searchsorted(first, present, side="right") - 1
+        cut = np.flatnonzero(col[1:] == col[:-1])  # after present[cut]
+        col = col[cut]
+        lo = present[cut] - first[col]
+        found = _cheapest(
+            np.cumsum(hw[present])[cut] - col * wsum,
+            np.cumsum(hwy[present])[cut] - col * wysum, wsum, wysum, col,
+            None if cr is None else lambda i: _left_rows(
+                ranks, feats[a + col[i]], rows, lo[i], cr))
+        if found is not None:
+            cost, n_left, k = found
+            j = col[k]
+            best.append((cost, n_left, a + j, lo[k],
+                         present[cut[k] + 1] - first[j]))
+    if not best:
         return None
-    cost, _, j, lo, hi = min(cuts)
+    cost, _, j, lo, hi = min(best)
     return int(feats[j]), lo, hi, cost
 
 
-def _best_cut(block, distinct, wr, wy, wsum, wysum):
-    """(cost, lw, column, low code, high code) of the cheapest cut of a
-    (columns, node rows) block of codes, or None.
+def _cheapest(lw, lwy, wsum, wysum, col, left_rows):
+    """(cost, left rows, index) of the cheapest of a node's cuts, or None
+    when no cut leaves weight on both sides. Cut i leaves the weight
+    ``lw[i]``, ``lwy[i]`` of it on label 1, left of it in sampled column
+    ``col[i]``; the node weighs ``wsum``, ``wysum`` of it on label 1.
 
-    The columns' codes share one run of bins, column after column,
-    ``distinct`` bins each, and a cut lies between two consecutive codes
-    present in the node.
+    Every tree breaks ties one way, as the rows repeated by their counts
+    and sorted would: the lowest Gini cost, then the fewest left rows
+    counted with multiplicity, then the earliest sampled column. Where
+    the weights count the rows (``left_rows`` None), ``lw`` is that
+    count; else ``left_rows(indices)`` counts it for the tied cuts.
     """
-    m = len(block)
-    first = np.cumsum(distinct) - distinct  # each column's first bin
-    bins = (block + first[:, None]).ravel()
-    hw = np.bincount(bins, np.tile(wr, m), distinct.sum())
-    hwy = np.bincount(bins, np.tile(wy, m), distinct.sum())
-    present = np.flatnonzero(hw)  # every node row counts at least 1
-    col = np.searchsorted(first, present, side="right") - 1
-    cut = np.flatnonzero(col[1:] == col[:-1])  # after present[cut]
-    if len(cut) == 0:
-        return None
-    col = col[cut]
-    # each column holds every node row once, so the columns before
-    # column c add c * wsum to the running sum
-    lw = np.cumsum(hw[present])[cut] - col * wsum
-    lwy = np.cumsum(hwy[present])[cut] - col * wysum
     rw = wsum - lw
-    rwy = wysum - lwy
-    pl = lwy / lw
-    pr = rwy / rw
-    cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pl = lwy / lw
+        pr = (wysum - lwy) / rw
+        cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
+    # float weights summed in another order can leave a side weighing 0
+    cost[(lw <= 0) | (rw <= 0)] = np.inf
+    if not np.isfinite(cost).any():
+        return None
     tied = np.flatnonzero(cost == cost.min())
-    k = tied[np.lexsort((col[tied], lw[tied]))[0]]
-    j = col[k]
-    lo, hi = present[cut[k]:cut[k] + 2] - first[j]
-    return cost[k], lw[k], j, lo, hi
+    n_left = lw[tied] if left_rows is None else left_rows(tied)
+    k = np.lexsort((col[tied], n_left))[0]
+    return cost[tied[k]], n_left[k], tied[k]
+
+
+def _left_rows(ranks, feats, rows, lo, cr):
+    """How many of the node ``rows``, row r counted ``cr[r]`` times, have
+    a code of at most ``lo[i]`` in column ``feats[i]``, for each i."""
+    return (ranks.take(feats, rows) <= lo[:, None]) @ cr
 
 
 class DecisionTree:
-    """Single CART-style tree over float features and 0/1 targets.
-
-    ``root_order`` is ``node_order`` of every column and row of the ranks
-    that ``fit`` will get. A tree over every column, fitted without
-    counts, then skips sorting its root: AdaBoost's rounds share one.
-    """
+    """Single CART-style tree over float features and 0/1 targets."""
 
     def __init__(self, max_depth: int | None = None,
                  max_features: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 root_order: tuple | None = None):
+                 rng: np.random.Generator | None = None):
         self.max_depth = max_depth
         self.max_features = max_features
         self.rng = rng or np.random.default_rng(0)
-        self.root_order = root_order
         self.feature: np.ndarray | None = None
         self.threshold: np.ndarray | None = None
         self.left: np.ndarray | None = None
@@ -373,23 +380,21 @@ class DecisionTree:
         ranks to every tree.
 
         ``counts`` gives each row an integer multiplicity (a bootstrap
-        draw) and leaves out rows counted 0: the tree is the one grown on
-        the rows repeated that many times, bit for bit while the weighted
-        label sums are integers.
+        draw): the tree is the one grown on the rows repeated that many
+        times, bit for bit while the weighted label sums are exact. Rows
+        of weight 0, such as those counted 0, are left out.
         """
         ranks = X if isinstance(X, ColumnRanks) else rank_columns(X)
         y = np.asarray(y, dtype=np.float64)
         d, n = ranks.shape
-        w = np.ones(n) if sample_weight is None else \
-            np.asarray(sample_weight, dtype=np.float64)
-        if counts is None:
-            root = np.arange(n)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            root = np.flatnonzero(counts)
-            w = w * counts
+        counts = np.ones(n, dtype=np.int64) if counts is None else \
+            np.asarray(counts, dtype=np.int64)
+        w = counts * 1.0 if sample_weight is None else \
+            np.asarray(sample_weight, dtype=np.float64) * counts
+        # each row's multiplicity for the tie rule, where w does not give it
+        mult = None if sample_weight is None else counts
+        root = np.flatnonzero(w > 0)
         self.n_features, self.gains = d, {}
-        by_counts = counts is not None and sample_weight is None
 
         feature, threshold, left, right, value = [], [], [], [], []
         # stack of (node_id, row index array, depth)
@@ -401,19 +406,17 @@ class DecisionTree:
         stack = [(0, root, 0)]
         while stack:
             node, rows, depth = stack.pop()
-            yr, wr = y[rows], w[rows]
-            wsum = wr.sum()
-            p = (wr * yr).sum() / wsum if wsum > 0 else 0.0
+            wr = w[rows]
+            wy = wr * y[rows]
+            wsum, wysum = wr.sum(), wy.sum()
+            p = wysum / wsum if wsum > 0 else 0.0
             value[node] = float(p)
             imp = 2.0 * p * (1.0 - p)  # Gini impurity
             if imp <= 1e-15 or (self.max_depth is not None
                                 and depth >= self.max_depth):
                 continue
-            cr = None if counts is None else counts[rows]
-            presorted = self.root_order if node == 0 and counts is None \
-                else None
-            split = self._best_split(ranks, rows, yr, wr, wsum, cr, presorted,
-                                     by_counts)
+            split = self._best_split(ranks, rows, wr, wy, wsum, wysum,
+                                     None if mult is None else mult[rows])
             if split is None:
                 continue
             feat, lo, hi, cost = split
@@ -444,73 +447,49 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         return self
 
-    def _best_split(self, ranks, rows, yr, wr, wsum, cr, presorted,
-                    by_counts):
+    def _best_split(self, ranks, rows, wr, wy, wsum, wysum, cr):
         """(feature, low code, high code, cost) of the cheapest split over
         a sample of columns, or None; the codes are those of the two
-        distinct values either side of the cut.
+        distinct values either side of the cut. Rows carry the weights
+        ``wr``, ``wy`` of them on label 1, and the multiplicities ``cr``,
+        None where the weights are the multiplicities.
 
-        Each sampled column's node rows are put in order by a stable
-        argsort of their rank codes (a radix sort), which is
-        the order a stable argsort of the values gives. Rows carry the
-        weights ``wr`` and, under a bootstrap, the counts ``cr``.
-        ``presorted`` is ``node_order`` of this node over every column,
-        used when no columns are sampled.
-
-        When the weights are the bootstrap counts (``by_counts``) and the
-        node has at least as many (row, column) cells as the sampled
-        columns have distinct values (times ``_HIST_FACTOR``),
-        ``_histogram_split`` finds the same split without sorting.
+        A node with at least as many (row, column) cells as its sampled
+        columns have distinct values (times ``_HIST_FACTOR``) sums its
+        weights per code (``_histogram_split``). A smaller node puts each
+        sampled column's rows in order by a stable argsort of their rank
+        codes (a radix sort), which is the order a stable argsort of the
+        values gives, and takes prefix sums of the weights. Both searches
+        hand their cuts to ``_cheapest``.
         """
         d = ranks.shape[0]
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
-            presorted = None
         else:
             feats = np.arange(d)
-        if by_counts:
-            distinct = ranks.offsets[feats + 1] - ranks.offsets[feats]
-            if _HIST_FACTOR * len(rows) * len(feats) >= distinct.sum():
-                return _histogram_split(ranks, feats, distinct, rows, yr,
-                                        wr, wsum)
-        if presorted is None:
-            # (sampled columns, node rows)
-            presorted = node_order(ranks.take(feats, rows))
-        order, pos, col = presorted
-        if len(pos) == 0:
-            return None
+        distinct = ranks.offsets[feats + 1] - ranks.offsets[feats]
+        if _HIST_FACTOR * len(rows) * len(feats) >= distinct.sum():
+            return _histogram_split(ranks, feats, distinct, rows, wr, wy,
+                                    wsum, wysum, cr)
+        block = ranks.take(feats, rows)  # (sampled columns, node rows)
+        order, pos, col = node_order(block)
         cut = col * len(rows) + pos  # flat into `order`
         # at most two (columns, rows) float arrays live beside `order`: a
         # node's scratch that outgrows glibc's trim threshold is handed
         # back to the kernel and faulted in again at the next node
         lw = np.cumsum(wr[order], axis=1).ravel()[cut]
-        rw = wsum - lw
-        cwy = np.cumsum((wr * yr)[order], axis=1)
-        lwy = cwy.ravel()[cut]
-        rwy = cwy[col, -1] - lwy
-        del cwy
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pl = np.where(lw > 0, lwy / lw, 0.0)
-            pr = np.where(rw > 0, rwy / rw, 0.0)
-            cost = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
-
-        cost = np.where((lw > 0) & (rw > 0), cost, np.inf)
-        if not np.isfinite(cost).any():
+        lwy = np.cumsum(wy[order], axis=1).ravel()[cut]
+        found = _cheapest(
+            lw, lwy, wsum, wysum, col,
+            None if cr is None else lambda i: _left_rows(
+                ranks, feats[col[i]], rows,
+                block[col[i], order[col[i], pos[i]]], cr))
+        if found is None:
             return None
-        # the first minimum by cut position, then by column in sampled order
-        k = int(np.argmin(cost))
-        if cr is not None:
-            # a position among in-bag rows is not a left count: ties go
-            # to the fewest left rows with multiplicity, then the column
-            tied = np.flatnonzero(cost == cost[k])
-            if len(tied) > 1:
-                n_left = np.cumsum(cr[order], axis=1)[col[tied], pos[tied]]
-                k = int(tied[np.lexsort((col[tied], n_left))[0]])
+        cost, _, k = found
         i, j = pos[k], col[k]
-        feat = int(feats[j])
-        lo, hi = ranks.take(feat, rows[order[j, i:i + 2]])
-        return feat, lo, hi, cost[k]
+        lo, hi = block[j, order[j, i:i + 2]]
+        return int(feats[j]), lo, hi, cost
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Leaf value per row: the leaf's class-1 weight fraction."""

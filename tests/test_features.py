@@ -521,9 +521,9 @@ def test_small_config_featurize_bytes_pinned(tmp_path):
         "manifest_select.json":
             "ee8795929fadd817881bdf0ac33c6678c2075d7a4b5b7d8729a84351abd4534e",
         "manifest_train.json":
-            "bbb07c8b2feaab55714aecb8dae79832030777fd85c00677f3489e7e66efca81",
+            "d1fba24f734e1e6893e89f0913c2d9967c796459dc425590afa3b574ed453ac6",
         "manifest_score.json":
-            "9172189c4da11bcbd12db2fb69495388c9c51d1692efcac617fd56763120251f",
+            "212f242492b7adc090d98a520d47a78a381a76275e3cb06e230546462855a3e4",
         "manifest_evaluate.json":
-            "49dcf3176ca9a86751d95cc31d4321e3f4acd0dadec2541841b5e8cfaf839e44",
+            "4f3a8e2e17a5f25a3fbf52cb140be53b2129a0d46300bba91792476e2ca3e0a4",
     }
