@@ -167,6 +167,7 @@ def write_ranking(path: str, kind: str, names: list[str], scores,
                   order) -> str:
     """Write the columns ``order`` lists, best first, as
     ``rank,feature,score,score_kind`` rows; return the sha256."""
-    rows = "".join(f"{r},{names[i]},{float(scores[i])!r},{kind}\n"
-                   for r, i in enumerate(order, 1))
+    values = scores.tolist()
+    rows = "".join(f"{r},{names[i]},{values[i]!r},{kind}\n"
+                   for r, i in enumerate(order.tolist(), 1))
     return artifact.write_text(path, "rank,feature,score,score_kind\n" + rows)

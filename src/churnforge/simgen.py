@@ -20,7 +20,15 @@ the target fraction), then per-subscriber trajectories are sampled:
 
 All randomness derives from per-subscriber substreams of the master
 seed, so generation stays deterministic under any evaluation order:
-the same config yields byte-identical files. Contiguous blocks of
+the same config yields byte-identical files. A subscriber's stream is
+read in one order, which fixes the bytes: churn flag, rate, contacts
+and weights, churn day, daily counts, then per active day its seconds
+and directions (one ``integers`` call over the bounds 86400 n times and
+2 n times), contact picks, outgoing re-picks, call durations and
+competitor contacts (one sized call), then any fallback day. Numpy's
+bounded draws take one 32-bit value per element from the bit generator,
+which keeps any leftover half, so merged and sized calls consume the
+stream exactly as separate and scalar ones would. Contiguous blocks of
 subscribers fan out over ``workers`` processes and are written in block
 order as they arrive, so the files are the same bytes at any worker
 count and only a few blocks of text are held at once.
@@ -188,15 +196,19 @@ class _Plan:
                                        / weights[:allowed].sum())
         comp_idx = np.flatnonzero(classes == _COMPETITOR)
 
-        ts_parts, dir_parts, pick_parts = [], [], []
-        kinds, durs = [], []
+        # a day of n events draws its seconds and directions in one call,
+        # over high[top - n:top + n]: SECONDS_PER_DAY n times, then 2 n times
         n_events = calls + sms + extra
         active = np.flatnonzero(n_events)
-        for day, n_call, n_sms, n_ev in zip(
+        counts = n_events[active]
+        top = int(counts.max(initial=0))
+        high = np.repeat([SECONDS_PER_DAY, 2], top)
+        sec_parts, dir_parts, pick_parts, comp_parts, durs = [], [], [], [], []
+        for day, n_call, n_in, n_ev in zip(
                 active.tolist(), calls[active].tolist(),
-                sms[active].tolist(), n_events[active].tolist()):
-            secs = rng.integers(0, SECONDS_PER_DAY, size=n_ev)
-            dirs = rng.integers(0, 2, size=n_ev)
+                (calls + sms)[active].tolist(), counts.tolist()):
+            draw = rng.integers(0, high[top - n_ev:top + n_ev])
+            dirs = draw[n_ev:]
             picks = cdf.searchsorted(rng.random(n_ev), side="right")
             out_cdf = out_cdfs[self.month_of_day[day]]
             if out_cdf is not None:
@@ -208,17 +220,16 @@ class _Plan:
                 durs.append(int(rng.integers(1, 10))
                             if rng.random() < _SHORT_CALL_P
                             else 10 + int(rng.exponential(_MEAN_CALL_S)))
-            n_in = n_call + n_sms
-            for j in range(n_in, n_ev):
-                # competitor SMS: incoming, from a random competitor contact
-                picks[j] = comp_idx[int(rng.integers(0, len(comp_idx)))]
-            dirs[n_in:] = 0
-            durs.extend([0] * (n_ev - n_call))
-            kinds.extend([0] * n_call)
-            kinds.extend([1] * (n_ev - n_call))
-            ts_parts.append(secs + (self.start_epoch + day * SECONDS_PER_DAY))
+            if n_ev > n_in:
+                comp_parts.append(rng.integers(0, len(comp_idx),
+                                               size=n_ev - n_in))
+            sec_parts.append(draw[:n_ev])
             dir_parts.append(dirs)
             pick_parts.append(picks)
+        days = np.repeat(active, counts)
+        # each event's part of its day: 0 call, 1 SMS, 2 competitor SMS
+        part = np.repeat(np.tile([0, 1, 2], len(active)),
+                         np.stack([calls, sms, extra], 1)[active].ravel())
 
         fallback = None
         if churner and not len(active):
@@ -230,23 +241,32 @@ class _Plan:
             fallback = train_days + int(rng.integers(0, self.eval_days))
         if fallback is not None:
             # an outgoing 60 s call at noon to the first contact
-            ts_parts.append(np.array([self.start_epoch + fallback
-                                      * SECONDS_PER_DAY + 43200]))
+            days = np.append(days, fallback)
+            part = np.append(part, 0)
+            sec_parts.append(np.array([43200]))
             dir_parts.append(np.array([1]))
             pick_parts.append(np.array([0]))
-            kinds.append(0)
             durs.append(60)
 
-        ts = np.concatenate(ts_parts)
+        ts = np.concatenate(sec_parts) + (self.start_epoch
+                                          + days * SECONDS_PER_DAY)
+        dirs = np.concatenate(dir_parts)
+        picks = np.concatenate(pick_parts)
+        comp = part == 2
+        # competitor SMS: incoming, from a random competitor contact
+        dirs[comp] = 0
+        if comp_parts:
+            picks[comp] = comp_idx[np.concatenate(comp_parts)]
+        dur = np.zeros(len(part), dtype=np.int64)
+        dur[part == 0] = durs
         order = np.argsort(ts, kind="stable")  # equal times keep draw order
-        kind_dir = (2 * np.array(kinds) + np.concatenate(dir_parts))[order]
+        kind_dir = (2 * (part > 0) + dirs)[order]
         heads = [f"{ego},{self.alter_ids[a]}," for a in contacts.tolist()]
         tails = [f",{ALTER_CLASS_TOKENS[c]}\n" for c in classes.tolist()]
         return [f"{heads[c]}{t}{_KIND_DIR[kd]}{d}{tails[c]}"
                 for c, t, kd, d in zip(
-                    np.concatenate(pick_parts)[order].tolist(),
-                    ts[order].tolist(), kind_dir.tolist(),
-                    np.array(durs)[order].tolist())]
+                    picks[order].tolist(), ts[order].tolist(),
+                    kind_dir.tolist(), dur[order].tolist())]
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:

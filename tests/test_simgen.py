@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,97 @@ def test_small_config_generate_bytes_pinned(tmp_path, workers):
         "ground_truth.csv": "a474dd884069fd27a6416298e740e011"
                             "fbc28c110c9b8cc5bc33cde4f3eb1b01",
     }
+
+
+def _stream_pair(seed, buffered):
+    """Two generators in one state; ``buffered`` leaves the leftover
+    32-bit half of an odd-length bounded draw in the bit generator."""
+    pair = [np.random.default_rng(seed) for _ in range(2)]
+    if buffered:
+        for rng in pair:
+            rng.integers(0, 2, size=3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+# Seeds whose first or seventh 32-bit value is rejected for the bound
+# SECONDS_PER_DAY by Lemire's method, so that draw takes one more value.
+_REDRAW_SEEDS = (8076, 10004)
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["no_half_buffered", "half_buffered"])
+def test_merged_day_draw_equals_separate_draws(buffered):
+    """A day of n events draws seconds and directions in one call over
+    the bounds ``high[top - n:top + n]``, ``high`` built to the busiest
+    day ``top``: the same numbers and stream state as sized draws of
+    seconds and then directions, for n inside and equal to ``top``."""
+    top = 40
+    high = np.repeat([SECONDS_PER_DAY, 2], top)
+    for seed in (*range(300), *_REDRAW_SEEDS):
+        for n in (1, 2, 3, 4, 5, 7, 10, top):
+            merged, separate = _stream_pair(seed, buffered)
+            got = merged.integers(0, high[top - n:top + n])
+            want = np.concatenate([
+                separate.integers(0, SECONDS_PER_DAY, size=n),
+                separate.integers(0, 2, size=n)])
+            assert np.array_equal(got, want), (seed, n)
+            assert merged.bit_generator.state == \
+                separate.bit_generator.state, (seed, n)
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["no_half_buffered", "half_buffered"])
+def test_sized_competitor_draw_equals_scalar_draws(buffered):
+    """A day's competitor contacts: one size-k draw equals k scalar
+    draws, including a single competitor contact (no value consumed)."""
+    for seed in range(300):
+        for n_comp in (1, 2, 3, 7):
+            for k in (1, 2, 5):
+                sized, scalar = _stream_pair(seed, buffered)
+                got = sized.integers(0, n_comp, size=k)
+                want = [int(scalar.integers(0, n_comp)) for _ in range(k)]
+                assert got.tolist() == want, (seed, n_comp, k)
+                assert sized.bit_generator.state == \
+                    scalar.bit_generator.state, (seed, n_comp, k)
+
+
+_DAY_LOOP_CASES = {
+    "busy": (dict(daily_call_rate=2.0, daily_sms_rate=6.0),
+             "3552b4c162f098e2f4081351ca7b72a5"
+             "e16f56d76ec0d222c05afca7fb207eac"),
+    "quiet": (dict(daily_call_rate=0.002, daily_sms_rate=0.004),
+              "d8dd158e81433d01b160959a9d3a073b"
+              "f91837f18d8297c5f5aa7a9f2b5f9ca8"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_DAY_LOOP_CASES))
+def test_day_loop_generate_bytes_pinned(tmp_path, case, workers):
+    """sha256 of the CDR and truth of 24 subscribers, half of them
+    churners, as recorded while each day drew its seconds, directions
+    and competitor contacts one sized or scalar call at a time. ``busy``
+    reaches competitor SMS from one and from several competitor
+    contacts, a planted competitor contact, churners' shrinking outgoing
+    pools and days of up to 48 events; ``quiet`` reaches both fallback
+    calls: a churner with no events and a non-churner silent in the
+    evaluation window."""
+    rates, cdr_sha = _DAY_LOOP_CASES[case]
+    _, cdr, truth, _ = gen(tmp_path, workers, n_subscribers=24, seed=1,
+                           target_churn_fraction=0.5, **rates)
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (cdr, truth)]
+    assert digest == [cdr_sha, "87b3654486b84547e05eea670c37bd42"
+                               "b0e53245c176e6c9b2229d2cdc1cdfea"]
+    rows = [line.split(",") for line in cdr.read_text().splitlines()[1:]]
+    days = [(int(r[2]) - WINDOW.start_epoch) // SECONDS_PER_DAY for r in rows]
+    if case == "busy":  # events of the busiest subscriber-day
+        assert max(Counter(zip((r[0] for r in rows), days)).values()) == 48
+    else:  # noon 60 s outgoing calls in training and in evaluation
+        noon = {d >= WINDOW.train_days for r, d in zip(rows, days)
+                if int(r[2]) % SECONDS_PER_DAY == 43200
+                and r[3:6] == ["CALL", "OUT", "60"]}
+        assert noon == {False, True}
 
 
 @pytest.mark.parametrize("n", [2 * _BLOCK + 5, 0],
