@@ -440,7 +440,8 @@ def row_chunks(store: RecordStore, names: list[str], axes: AxesConfig,
 
     Each chunk is a Fortran-ordered (rows, features) array, so its
     transpose is the chunk's rows column-major. It is filled ``_BLOCK``
-    subscribers at a time. The plan is built (and a bad name raises)
+    subscribers at a time, in the leading rows of one buffer that the
+    next chunk overwrites. The plan is built (and a bad name raises)
     when the first chunk is asked for.
     """
     if train_range is None:
@@ -449,8 +450,10 @@ def row_chunks(store: RecordStore, names: list[str], axes: AxesConfig,
     n = len(store)
     step = max(_CHUNK_ROWS, matrix_mod._BLOCK_VALUES // max(plan.n_cols, 1)
                // _CHUNK_ROWS * _CHUNK_ROWS)
+    buf = np.empty(min(step, n) * plan.n_cols)
     for r0 in range(0, n, step):
-        chunk = np.empty((min(step, n - r0), plan.n_cols), order="F")
+        k = min(step, n - r0)
+        chunk = buf[:k * plan.n_cols].reshape((k, plan.n_cols), order="F")
         for b0 in range(0, len(chunk), _BLOCK):
             rows = chunk[b0:b0 + _BLOCK]  # a view: written in place
             src = _block_sources(store, r0 + b0, r0 + b0 + len(rows), plan)

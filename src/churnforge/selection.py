@@ -6,16 +6,17 @@ block is checked for non-finite cells, then scored and ranked in
 64-column slices, so that a block's scratch is a few slices' worth, not
 several copies of the block. Each slice yields its two univariate scores
 (Welch t statistic against the binary label, R squared against the
-continuous inactivity label), its rank codes (one byte each in a column
-of at most 256 distinct values) and its sorted distinct values. The
-scores are computed from a C-ordered copy of the slice, and slices start
-on the same multiples of 64 as over the whole matrix, so every sum runs
-in the order it would over the whole matrix.
-``tree_select`` then grows a bagged tree ensemble from the rank codes
-alone and scores columns by normalized Gini importance. A ranking is a
-score array plus its column order from ``ranked``: score descending
-with ties broken by canonical feature name, so results are stable
-across runs and row orderings. ``write_ranking`` writes one as CSV.
+continuous inactivity label) and its rank codes (one byte each in a
+column of at most 256 distinct values). The scores are computed from a
+C-ordered copy of the slice, and slices start on the same multiples of
+64 as over the whole matrix, so every sum runs in the order it would
+over the whole matrix.
+``tree_select`` then grows a bagged tree ensemble from the rank codes,
+reading a column back from the matrix only for a split's threshold, and
+scores columns by normalized Gini importance. A ranking is a score array
+plus its column order from ``ranked``: score descending with ties broken
+by canonical feature name, so results are stable across runs and row
+orderings. ``write_ranking`` writes one as CSV.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def scan(cols: matrix_mod.Columns, labels: LabelSet,
          workers: int = 1) -> tuple[np.ndarray, np.ndarray, ColumnRanks]:
     """(|t|, R squared, rank codes) of every column of a matrix, read a
     block of columns at a time and scored and ranked in the block's
-    64-column slices (``matrix.column_spans``).
+    64-column slices (``matrix.column_spans``); the ranks read a column
+    again from ``cols``.
 
     ValueError names the first non-finite cell, in column order: split
     search needs a total order.
@@ -130,7 +132,8 @@ def scan(cols: matrix_mod.Columns, labels: LabelSet,
                 yield ranks
 
     return t, r2, collect_ranks(n, [s for b in blocks for s in b],
-                                ranked_slices())
+                                ranked_slices(),
+                                lambda j: cols.read(j, j + 1)[0])
 
 
 def tree_select(ranks: ColumnRanks, labels: LabelSet, n_trees: int = 100,
@@ -152,8 +155,10 @@ def tree_select(ranks: ColumnRanks, labels: LabelSet, n_trees: int = 100,
     egos = labels.ego_ids
     if egos != sorted(egos):  # featurize writes them sorted
         order = np.argsort(np.asarray(egos, dtype=object), kind="stable")
+        column = ranks.column
         ranks = replace(ranks, narrow=ranks.narrow[:, order],
-                        wide=ranks.wide[:, order])
+                        wide=ranks.wide[:, order],
+                        column=lambda j: column(j)[order])
         y = y[order]
     forest = BaggedForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
     forest.fit(ranks, y, workers)

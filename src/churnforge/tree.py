@@ -1,15 +1,16 @@
 """Weighted binary decision trees and bagged ensembles, built on numpy.
 
-Trees grow from a ``ColumnRanks`` alone: each column's dense rank codes
-plus its sorted distinct values, in the spirit of XGBoost's pre-sorted
-column blocks (Chen & Guestrin, 2016). A column of at most 256 distinct
+Trees grow from a ``ColumnRanks``: each column's dense rank codes, in
+the spirit of XGBoost's pre-sorted column blocks (Chen & Guestrin,
+2016), and a source of its floats. A column of at most 256 distinct
 values keeps one byte per code, as LightGBM keeps its bin indices (Ke et
 al., 2017); the others keep two, or four above 65,535 rows. A float
 matrix is ranked once per ensemble, a block of columns at a time;
-``select`` builds the ranks from its column blocks and never holds the
-float matrix. Columns of integers from 0 to the row count are ranked by
-counting, the others by argsort; a slice of columns that all keep one
-byte is ranked straight into uint8.
+``select`` builds the ranks from its column blocks, never holds the
+float matrix, and reads a column back from the file for each split.
+Columns of integers from 0 to the row count are ranked by counting, the
+others by argsort; a slice of columns that all keep one byte is ranked
+straight into uint8.
 A bootstrap is passed as integer row counts, not as copied rows. Trees
 classify 0/1 labels by Gini impurity and support sample weights (for
 boosting) and per-split feature subsampling (for bagging).
@@ -30,10 +31,10 @@ that sorting the repeated rows finds, bit for bit; boosting's other
 float weights round by the order they are summed in.
 
 A split's threshold is the midpoint of the two distinct values either
-side of the cut, so the trees are exact CART trees. A node's rows are
-parted by code: rows whose code is at most that of the largest value
-``<= threshold`` go left, which is ``X[rows, feat] <= threshold`` even
-where the midpoint rounds onto the upper value. ``predict`` compares
+side of the cut, read from one node row of each code, so the trees are
+exact CART trees. A node's rows are parted by code: rows of the lower
+code or below go left, or of the upper code where the midpoint rounds
+onto it, which is ``X[rows, feat] <= threshold``. ``predict`` compares
 floats. A forest grows its trees on up to ``workers`` forked processes,
 with the same result at any count.
 """
@@ -41,7 +42,7 @@ with the same result at any count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -66,7 +67,7 @@ _HIST_CELLS = 1 << 16
 
 @dataclass
 class ColumnRanks:
-    """A matrix's columns as dense rank codes and sorted distinct values.
+    """A matrix's columns as dense rank codes, and a source of its floats.
 
     Each column has one code per row: equal values share a code and codes
     keep the column's order, so a stable argsort of a column's codes is
@@ -74,23 +75,21 @@ class ColumnRanks:
     values keeps its codes in ``narrow`` (uint8), the others in ``wide``
     (uint16 up to 65,535 rows, uint32 above). Column j's codes are row
     ``at[j]`` of the two stacked, ``narrow`` first; ``take`` reads them.
-    Column j's distinct values, ascending, are
-    ``values[offsets[j]:offsets[j + 1]]``, and a code indexes them.
+    Column j has ``distinct[j]`` distinct values, coded 0 up, and
+    ``column(j)`` returns its floats, which a split reads at the two
+    codes either side of its cut.
     """
 
-    narrow: np.ndarray   # (narrow columns, rows) uint8
-    wide: np.ndarray     # (wide columns, rows) uint16 or uint32
-    at: np.ndarray       # (columns,) int64
-    values: np.ndarray   # flat float64
-    offsets: np.ndarray  # (columns + 1,) int64
+    narrow: np.ndarray    # (narrow columns, rows) uint8
+    wide: np.ndarray      # (wide columns, rows) uint16 or uint32
+    at: np.ndarray        # (columns,) int64
+    distinct: np.ndarray  # (columns,) int64
+    column: Callable[[int], np.ndarray]  # column j's (rows,) floats
 
     @property
     def shape(self) -> tuple[int, int]:
         """(columns, rows)."""
         return len(self.at), self.narrow.shape[1]
-
-    def column_values(self, j: int) -> np.ndarray:
-        return self.values[self.offsets[j]:self.offsets[j + 1]]
 
     def take(self, feats, rows) -> np.ndarray:
         """The (len(feats), len(rows)) codes of columns ``feats`` at
@@ -133,15 +132,13 @@ def _by_width(counts: np.ndarray, n_rows: int, codes_of) -> tuple:
 
 
 def rank_block(cols: np.ndarray) -> tuple:
-    """(narrow codes, wide codes, distinct values, distinct counts) of a
-    (columns, rows) block of floats: the uint8 codes of the columns of at
-    most 256 distinct values and the wider codes of the rest, each in
-    column order, every column's distinct values ascending one column
-    after another, and how many each has.
+    """(narrow codes, wide codes, distinct counts) of a (columns, rows)
+    block of floats: the uint8 codes of the columns of at most 256
+    distinct values and the wider codes of the rest, each in column
+    order, and how many distinct values each column has.
 
     Columns of integers from 0 to the row count (``_countable``) are
-    ranked by counting, the others by argsort; both give the same codes
-    and the same values, bit for bit.
+    ranked by counting, the others by argsort; both give the same codes.
     """
     cols = np.ascontiguousarray(cols, dtype=np.float64)
     counted = _countable(cols)
@@ -149,8 +146,8 @@ def rank_block(cols: np.ndarray) -> tuple:
         return _count_ranks(cols)
     if not counted.any():
         return _sort_ranks(cols)
-    *by_count, ints, c_counts = _count_ranks(cols[counted])
-    *by_sort, floats, s_counts = _sort_ranks(cols[~counted])
+    *by_count, c_counts = _count_ranks(cols[counted])
+    *by_sort, s_counts = _sort_ranks(cols[~counted])
     counts = np.empty(len(cols), dtype=np.int64)
     counts[counted], counts[~counted] = c_counts, s_counts
     narrow = counts <= _NARROW
@@ -159,10 +156,7 @@ def rank_block(cols: np.ndarray) -> tuple:
         block = np.empty((len(c) + len(s), cols.shape[1]), dtype=c.dtype)
         block[counted[sel]], block[~counted[sel]] = c, s
         codes.append(block)
-    values = np.empty(counts.sum())
-    of_counted = np.repeat(counted, counts)  # each value's column
-    values[of_counted], values[~of_counted] = ints, floats
-    return *codes, values, counts
+    return *codes, counts
 
 
 def _countable(cols: np.ndarray) -> np.ndarray:
@@ -198,9 +192,7 @@ def _count_ranks(cols: np.ndarray) -> tuple:
         return np.subtract(below[ints], lowest[:, None], out=codes,
                            casting="unsafe")  # from 0 up, in `dtype`
 
-    codes = _by_width(counts, cols.shape[1], codes_of)
-    values = np.flatnonzero(present) - np.repeat(first, counts)
-    return *codes, values.astype(np.float64), counts
+    return *_by_width(counts, cols.shape[1], codes_of), counts
 
 
 def _sort_ranks(cols: np.ndarray) -> tuple:
@@ -221,23 +213,23 @@ def _sort_ranks(cols: np.ndarray) -> tuple:
         codes.ravel()[order] = ranks
         return codes
 
-    codes = _by_width(counts, srt.shape[1], codes_of)
-    return *codes, srt[first], counts
+    return *_by_width(counts, srt.shape[1], codes_of), counts
 
 
-def collect_ranks(n: int, spans: list, ranked: Iterable) -> ColumnRanks:
-    """The ColumnRanks of a matrix of ``n`` rows from ``rank_block`` of
-    each of its column ``spans`` (``(lo, hi)``, in column order), written
-    into the narrow and wide codes arrays and the values array as each
-    block's result arrives. The three arrays grow in place (``realloc``),
-    so none is held twice, as a list of parts and their concatenation."""
+def collect_ranks(n: int, spans: list, ranked: Iterable,
+                  column: Callable[[int], np.ndarray]) -> ColumnRanks:
+    """The ColumnRanks of a matrix of ``n`` rows, whose column j is
+    ``column(j)``, from ``rank_block`` of each of its column ``spans``
+    (``(lo, hi)``, in column order), written into the narrow and wide
+    codes arrays as each block's result arrives. Both arrays grow in
+    place (``realloc``), so neither is held twice, as a list of parts and
+    their concatenation."""
     d = spans[-1][1] if spans else 0
     narrow = np.zeros((0, n), dtype=np.uint8)
     wide = np.zeros((0, n), dtype=_code_dtype(n))
     at = np.empty(d, dtype=np.int64)  # the row in narrow or in wide
-    offsets = np.zeros(d + 1, dtype=np.int64)
-    values = np.zeros(0)
-    for (lo, hi), (*codes, vals, counts) in zip(spans, ranked, strict=True):
+    distinct = np.empty(d, dtype=np.int64)
+    for (lo, hi), (*codes, counts) in zip(spans, ranked, strict=True):
         is_narrow = counts <= _NARROW
         for array, block, sel in ((narrow, codes[0], is_narrow),
                                   (wide, codes[1], ~is_narrow)):
@@ -245,13 +237,9 @@ def collect_ranks(n: int, spans: list, ranked: Iterable) -> ColumnRanks:
             at[lo:hi][sel] = np.arange(k, k + len(block))
             array.resize((k + len(block), n), refcheck=False)  # no views
             array[k:] = block
-        offsets[lo + 1:hi + 1] = counts
-        k = len(values)
-        values.resize(k + len(vals), refcheck=False)
-        values[k:] = vals
-    np.cumsum(offsets, out=offsets)
-    at[np.diff(offsets) > _NARROW] += len(narrow)  # wide rows follow
-    return ColumnRanks(narrow, wide, at, values, offsets)
+        distinct[lo:hi] = counts
+    at[distinct > _NARROW] += len(narrow)  # wide rows follow
+    return ColumnRanks(narrow, wide, at, distinct, column)
 
 
 def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
@@ -261,7 +249,8 @@ def rank_columns(X: np.ndarray, workers: int = 1) -> ColumnRanks:
     n, d = X.shape
     spans = column_blocks(n, d)
     return collect_ranks(n, spans, parallel.map(
-        lambda span: rank_block(X[:, span[0]:span[1]].T), spans, workers))
+        lambda span: rank_block(X[:, span[0]:span[1]].T), spans, workers),
+        lambda j: X[:, j])
 
 
 def node_order(block: np.ndarray) -> tuple:
@@ -422,11 +411,13 @@ class DecisionTree:
             feat, lo, hi, cost = split
             self.gains[feat] = self.gains.get(feat, 0.0) + \
                 max(float(wsum * imp - cost), 0.0)
-            vals = ranks.column_values(feat)
-            thr = float((vals[lo] + vals[hi]) / 2.0)
-            # X[rows, feat] <= thr, by code
-            go_left = ranks.take(feat, rows) <= \
-                np.searchsorted(vals, thr, side="right") - 1
+            codes = ranks.take(feat, rows)
+            x = ranks.column(feat)
+            x_lo = x[rows[np.argmax(codes == lo)]]
+            x_hi = x[rows[np.argmax(codes == hi)]]
+            thr = float((x_lo + x_hi) / 2.0)
+            # X[rows, feat] <= thr: no node row has a code inside (lo, hi)
+            go_left = codes <= (hi if thr >= x_hi else lo)
             feature[node] = feat
             threshold[node] = thr
             for child_rows, slot in ((rows[go_left], left),
@@ -467,7 +458,7 @@ class DecisionTree:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
         else:
             feats = np.arange(d)
-        distinct = ranks.offsets[feats + 1] - ranks.offsets[feats]
+        distinct = ranks.distinct[feats]
         if _HIST_FACTOR * len(rows) * len(feats) >= distinct.sum():
             return _histogram_split(ranks, feats, distinct, rows, wr, wy,
                                     wsum, wysum, cr)

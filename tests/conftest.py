@@ -90,6 +90,25 @@ def in_memory_columns(mat):
                    lambda lo, hi: values[:, lo:hi].T)
 
 
+def assert_ranks_of(ranks, X):
+    """``ranks`` are float matrix X's: each column's codes are its
+    ``np.unique`` inverse (so 0.0 and -0.0 share one), in one byte where
+    it has at most 256 distinct values, and ``column(j)`` returns column
+    j bit for bit, -0.0 included."""
+    n, d = X.shape
+    assert ranks.shape == (d, n)
+    for j in range(d):
+        col = X[:, j]
+        uniq, inverse = np.unique(col, return_inverse=True)
+        codes = ranks.take(j, np.arange(n))
+        assert np.array_equal(codes, inverse), j
+        assert ranks.distinct[j] == len(uniq), j
+        assert (ranks.at[j] < len(ranks.narrow)) == (len(uniq) <= 256), j
+        assert codes.dtype == (np.uint8 if len(uniq) <= 256
+                               else ranks.wide.dtype), j
+        assert ranks.column(j).tobytes() == col.tobytes(), j
+
+
 # Six ratio denominators for the tests of ratio enumeration and
 # computation. Pipelines enumerate no ratios unless a config lists its
 # own under `features.denominators`, whose default is empty.

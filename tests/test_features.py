@@ -399,9 +399,9 @@ class TestProperties:
             assert compute_matrix(store, names, AXES).values.tobytes() == want
 
     def test_row_chunks_scratch_stays_under_a_chunk(self):
-        # featurize holds each chunk while the next one fills; above those
-        # two, a block's scratch must stay under one more chunk (it was
-        # 3.4 chunks with blocks of 32 subscribers)
+        # every chunk refills one buffer; above it, a block's scratch must
+        # stay under one more chunk (it was 3.4 chunks with blocks of 32
+        # subscribers, and a new chunk each time added one)
         names = enumerate_features(AXES)
         list(row_chunks(make_store(n_subscribers=1, seed=3), names[:50],
                         AXES))  # numpy's first-use allocations
@@ -415,7 +415,7 @@ class TestProperties:
         finally:
             tracemalloc.stop()
         assert lengths == [_CHUNK_ROWS, _CHUNK_ROWS, 6]
-        assert peak < 3 * chunk_bytes
+        assert peak < 2 * chunk_bytes
 
 
 class TestComputeErrors:
@@ -462,11 +462,13 @@ class TestMatrixFormats:
         want = (tmp_path / "whole.cfm").read_bytes()
         # rows of 32, 32 and 1; columns in blocks of 64
         monkeypatch.setattr(matrix_mod, "_BLOCK_VALUES", _CHUNK_ROWS * 64)
-        chunks = list(row_chunks(store, names, AXES))
-        assert [len(c) for c in chunks] == [_CHUNK_ROWS, _CHUNK_ROWS, 1]
+        assert [len(c) for c in row_chunks(store, names, AXES)] == \
+            [_CHUNK_ROWS, _CHUNK_ROWS, 1]
         assert len(matrix_mod.column_blocks(len(store), len(names))) == 5
         path = tmp_path / "m.cfm"
-        digest = matrix_mod.write(str(path), whole.ego_ids, names, chunks)
+        # each chunk is written before the next refills the same buffer
+        digest = matrix_mod.write(str(path), whole.ego_ids, names,
+                                  row_chunks(store, names, AXES))
         assert path.read_bytes() == want
         assert digest == hashlib.sha256(want).hexdigest()
         matrix_mod.save(compute_matrix(store, names, AXES), str(path))

@@ -16,7 +16,7 @@ import pytest
 from churnforge import matrix, parallel
 from churnforge.cli import main
 from churnforge.tree import BaggedForest, rank_columns
-from conftest import importances
+from conftest import assert_ranks_of, importances
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL_CFG = str(ROOT / "configs" / "small.cfg")
@@ -153,8 +153,9 @@ def test_rank_codes_same_at_any_worker_count(monkeypatch):
     ranks.append(rank_columns(X))  # one block
     assert ranks[0].narrow.shape == (128, 300)
     assert ranks[0].wide.shape == (22, 300)
-    for other in ranks[1:]:
-        for name in ("narrow", "wide", "at", "values", "offsets"):
+    for other in ranks:
+        assert_ranks_of(other, X)
+        for name in ("narrow", "wide", "at", "distinct"):
             got, want = getattr(other, name), getattr(ranks[0], name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name

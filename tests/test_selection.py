@@ -1,17 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from churnforge import matrix as matrix_mod
+from churnforge import selection as selection_mod
 from churnforge.labeling import LabelSet
 from churnforge.matrix import FeatureMatrix
 from churnforge.selection import (T_STAT_ABS, ranked, scan, tree_select,
                                   univariate_r2 as r2_scores,
                                   univariate_ttest as ttest_scores,
                                   write_ranking)
-from churnforge.tree import collect_ranks, rank_block
-from conftest import in_memory_columns, read_ranking
+from churnforge.tree import (BaggedForest, collect_ranks, rank_block,
+                             rank_columns)
+from conftest import assert_ranks_of, in_memory_columns, read_ranking
 
 
 def make_inputs(values, churned, pct=None, names=None):
@@ -294,6 +297,65 @@ def test_cfm1_scan_gives_the_in_memory_rankings(tmp_path):
     assert got[0] == got[1]
 
 
+def test_scan_ranks_hold_only_integers(tmp_path):
+    # select keeps its rank codes, not a float table of distinct values:
+    # a split reads its two floats back from the matrix file
+    X, churned, pct = _mixed(12, 90, 150)
+    mat, labels = make_inputs(X, churned, pct=pct)
+    path = str(tmp_path / "m.cfm")
+    matrix_mod.save(mat, path)
+    _, _, ranks = scan(matrix_mod.columns(path), labels)
+    arrays = [getattr(ranks, f.name) for f in dataclasses.fields(ranks)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4
+    for a in arrays:
+        assert np.issubdtype(a.dtype, np.integer), a.dtype
+    assert_ranks_of(ranks, X)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_midpoint_onto_the_upper_value_read_from_disk(tmp_path, monkeypatch,
+                                                      workers):
+    # a has an odd last mantissa bit, so the midpoint of a and the next
+    # float up rounds onto it: trees grown on scan's codes, whose column
+    # source reads the file, and on the matrix in memory must agree, on
+    # rows that tree_select puts in ego order first
+    a = 1.0 + 2.0 ** -52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    rng = np.random.default_rng(4)
+    n = 60
+    x = rng.choice([0.5, a, b, 4.0], size=n)
+    X = np.column_stack([x, rng.normal(size=(n, 3)).round(1)])
+    churned = x >= b
+    perm = rng.permutation(n)
+    egos = [f"S{i:03d}" for i in perm]
+    path = str(tmp_path / "m.cfm")
+    matrix_mod.save(FeatureMatrix(egos, ["f0", "f1", "f2", "f3"], X), path)
+    labels = LabelSet(egos, churned, churned * 1.0)
+    grown = []
+
+    class Recorded(BaggedForest):
+        def fit(self, *args):
+            grown.append(self)
+            return super().fit(*args)
+
+    monkeypatch.setattr(selection_mod, "BaggedForest", Recorded)
+    _, _, ranks = scan(matrix_mod.columns(path), labels, workers)
+    got = tree_select(ranks, labels, n_trees=8, k=4, seed=5, max_depth=4,
+                      workers=workers)
+    order = np.argsort(perm)  # the rows in ego order
+    want = BaggedForest(n_trees=8, max_depth=4, seed=5).fit(
+        rank_columns(X[order]), churned[order] * 1.0)
+    assert got.tobytes() == want.feature_importances_.tobytes()
+    (forest,) = grown
+    for g, w in zip(forest.trees, want.trees, strict=True):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    assert any(((t.feature == 0) & (t.threshold == b)).any()
+               for t in want.trees)
+
+
 @pytest.mark.parametrize("d,spans", [
     (129, [(0, 64), (64, 129)]),               # a one-column tail joins in
     (140, [(0, 64), (64, 128), (128, 140)]),   # a narrow last block
@@ -316,13 +378,15 @@ def test_column_blocks_score_and_rank_as_the_whole_matrix(monkeypatch, d,
     for workers in (1, 2):
         t, r2, ranks = scan(in_memory_columns(mat), labels, workers)
         assert np.array_equal(t, want[0]) and np.array_equal(r2, want[1])
-        whole = collect_ranks(n, [(0, d)], [rank_block(X.T)])
+        whole = collect_ranks(n, [(0, d)], [rank_block(X.T)],
+                              lambda j: X[:, j])
         everything = np.arange(d), np.arange(n)
         assert np.array_equal(ranks.take(*everything),
                               whole.take(*everything))
-        for name in ("narrow", "wide", "at", "values", "offsets"):
+        for name in ("narrow", "wide", "at", "distinct"):
             assert np.array_equal(getattr(ranks, name),
                                   getattr(whole, name)), name
+        assert_ranks_of(ranks, X)
 
 
 def test_nonfinite_cell_is_named_in_column_order(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from churnforge import tree as tree_mod
 from churnforge.tree import (BaggedForest, ColumnRanks, DecisionTree,
                              rank_block, rank_columns)
-from conftest import importances
+from conftest import assert_ranks_of, importances
 
 
 def test_memorizes_training_data_without_bootstrap():
@@ -165,10 +165,8 @@ class _ReferenceTree(DecisionTree):
 
 def _floats(ranks):
     """The float matrix whose ranks ``ranks`` are."""
-    d, n = ranks.shape
-    codes = ranks.take(np.arange(d), np.arange(n))
-    return np.stack([ranks.column_values(j)[c]
-                     for j, c in enumerate(codes)], axis=1)
+    return np.stack([ranks.column(j) for j in range(ranks.shape[0])],
+                    axis=1)
 
 
 def _reference_forest(X, y, n_trees, max_depth=12, max_features="sqrt",
@@ -427,9 +425,7 @@ def test_rank_codes_share_ties_and_keep_order():
         assert np.array_equal(np.argsort(c, kind="stable"),
                               np.argsort(col, kind="stable"))
         assert set(c) == set(range(len(np.unique(col))))
-        # the code indexes the column's sorted distinct values
-        assert np.array_equal(ranks.column_values(j), np.unique(col))
-        assert np.array_equal(ranks.column_values(j)[c], col)
+    assert_ranks_of(ranks, X)  # column 0's -0.0 comes back as -0.0
     # a slice of columns ranked by counting (integers from +0.0 up to the
     # row count) and by argsort ranks as argsort ranks every column
     rng = np.random.default_rng(3)
@@ -457,10 +453,13 @@ def test_rank_codes_share_ties_and_keep_order():
                                 False, True, False, True]
     got = rank_block(mixed)
     want = tree_mod._sort_ranks(mixed)
-    for g, w in zip(got[:2], want[:2]):  # narrow and wide codes
+    assert len(got) == len(want) == 3  # narrow and wide codes, counts
+    for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert got[2].tobytes() == want[2].tobytes()  # -0.0 stays -0.0
-    assert np.array_equal(got[3], want[3])
+    # 0.0 and -0.0 share a code in the signed column
+    uniq, inverse = np.unique(mixed[3], return_inverse=True)
+    assert got[2][3] == len(uniq) == 9
+    assert np.array_equal(got[0][3], inverse)
     # one cell outside the integers from +0.0 to n keeps a column of
     # small integers from being counted
     for odd in (n - 0.5, n + 0.5, n + 1.0, np.nextafter(n, 0.0), 5e-324,
@@ -474,9 +473,9 @@ def test_rank_codes_share_ties_and_keep_order():
     assert tree_mod._countable(np.zeros((3, 0))).tolist() == [False] * 3
     # and so does a matrix whose slices mix them, read through its ranks
     ranks = rank_columns(mixed.T)
+    assert_ranks_of(ranks, mixed.T)
     for j, col in enumerate(mixed):
         codes = ranks.take([j], np.arange(n))[0]
-        assert np.array_equal(ranks.column_values(j)[codes], col)
         assert np.array_equal(np.argsort(codes, kind="stable"),
                               np.argsort(col, kind="stable"))
 
@@ -511,7 +510,7 @@ def test_rank_codes_one_byte_up_to_256_distinct_values():
         # equal values share a code, and codes keep the column's order
         uniq, inverse = np.unique(col, return_inverse=True)
         assert len(uniq) == m and np.array_equal(codes, inverse)
-        assert np.array_equal(ranks.column_values(j)[codes], col)
+        assert ranks.column(j).tobytes() == col.tobytes()
     # a block of columns of both widths keeps the order it is asked in
     feats, rows = [6, 3, 0, 5], rng.choice(n, 50)
     block = ranks.take(feats, rows)
