@@ -6,9 +6,12 @@ as one set of numpy column arrays sorted by subscriber (ego), so the
 feature engine works on blocks of subscribers without touching Python
 objects per record.
 
-Ingest reads the file as bytes. A plain file, one without ``"``, CR or
-NUL, is split in bulk with numpy: each line is a record and commas
-separate its fields. Any other file is tokenized by the ``csv`` module.
+Ingest streams the file and never holds it whole. A first pass reads it
+in blocks of whole lines to check its UTF-8, count its lines and decide
+how to tokenize it; a second pass tokenizes it. A plain file, one
+without ``"``, CR or NUL, is split in bulk with numpy from the same
+blocks: each line is a record and commas separate its fields. Any other
+file is tokenized by the ``csv`` module as it is decoded.
 Both tokenizers feed one validator, chunk by chunk. A row whose numbers
 are 1-18 ASCII digits, whose tokens match exactly and whose values are
 in range is decoded column-wise; every other row goes through ``int()``
@@ -149,30 +152,73 @@ def ingest(path: str, window: StudyWindow) -> RecordStore:
     comma, quote or line break) are tallied with their line numbers on
     ``store.rejected`` instead of being silently dropped. A missing,
     empty or headerless file, invalid UTF-8 and a field longer than the
-    ``csv`` module's field limit are fatal.
+    ``csv`` module's field limit are fatal. So is a read error.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            plain, max_rows = _survey(path, _blocks(fh))
+            fh.seek(0)
+            if plain:
+                return _decode(_split_plain(path, _blocks(fh)), window,
+                               max_rows)
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                return _decode(_split_csv(path, text), window, max_rows)
     except OSError as exc:
         raise CdrFormatError(f"cannot read CDR file {path}: {exc}") from exc
-    if not data:
+
+
+def _blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines: each read of
+    ``_CHUNK_BYTES`` is cut after its last line break and the rest carried
+    into the next block; the last block may lack its line break. No cut
+    falls inside a CRLF, so no UTF-8 character straddles one and the
+    blocks' line breaks add up to the file's. A read is at least as long
+    as the carry, so a line of any length is read in linear time."""
+    carry = b""
+    while data := fh.read(max(_CHUNK_BYTES, len(carry))):
+        data = carry + data
+        # a CR at the end of the read may be the first half of a CRLF
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        data, carry = data[:cut], data[cut:]
+        if data:
+            yield data
+    if carry:
+        yield carry
+
+
+def _survey(path, blocks) -> tuple[bool, int]:
+    """Check the UTF-8 of the whole file, block by block, before any row
+    is tokenized; return whether the file is plain (no ``"``, CR or NUL)
+    and a bound on its rows."""
+    plain, max_rows, offset, lines = True, 1, 0, 0
+    for block in blocks:
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _utf8_error(path, block, exc, offset, lines) from None
+        arr = np.frombuffer(block, dtype=np.uint8)
+        n_lf, n_cr = (int(np.count_nonzero(arr == c)) for c in b"\n\r")
+        plain = plain and not n_cr and b'"' not in block and b"\0" not in block
+        max_rows += n_lf + n_cr
+        offset += len(block)
+        lines += n_lf + n_cr - (n_cr and block.count(b"\r\n"))
+    if not offset:
         raise CdrFormatError(f"{path}: empty file, expected CSV header")
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # line breaks before the bad byte, counted as csv does:
-            # CRLF, CR or LF
-            line = (data.count(b"\n", 0, exc.start)
-                    + data.count(b"\r", 0, exc.start)
-                    - data.count(b"\r\n", 0, exc.start) + 1)
-            raise CdrFormatError(f"{path}: line {line}: {exc}") from None
-    plain = not any(c in data for c in (b'"', b"\r", b"\0"))
-    max_rows = data.count(b"\n") + data.count(b"\r") + 1
-    chunks = (_split_plain if plain else _split_csv)(path, data)
-    del data  # the tokenizer drops it after the last chunk
-    return _decode(chunks, window, max_rows)
+    return plain, max_rows
+
+
+def _utf8_error(path, block, exc, offset, lines) -> CdrFormatError:
+    """The error of decoding the whole file, from that of decoding the
+    ``block`` that starts ``offset`` bytes and ``lines`` lines into it."""
+    # line breaks before the bad byte, counted as csv does: CRLF, CR or LF
+    head = block[:exc.start]
+    lines += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{block[exc.start]:02x} in position {start}"
+             if end == start + 1 else f"bytes in position {start}-{end - 1}")
+    return CdrFormatError(f"{path}: line {lines + 1}: 'utf-8' codec can't "
+                          f"decode {where}: {exc.reason}")
 
 
 def _check_header(path, header: list[str]) -> None:
@@ -192,25 +238,27 @@ def _field_limit_error(path, line: int) -> CdrFormatError:
 # field k of row i is buf[bounds[k, i] + 1:bounds[k + 1, i]]. ``suspect``
 # marks rows that must be checked one at a time. Rows of another field
 # count are rejected here.
-_CHUNK_BYTES = 1 << 18  # plain file: whole lines from about this many bytes
+_CHUNK_BYTES = 1 << 18  # read size; a plain file's chunks are its blocks
 _CHUNK_ROWS = 1 << 13   # csv module: rows of seven fields
 
 
-def _split_plain(path, data: bytes):
-    """Tokenize a file without quotes, CR or NUL in bulk: each line is a
-    record and commas separate its fields, as ``csv`` reads it."""
+def _split_plain(path, blocks):
+    """Tokenize a file without quotes, CR or NUL in bulk, a block of whole
+    lines at a time: each line is a record and commas separate its
+    fields, as ``csv`` reads it."""
     limit = csv.field_size_limit()
-    pos = data.find(b"\n") + 1 or len(data)
-    header = data[:pos].rstrip(b"\n").decode()
-    header = header.split(",") if header else []
-    if any(len(h) > limit for h in header):
-        raise _field_limit_error(path, 1)
-    _check_header(path, header)
-    first_line = 2
-    while pos < len(data):
-        stop = data.find(b"\n", pos + _CHUNK_BYTES) + 1 or len(data)
-        buf = data[pos:stop]
-        pos = stop
+    first_line = 1
+    for buf in blocks:
+        if first_line == 1:  # the first block starts with the header
+            pos = buf.find(b"\n") + 1 or len(buf)
+            header = buf[:pos].rstrip(b"\n").decode()
+            header = header.split(",") if header else []
+            if any(len(h) > limit for h in header):
+                raise _field_limit_error(path, 1)
+            _check_header(path, header)
+            buf, first_line = buf[pos:], 2
+            if not buf:
+                continue
         arr = np.frombuffer(buf, dtype=np.uint8)
         sep = np.flatnonzero((arr == ord(",")) | (arr == ord("\n")))
         # a field ends at each separator; a virtual newline sits before
@@ -233,11 +281,12 @@ def _split_plain(path, data: bytes):
         first_line += len(n_fields)
 
 
-def _split_csv(path, data: bytes):
-    """Tokenize any other file with the ``csv`` module. The fields go into
-    the buffer each followed by a NUL; a row with a comma, quote or line
-    break inside a field is suspect. Line numbers count records."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+def _split_csv(path, text):
+    """Tokenize any other file, read as ``text``, with the ``csv`` module.
+    The fields go into the buffer each followed by a NUL; a row with a
+    comma, quote or line break inside a field is suspect. Line numbers
+    count records."""
+    reader = csv.reader(text)
     fields, line_no, rejected = [], [], []
     try:
         _check_header(path, next(reader, []))
@@ -367,76 +416,85 @@ def _decode(chunks, window: StudyWindow, max_rows: int) -> RecordStore:
         np.int64, np.int8, np.int8, np.int32, np.int8, np.int32, np.int32)]
     n = 0
     rejected = []
-    for buf, bounds, line_no, suspect, chunk_rejected in chunks:
-        rejected += chunk_rejected
-        pad = _padded(buf)
-        words = _words(pad)
-
-        def field(k):
-            return bounds[k] + 1 + _PAD, bounds[k + 1] - bounds[k] - 1
-
-        ts_at, ts_n = field(2)
-        ts, ok = _digits(pad, ts_at + ts_n, ts_n)
-        dur_at, dur_n = field(5)
-        dur, dur_ok = _digits(pad, dur_at + dur_n, dur_n)
-        kind = _token_codes(words, *field(3), KIND_TOKENS)
-        direction = _token_codes(words, *field(4), DIRECTION_TOKENS)
-        alter_class = _token_codes(words, *field(6), ALTER_CLASS_TOKENS)
-        ego_at, ego_n = field(0)
-        alter_at, alter_n = field(1)
-        ego_key = [_prefix(words, ego_at, ego_n, off) for off in (0, 8)]
-        alter_key = [_prefix(words, alter_at, alter_n, off) for off in (0, 8)]
-        maybe_same = ((ego_n == alter_n) & (ego_key[0] == alter_key[0])
-                      & (ego_key[1] == alter_key[1]))
-        ok &= (dur_ok & (kind >= 0) & (direction >= 0) & (alter_class >= 0)
-               & (ego_n > 0) & (alter_n > 0) & ~maybe_same & ~suspect
-               & (dur <= _MAX_DURATION_S) & ((kind != KIND_SMS) | (dur == 0))
-               & (ts >= lo_ts) & (ts < hi_ts))
-        for i in np.flatnonzero(~ok).tolist():
-            b = bounds[:, i].tolist()
-            ego, alter, ts_s, kind_s, dir_s, dur_s, ac_s = (
-                buf[b[k] + 1:b[k + 1]].decode() for k in range(7))
-            try:
-                ts_i = int(ts_s)
-                dur_i = int(dur_s)
-            except ValueError:
-                rejected.append(RejectedRow(int(line_no[i]),
-                                            "non-integer numeric field"))
-                continue
-            reason = _validate_fast(ego, alter, ts_i, kind_s, dir_s, dur_i,
-                                    ac_s, lo_ts, hi_ts)
-            if reason is not None:
-                rejected.append(RejectedRow(int(line_no[i]), reason))
-                continue
-            ts[i], dur[i] = ts_i, dur_i
-            kind[i], direction[i] = _KIND_CODE[kind_s], _DIR_CODE[dir_s]
-            alter_class[i] = _ALTER_CLASS_CODE[ac_s]
-            ok[i] = True
-        keep = np.flatnonzero(ok)
-        for column, values in zip(columns, (
-                ts[keep], kind[keep], direction[keep], dur[keep],
-                alter_class[keep],
-                _id_codes(buf, ego_at[keep], ego_n[keep],
-                          [k[keep] for k in ego_key], ego_index),
-                _id_codes(buf, alter_at[keep], alter_n[keep],
-                          [k[keep] for k in alter_key], alter_index))):
-            column[n:n + len(keep)] = values
-        n += len(keep)
+    for chunk in chunks:
+        for column, values in zip(columns, _decode_chunk(
+                chunk, lo_ts, hi_ts, ego_index, alter_index, rejected)):
+            column[n:n + len(values)] = values
+        n += len(values)
+    chunk = values = None  # the last chunk's buffers go before the sort
     rejected.sort(key=lambda r: r.line_no)
-    ts, kind, direction, duration_s, alter_class, ego, alter = (
-        c[:n] for c in columns)
     # egos are coded by first appearance; re-code them by rank
     ego_ids = sorted(ego_index)
-    rank = np.empty(len(ego_ids), dtype=np.int64)
+    rank = np.empty(len(ego_ids), dtype=np.int32)
     rank[[ego_index[e] for e in ego_ids]] = np.arange(len(ego_ids))
-    ego = rank[ego]
-    order = np.lexsort((ts, ego))  # stable: equal times keep file order
+    ego = rank[columns.pop(5)[:n]]
+    # bincount's int64 copy of the codes comes before the sort order
     offsets = np.zeros(len(ego_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(ego, minlength=len(ego_ids)), out=offsets[1:])
-    return RecordStore(
-        window, [e.decode() for e in ego_ids], offsets, ts[order],
-        kind[order], direction[order], duration_s[order], alter_class[order],
-        alter[order], rejected)
+    # stable: equal times keep file order
+    order = np.lexsort((columns[0][:n], ego))
+    del ego
+    for k in range(len(columns)):  # each source goes once it is copied
+        columns[k] = columns[k][order]
+    return RecordStore(window, [e.decode() for e in ego_ids], offsets,
+                       *columns, rejected)
+
+
+def _decode_chunk(chunk, lo_ts, hi_ts, ego_index, alter_index, rejected):
+    """The columns of a chunk's valid rows, in the order of ``_decode``'s;
+    its rejected rows go on ``rejected``."""
+    buf, bounds, line_no, suspect, chunk_rejected = chunk
+    rejected += chunk_rejected
+    pad = _padded(buf)
+    words = _words(pad)
+
+    def field(k):
+        return bounds[k] + 1 + _PAD, bounds[k + 1] - bounds[k] - 1
+
+    ts_at, ts_n = field(2)
+    ts, ok = _digits(pad, ts_at + ts_n, ts_n)
+    dur_at, dur_n = field(5)
+    dur, dur_ok = _digits(pad, dur_at + dur_n, dur_n)
+    kind = _token_codes(words, *field(3), KIND_TOKENS)
+    direction = _token_codes(words, *field(4), DIRECTION_TOKENS)
+    alter_class = _token_codes(words, *field(6), ALTER_CLASS_TOKENS)
+    ego_at, ego_n = field(0)
+    alter_at, alter_n = field(1)
+    ego_key = [_prefix(words, ego_at, ego_n, off) for off in (0, 8)]
+    alter_key = [_prefix(words, alter_at, alter_n, off) for off in (0, 8)]
+    maybe_same = ((ego_n == alter_n) & (ego_key[0] == alter_key[0])
+                  & (ego_key[1] == alter_key[1]))
+    ok &= (dur_ok & (kind >= 0) & (direction >= 0) & (alter_class >= 0)
+           & (ego_n > 0) & (alter_n > 0) & ~maybe_same & ~suspect
+           & (dur <= _MAX_DURATION_S) & ((kind != KIND_SMS) | (dur == 0))
+           & (ts >= lo_ts) & (ts < hi_ts))
+    for i in np.flatnonzero(~ok).tolist():
+        b = bounds[:, i].tolist()
+        ego, alter, ts_s, kind_s, dir_s, dur_s, ac_s = (
+            buf[b[k] + 1:b[k + 1]].decode() for k in range(7))
+        try:
+            ts_i = int(ts_s)
+            dur_i = int(dur_s)
+        except ValueError:
+            rejected.append(RejectedRow(int(line_no[i]),
+                                        "non-integer numeric field"))
+            continue
+        reason = _validate_fast(ego, alter, ts_i, kind_s, dir_s, dur_i,
+                                ac_s, lo_ts, hi_ts)
+        if reason is not None:
+            rejected.append(RejectedRow(int(line_no[i]), reason))
+            continue
+        ts[i], dur[i] = ts_i, dur_i
+        kind[i], direction[i] = _KIND_CODE[kind_s], _DIR_CODE[dir_s]
+        alter_class[i] = _ALTER_CLASS_CODE[ac_s]
+        ok[i] = True
+    keep = np.flatnonzero(ok)
+    return (ts[keep], kind[keep], direction[keep], dur[keep],
+            alter_class[keep],
+            _id_codes(buf, ego_at[keep], ego_n[keep],
+                      [k[keep] for k in ego_key], ego_index),
+            _id_codes(buf, alter_at[keep], alter_n[keep],
+                      [k[keep] for k in alter_key], alter_index))
 
 
 def _validate_fast(ego, alter, ts, kind, direction, dur, ac, lo_ts, hi_ts):

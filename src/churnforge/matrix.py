@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -233,7 +234,9 @@ def columns(path: str) -> Columns:
     file if it is not one or does not hold the whole value block.
 
     Each ``read`` takes just its columns from the column-major value
-    block, so the whole float matrix is never held.
+    block, so the whole float matrix is never held. The reads share one
+    descriptor, closed when ``read`` goes, and carry no file position,
+    so forked pool children may read at once.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -255,11 +258,18 @@ def columns(path: str) -> Columns:
         raise ValueError(f"{path}: shape {n_rows} x {n_cols} does not "
                          f"match {len(egos)} egos x {len(names)} names")
 
+    values = open(path, "rb", buffering=0)
+    fd = values.fileno()
+
     def read(lo: int, hi: int) -> np.ndarray:
         cols = np.empty((hi - lo, n_rows), dtype="<f8")
-        with open(path, "rb") as block:
-            block.seek(start + lo * n_rows * 8)
-            block.readinto(cols)
+        into, at = cols.reshape(-1).view(np.uint8), start + lo * n_rows * 8
+        while len(into):
+            got = os.preadv(fd, [into], at)
+            if not got:
+                raise ValueError(f"{path}: truncated values")
+            into, at = into[got:], at + got
         return cols
 
+    weakref.finalize(read, values.close)
     return Columns(egos, names, read)

@@ -1,4 +1,8 @@
+import csv
 import datetime
+import errno
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +336,157 @@ def test_tokenizers_agree_on_mutated_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", 100)
     monkeypatch.setattr(cdr_mod, "_CHUNK_ROWS", 3)
     assert_same_store(ingest_three(tmp_path, monkeypatch, text), whole)
+
+
+# lines that straddle reads of a few bytes: multi-byte characters, rows
+# the csv module and the row-by-row checks reject, and blank lines
+STRADDLING = "".join(TOKENIZER_CASES[case][0] for case in (
+    "code_point_order", "loose_integers", "six_and_eight_fields",
+    "blank_lines", "shared_prefixes", "no_trailing_newline"))
+NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("newline", sorted(NEWLINES))
+def test_reads_of_a_few_bytes_give_the_same_store(tmp_path, monkeypatch,
+                                                  newline):
+    # LF leaves plain.csv plain; CRLF and CR send both files through the
+    # csv module
+    text = STRADDLING.replace("\n", NEWLINES[newline])
+    whole = ingest_three(tmp_path, monkeypatch, text)
+    assert whole.n_records == 20 and len(whole.rejected) == 5
+    for size in range(1, 13):
+        monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", size)
+        assert_same_store(ingest_three(tmp_path, monkeypatch, text), whole)
+
+
+def whole_file_utf8_error(path) -> str:
+    """The message of the UTF-8 check run over the whole file at once,
+    as ingest did when it read the file whole."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = (head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                + 1)
+        return f"{path}: line {line}: {exc}"
+    raise AssertionError(f"{path} is valid UTF-8")
+
+
+def ingest_error(path) -> str:
+    with pytest.raises(CdrFormatError) as err:
+        ingest(str(path), WINDOW)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("newline", sorted(NEWLINES))
+@pytest.mark.parametrize("header", [CSV_HEADER, QUOTED_HEADER, "who,what"],
+                         ids=["plain", "quoted", "bad_header"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82(", b"\xc3,", b"\xe2\x82"],
+                         ids=["start_byte", "two_bytes", "one_byte", "end"])
+def test_invalid_utf8_on_a_late_line_names_it_at_every_read_size(
+        tmp_path, monkeypatch, newline, header, bad):
+    # the file's own error, even under a bad header; "end" cuts the file
+    # inside a character
+    path = tmp_path / "c.csv"
+    head = f"{header}\n{STRADDLING}\n".replace("\n", NEWLINES[newline])
+    path.write_bytes(head.encode() + b"A,B" + bad
+                     + (b"" if bad == b"\xe2\x82" else b",1\nA,B,1\n"))
+    expected = whole_file_utf8_error(path)
+    assert f": line {STRADDLING.count(chr(10)) + 3}: " in expected
+    for size in (1, 2, 3, 5, 7, 64, 1 << 18):
+        monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", size)
+        assert ingest_error(path) == expected
+
+
+@pytest.mark.parametrize("newline", sorted(NEWLINES))
+@pytest.mark.parametrize("header", [CSV_HEADER, QUOTED_HEADER],
+                         ids=["plain", "quoted"])
+def test_oversized_field_keeps_its_line_at_every_read_size(
+        tmp_path, monkeypatch, newline, header):
+    limit = csv.field_size_limit()
+    csv.field_size_limit(24)  # longer than every field before the last
+    try:
+        path = tmp_path / "c.csv"
+        text = f"{header}\n{STRADDLING}\nA,{'B' * 25},{T},CALL,OUT,6,ONNET\n"
+        path.write_bytes(text.replace("\n", NEWLINES[newline]).encode())
+        line = STRADDLING.count("\n") + 3
+        expected = (f"{path}: line {line}: field larger than field limit "
+                    f"(24)")
+        for size in (1, 2, 3, 5, 7, 64, 1 << 18):
+            monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", size)
+            assert ingest_error(path) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_ingest_holds_no_more_than_the_sort_order_a_column_and_a_block(
+        tmp_path, monkeypatch):
+    # a plain file of about 7 MB: ingest streams it, so what it holds
+    # beyond the store it returns is the sort order (8 bytes a row), the
+    # one column being reordered (at most 8 bytes a row) and a block's
+    # decode temporaries, about 13 bytes for each byte of the block. The
+    # file has few distinct ids, so the id maps add little.
+    monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", 1 << 16)
+    rng = np.random.default_rng(0)
+    n = 150_000
+    ego, alter = rng.integers(0, 200, n), rng.integers(0, 500, n)
+    when = WINDOW.start_epoch + rng.integers(0, WINDOW.total_days
+                                             * SECONDS_PER_DAY, n)
+    path = tmp_path / "c.csv"
+    write_cdr(path, [f"S{e:05d},A{a:06d},{t},CALL,OUT,{t % 3600},ONNET"
+                     for e, a, t in zip(ego.tolist(), alter.tolist(),
+                                        when.tolist())])
+    assert path.stat().st_size > 6_000_000
+    tracemalloc.start()
+    try:
+        store = ingest(str(path), WINDOW)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.n_records == n
+    assert peak - held < 16 * n + 16 * cdr_mod._CHUNK_BYTES
+
+
+class FailingReader(io.BufferedReader):
+    """A file whose reads fail once ``reads`` of them have been made."""
+
+    def __init__(self, path, reads):
+        super().__init__(io.FileIO(path))
+        self.reads = reads
+
+    def _count(self):
+        self.reads -= 1
+        if self.reads < 0:
+            raise OSError(errno.EIO, "Input/output error")
+
+    def read(self, *args):
+        self._count()
+        return super().read(*args)
+
+    def read1(self, *args):
+        self._count()
+        return super().read1(*args)
+
+
+@pytest.mark.parametrize("header", [CSV_HEADER, QUOTED_HEADER],
+                         ids=["plain", "quoted"])
+def test_a_failed_read_in_either_pass_names_the_file(tmp_path, monkeypatch,
+                                                     header):
+    path = tmp_path / "c.csv"
+    path.write_bytes(f"{header}\n{STRADDLING}".encode())
+    monkeypatch.setattr(cdr_mod, "_CHUNK_BYTES", 64)
+    reads = 0
+    while True:  # fail each read in turn, until none is left to fail
+        monkeypatch.setattr(cdr_mod, "open", lambda p, mode, k=reads:
+                            FailingReader(p, k), raising=False)
+        try:
+            ingest(str(path), WINDOW)
+            break
+        except CdrFormatError as exc:
+            assert str(exc) == (f"cannot read CDR file {path}: "
+                                f"[Errno {errno.EIO}] Input/output error")
+        reads += 1
+    # the first pass reads the file 64 bytes at a time; the second too
+    first_pass = path.stat().st_size // 64 + 1
+    assert reads > first_pass
