@@ -243,8 +243,9 @@ def stage_score(cfg: PipelineConfig, out: Path) -> None:
     _write_manifest("score", cfg, out, inputs, outputs)
 
 
-def _cv_mean(path: Path) -> dict:
-    """The ``mean`` entry of the cv report at ``path``."""
+def _cv_mean(path: Path, family: str) -> dict:
+    """The ``mean`` entry of ``family``'s cv report at ``path``: the five
+    metrics ``models.kfold_cv`` writes, each a number in [0, 1]."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -252,7 +253,20 @@ def _cv_mean(path: Path) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(report, dict) or "mean" not in report:
         raise ValueError(f"{path}: no \"mean\" entry")
-    return report["mean"]
+    if report.get("family") != family:
+        raise ValueError(f"{path}: family {report.get('family')!r} is not "
+                         f"{family!r}")
+    mean = report["mean"]
+    if not isinstance(mean, dict) or \
+            sorted(mean) != sorted(models_mod._CV_METRICS):
+        raise ValueError(f"{path}: \"mean\" does not hold exactly "
+                         f"{', '.join(models_mod._CV_METRICS)}")
+    for key, value in mean.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value <= 1:  # also refuses NaN
+            raise ValueError(f"{path}: mean {key} {value!r} is not a "
+                             f"number in [0, 1]")
+    return mean
 
 
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
@@ -292,7 +306,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> None:
             err_hist, str(out / f"error_hist_{family}.csv"))
         cv_path = _require(out / f"cv_{family}.json", "churnforge train")
         report["models"].append({"model": family, "auc": auc, **rep,
-                                 "cv_mean": _cv_mean(cv_path)})
+                                 "cv_mean": _cv_mean(cv_path, family)})
         inputs += [cv_path, scores_path]
     hist = metrics_mod.inactivity_distribution(labels.pct_inactive_eval,
                                                bins)

@@ -22,16 +22,16 @@ All randomness derives from per-subscriber substreams of the master
 seed, so generation stays deterministic under any evaluation order:
 the same config yields byte-identical files. A subscriber's stream is
 read in one order, which fixes the bytes: churn flag, rate, contacts
-and weights, churn day, daily counts, then per active day its seconds
-and directions (one ``integers`` call over the bounds 86400 n times and
-2 n times), contact picks, outgoing re-picks, call durations and
-competitor contacts (one sized call), then any fallback day. Numpy's
-bounded draws take one 32-bit value per element from the bit generator,
-which keeps any leftover half, so merged and sized calls consume the
-stream exactly as separate and scalar ones would. Contiguous blocks of
-subscribers fan out over ``workers`` processes and are written in block
-order as they arrive, so the files are the same bytes at any worker
-count and only a few blocks of text are held at once.
+and weights, churn day and daily counts; then one sized call each, over
+all its events, for their seconds, directions and contact picks; for a
+churner, one call per shrunken month, in month order, re-picking that
+month's outgoing contacts; for its calls, one call each for which are
+short, the short durations and the long ones; one call for its
+competitor-SMS contacts; then any fallback day.
+Contiguous blocks of subscribers fan out over ``workers`` processes and
+are written in block order as they arrive, so the files are the same
+bytes at any worker count and only a few blocks of text are held at
+once.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ class _Plan:
         self.n_months = len(month_ranges)
         self.last_month_start = month_ranges[-1][0]
         self.eval_days = win.total_days - self.train_days
-        self.month_of_day = [self.n_months - 1] * win.total_days
+        self.month_of_day = np.full(win.total_days, self.n_months - 1)
         for m, (lo, hi) in enumerate(month_ranges):
-            self.month_of_day[lo:hi] = [m] * (hi - lo)
+            self.month_of_day[lo:hi] = m
         self.alter_ids = [f"A{i:06d}" for i in range(config.alter_pool_size)]
 
     def block(self, idxs: range) -> tuple[str, str, int, int]:
@@ -180,56 +180,48 @@ class _Plan:
                 config.competitor_signal_strength - 1.0)
             extra = rng.poisson(boost * ramp)
 
+        # Events in day order, each day's calls, then SMS, then
+        # competitor SMS (0, 1, 2), so a day keeps its drawn counts.
+        n_events = calls + sms + extra
+        active = np.flatnonzero(n_events)
+        days = np.repeat(active, n_events[active])
+        part = np.repeat(np.tile([0, 1, 2], len(active)),
+                         np.stack([calls, sms, extra], 1)[active].ravel())
+        total = len(days)
+        secs = rng.integers(0, SECONDS_PER_DAY, size=total)
+        dirs = rng.integers(0, 2, size=total)
         # rng.choice(n, size, p=w) draws rng.random(size) and looks each
         # draw up in the normalised cumulative sum of w: the same picks
-        # and the same stream state, without choice's checks per call.
-        cdf = _cdf(weights)
-        out_cdfs = [None] * self.n_months
+        # without choice's checks per call.
+        picks = _cdf(weights).searchsorted(rng.random(total), side="right")
+        comp = part == 2
+        dirs[comp] = 0  # competitor SMS are incoming
         if churner:
             # Outgoing events draw from a prefix that shrinks month by
             # month, planting the declining-outgoing-degree signal.
+            out = dirs == 1
+            month = self.month_of_day[days]
             for m in range(self.n_months):
                 allowed = max(1, int(np.ceil(
                     n_contacts * (1.0 - _OUT_SHRINK * m))))
                 if allowed < n_contacts:
-                    out_cdfs[m] = _cdf(weights[:allowed]
-                                       / weights[:allowed].sum())
+                    sel = np.flatnonzero(out & (month == m))
+                    picks[sel] = _cdf(weights[:allowed]).searchsorted(
+                        rng.random(len(sel)), side="right")
+        is_call = part == 0
+        short = rng.random(int(is_call.sum())) < _SHORT_CALL_P
+        call_dur = np.empty(len(short), dtype=np.int64)
+        call_dur[short] = rng.integers(1, 10, size=int(short.sum()))
+        call_dur[~short] = 10 + rng.exponential(
+            _MEAN_CALL_S, size=int((~short).sum())).astype(np.int64)
+        dur = np.zeros(total, dtype=np.int64)
+        dur[is_call] = call_dur
+        # competitor SMS come from a random competitor contact
         comp_idx = np.flatnonzero(classes == _COMPETITOR)
-
-        # a day of n events draws its seconds and directions in one call,
-        # over high[top - n:top + n]: SECONDS_PER_DAY n times, then 2 n times
-        n_events = calls + sms + extra
-        active = np.flatnonzero(n_events)
-        counts = n_events[active]
-        top = int(counts.max(initial=0))
-        high = np.repeat([SECONDS_PER_DAY, 2], top)
-        sec_parts, dir_parts, pick_parts, comp_parts, durs = [], [], [], [], []
-        for day, n_call, n_in, n_ev in zip(
-                active.tolist(), calls[active].tolist(),
-                (calls + sms)[active].tolist(), counts.tolist()):
-            draw = rng.integers(0, high[top - n_ev:top + n_ev])
-            dirs = draw[n_ev:]
-            picks = cdf.searchsorted(rng.random(n_ev), side="right")
-            out_cdf = out_cdfs[self.month_of_day[day]]
-            if out_cdf is not None:
-                out = np.flatnonzero(dirs == 1)
-                if len(out):
-                    picks[out] = out_cdf.searchsorted(rng.random(len(out)),
-                                                      side="right")
-            for _ in range(n_call):
-                durs.append(int(rng.integers(1, 10))
-                            if rng.random() < _SHORT_CALL_P
-                            else 10 + int(rng.exponential(_MEAN_CALL_S)))
-            if n_ev > n_in:
-                comp_parts.append(rng.integers(0, len(comp_idx),
-                                               size=n_ev - n_in))
-            sec_parts.append(draw[:n_ev])
-            dir_parts.append(dirs)
-            pick_parts.append(picks)
-        days = np.repeat(active, counts)
-        # each event's part of its day: 0 call, 1 SMS, 2 competitor SMS
-        part = np.repeat(np.tile([0, 1, 2], len(active)),
-                         np.stack([calls, sms, extra], 1)[active].ravel())
+        picks[comp] = comp_idx[rng.integers(0, len(comp_idx),
+                                            size=int(comp.sum()))]
+        ts = secs + (self.start_epoch + days * SECONDS_PER_DAY)
+        cols = np.stack([picks, ts, 2 * (part > 0) + dirs, dur])
 
         fallback = None
         if churner and not len(active):
@@ -241,32 +233,14 @@ class _Plan:
             fallback = train_days + int(rng.integers(0, self.eval_days))
         if fallback is not None:
             # an outgoing 60 s call at noon to the first contact
-            days = np.append(days, fallback)
-            part = np.append(part, 0)
-            sec_parts.append(np.array([43200]))
-            dir_parts.append(np.array([1]))
-            pick_parts.append(np.array([0]))
-            durs.append(60)
+            noon = self.start_epoch + fallback * SECONDS_PER_DAY + 43200
+            cols = np.append(cols, [[0], [noon], [1], [60]], axis=1)
 
-        ts = np.concatenate(sec_parts) + (self.start_epoch
-                                          + days * SECONDS_PER_DAY)
-        dirs = np.concatenate(dir_parts)
-        picks = np.concatenate(pick_parts)
-        comp = part == 2
-        # competitor SMS: incoming, from a random competitor contact
-        dirs[comp] = 0
-        if comp_parts:
-            picks[comp] = comp_idx[np.concatenate(comp_parts)]
-        dur = np.zeros(len(part), dtype=np.int64)
-        dur[part == 0] = durs
-        order = np.argsort(ts, kind="stable")  # equal times keep draw order
-        kind_dir = (2 * (part > 0) + dirs)[order]
+        order = np.argsort(cols[1], kind="stable")  # ties keep draw order
         heads = [f"{ego},{self.alter_ids[a]}," for a in contacts.tolist()]
         tails = [f",{ALTER_CLASS_TOKENS[c]}\n" for c in classes.tolist()]
         return [f"{heads[c]}{t}{_KIND_DIR[kd]}{d}{tails[c]}"
-                for c, t, kd, d in zip(
-                    picks[order].tolist(), ts[order].tolist(),
-                    kind_dir.tolist(), dur[order].tolist())]
+                for c, t, kd, d in zip(*cols[:, order].tolist())]
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:

@@ -104,10 +104,23 @@ def test_empty_selection_fails_with_path(run_copy, capsys, stage):
     assert f"{selected}: names no features" in capsys.readouterr().err
 
 
+_CV_KNN = ('{"family": "knn", "mean": {"accuracy": 0.5, "auc": 0.5, '
+           '"f_score": 0.5, "precision": 0.5, "recall": 0.5}}')
+
+
 @pytest.mark.parametrize("text,message", [
     ("{}", 'no "mean" entry'), ("[]", 'no "mean" entry'),
     ("{bad", "Expecting property name enclosed in double quotes"),
-], ids=["no_mean", "list", "invalid_json"])
+    (_CV_KNN.replace('"knn"', '"logreg"'),
+     "family 'logreg' is not 'knn'"),
+    (_CV_KNN.replace('"auc": 0.5, ', ''),
+     '"mean" does not hold exactly accuracy, precision, recall, f_score, auc'),
+    (_CV_KNN.replace('"accuracy": 0.5', '"accuracy": "x"'),
+     "mean accuracy 'x' is not a number in [0, 1]"),
+    (_CV_KNN.replace('"recall": 0.5', '"recall": NaN'),
+     "mean recall nan is not a number in [0, 1]"),
+], ids=["no_mean", "list", "invalid_json", "wrong_family", "missing_key",
+        "string_value", "nan"])
 def test_bad_cv_report_fails_evaluate_with_path(run_copy, capsys, text,
                                                 message):
     path = run_copy / "cv_knn.json"

@@ -517,15 +517,15 @@ def test_small_config_featurize_bytes_pinned(tmp_path):
                          "manifest_train.json", "manifest_score.json",
                          "manifest_evaluate.json")} == {
         "matrix.cfm":
-            "8836681163002b9e19c4098a954d2436615a3ee24eb1d4848463eed5bb8c2160",
+            "eb218a22bbc083201ba47f6bb92b02b077f5dcebb8162068bb4f1e4cc7ff70ee",
         "labels.csv":
             "b60a8d6544093f3efe0b318f2f83920ce0864098addbd70fe8a31df4fb2e76b6",
         "manifest_select.json":
-            "ee8795929fadd817881bdf0ac33c6678c2075d7a4b5b7d8729a84351abd4534e",
+            "f3e13dbf0fb554ed53874fe7650c26f2aed5c7990ab20ed0e7e135958bf220cd",
         "manifest_train.json":
-            "d1fba24f734e1e6893e89f0913c2d9967c796459dc425590afa3b574ed453ac6",
+            "7848a482dd45c936d72051f2c73cfcc352e779d0cbe83bb790609ec67c3015cf",
         "manifest_score.json":
-            "212f242492b7adc090d98a520d47a78a381a76275e3cb06e230546462855a3e4",
+            "974168e75df59937ec9e99e071fa6a553614a77d0d0b6392f64139d23d09b094",
         "manifest_evaluate.json":
-            "4f3a8e2e17a5f25a3fbf52cb140be53b2129a0d46300bba91792476e2ca3e0a4",
+            "d1885793f600e95163c2367fc0ca0346c2106459a564ad19ecd935b3d700c91e",
     }

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from churnforge import simgen
 from churnforge.cdr import SECONDS_PER_DAY, ingest
 from churnforge.cli import main
 from churnforge.labeling import compute_labels, split_windows
-from churnforge.simgen import _BLOCK, _OUT_SHRINK, SimConfig, _cdf, generate
+from churnforge.simgen import (_BLOCK, _MEAN_CALL_S, _OUT_SHRINK,
+                               _SHORT_CALL_P, SimConfig, _cdf, generate)
 from conftest import WINDOW, config_error, read_truth
 
 SMALL_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "small.cfg")
@@ -168,81 +170,28 @@ def test_cdf_lookup_draws_as_choice(size):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_small_config_generate_bytes_pinned(tmp_path, workers):
-    """sha256 of configs/small.cfg's CDR and truth, as recorded before
-    contact picks became cdf lookups and blocks went over workers."""
+    """sha256 of configs/small.cfg's CDR and truth, as recorded once each
+    subscriber drew every quantity of its events with one sized call."""
     out = tmp_path / "out"
     assert main(["generate", "--config", SMALL_CFG, "--out", str(out),
                  "--workers", str(workers)]) == 0
     digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
               for name in ("cdr.csv", "ground_truth.csv")}
     assert digest == {
-        "cdr.csv": "c2dea1d9d7eacda249210916ce36db19"
-                   "de0402d3977bbd44db57cd6d9a9a8fc9",
+        "cdr.csv": "31379cf0a1690419792472352de85cce"
+                   "088e0727cca471ab4aed6de1018cab91",
         "ground_truth.csv": "a474dd884069fd27a6416298e740e011"
                             "fbc28c110c9b8cc5bc33cde4f3eb1b01",
     }
 
 
-def _stream_pair(seed, buffered):
-    """Two generators in one state; ``buffered`` leaves the leftover
-    32-bit half of an odd-length bounded draw in the bit generator."""
-    pair = [np.random.default_rng(seed) for _ in range(2)]
-    if buffered:
-        for rng in pair:
-            rng.integers(0, 2, size=3)
-            assert rng.bit_generator.state["has_uint32"] == 1
-    return pair
-
-
-# Seeds whose first or seventh 32-bit value is rejected for the bound
-# SECONDS_PER_DAY by Lemire's method, so that draw takes one more value.
-_REDRAW_SEEDS = (8076, 10004)
-
-
-@pytest.mark.parametrize("buffered", [False, True],
-                         ids=["no_half_buffered", "half_buffered"])
-def test_merged_day_draw_equals_separate_draws(buffered):
-    """A day of n events draws seconds and directions in one call over
-    the bounds ``high[top - n:top + n]``, ``high`` built to the busiest
-    day ``top``: the same numbers and stream state as sized draws of
-    seconds and then directions, for n inside and equal to ``top``."""
-    top = 40
-    high = np.repeat([SECONDS_PER_DAY, 2], top)
-    for seed in (*range(300), *_REDRAW_SEEDS):
-        for n in (1, 2, 3, 4, 5, 7, 10, top):
-            merged, separate = _stream_pair(seed, buffered)
-            got = merged.integers(0, high[top - n:top + n])
-            want = np.concatenate([
-                separate.integers(0, SECONDS_PER_DAY, size=n),
-                separate.integers(0, 2, size=n)])
-            assert np.array_equal(got, want), (seed, n)
-            assert merged.bit_generator.state == \
-                separate.bit_generator.state, (seed, n)
-
-
-@pytest.mark.parametrize("buffered", [False, True],
-                         ids=["no_half_buffered", "half_buffered"])
-def test_sized_competitor_draw_equals_scalar_draws(buffered):
-    """A day's competitor contacts: one size-k draw equals k scalar
-    draws, including a single competitor contact (no value consumed)."""
-    for seed in range(300):
-        for n_comp in (1, 2, 3, 7):
-            for k in (1, 2, 5):
-                sized, scalar = _stream_pair(seed, buffered)
-                got = sized.integers(0, n_comp, size=k)
-                want = [int(scalar.integers(0, n_comp)) for _ in range(k)]
-                assert got.tolist() == want, (seed, n_comp, k)
-                assert sized.bit_generator.state == \
-                    scalar.bit_generator.state, (seed, n_comp, k)
-
-
 _DAY_LOOP_CASES = {
     "busy": (dict(daily_call_rate=2.0, daily_sms_rate=6.0),
-             "3552b4c162f098e2f4081351ca7b72a5"
-             "e16f56d76ec0d222c05afca7fb207eac"),
+             "df4e54fd707faff83243e4f20e255d6e"
+             "685fce4e1f0ea2bd03225733ae778b23"),
     "quiet": (dict(daily_call_rate=0.002, daily_sms_rate=0.004),
-              "d8dd158e81433d01b160959a9d3a073b"
-              "f91837f18d8297c5f5aa7a9f2b5f9ca8"),
+              "bc6e0ac8caaefa7eeef922a571539eb8"
+              "9c403fa3c368d4e8278b536097e67f63"),
 }
 
 
@@ -250,8 +199,10 @@ _DAY_LOOP_CASES = {
 @pytest.mark.parametrize("case", sorted(_DAY_LOOP_CASES))
 def test_day_loop_generate_bytes_pinned(tmp_path, case, workers):
     """sha256 of the CDR and truth of 24 subscribers, half of them
-    churners, as recorded while each day drew its seconds, directions
-    and competitor contacts one sized or scalar call at a time. ``busy``
+    churners, as recorded once each subscriber drew, after its daily
+    counts, all its seconds, directions and contact picks, its churner
+    months' outgoing re-picks, its call durations and its competitor
+    contacts one sized call per quantity, in that order. ``busy``
     reaches competitor SMS from one and from several competitor
     contacts, a planted competitor contact, churners' shrinking outgoing
     pools and days of up to 48 events; ``quiet`` reaches both fallback
@@ -286,3 +237,99 @@ def test_blocks_over_workers_write_identical_files(tmp_path, n):
         assert other_cdr.read_bytes() == cdr.read_bytes()
         assert other_truth.read_bytes() == truth.read_bytes()
         assert other_stats == stats
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_size_does_not_change_the_files(tmp_path, monkeypatch,
+                                              workers):
+    # every subscriber reads its own substream, whatever block it is in
+    n = 2 * _BLOCK + 5
+    _, cdr, truth, _ = gen(tmp_path / "default", n_subscribers=n)
+    monkeypatch.setattr(simgen, "_BLOCK", 7)
+    _, cdr_7, truth_7, _ = gen(tmp_path / "seven", workers, n_subscribers=n)
+    assert cdr_7.read_bytes() == cdr.read_bytes()
+    assert truth_7.read_bytes() == truth.read_bytes()
+
+
+class _DrawSpy:
+    """A generator that keeps what each of its ``poisson`` and ``choice``
+    calls drew."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, {"poisson": [], "choice": []}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+        if name not in self.drawn:
+            return method
+
+        def keep(*args, **kwargs):
+            self.drawn[name].append(method(*args, **kwargs))
+            return self.drawn[name][-1]
+        return keep
+
+
+def test_event_distributions_of_the_draw_order():
+    """Over 400 subscribers of one seed, the quantities that each
+    subscriber draws with one sized call keep their distributions."""
+    cfg = SimConfig(n_subscribers=400, window=WINDOW, alter_pool_size=100,
+                    seed=23)
+    plan = simgen._Plan(cfg)
+    lines, flags, drawn = [], {}, {}
+    for idx in range(cfg.n_subscribers):
+        ego = f"S{idx:06d}"
+        rng = _DrawSpy(np.random.default_rng([cfg.seed, 1, idx]))
+        flags[ego] = bool(rng.random() < cfg.target_churn_fraction)
+        lines += plan._rows(ego, rng, flags[ego])
+        drawn[ego] = rng.drawn
+    assert "".join(lines) == plan.block(range(cfg.n_subscribers))[0]
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    ts = np.array([int(r[2]) for r in rows])
+    day = (ts - WINDOW.start_epoch) // SECONDS_PER_DAY
+    is_call = np.array([r[3] == "CALL" for r in rows])
+    is_out = np.array([r[4] == "OUT" for r in rows])
+    churner = np.array([flags[r[0]] for r in rows])
+
+    hours = np.bincount(ts % SECONDS_PER_DAY // 3600, minlength=24)
+    assert np.all(np.abs(hours / hours.mean() - 1) < 0.05), hours
+    # non-churners draw no competitor SMS
+    assert abs(is_out[~churner].mean() - 0.5) < 0.01
+    dur = np.array([int(r[5]) for r in rows])[is_call]
+    assert abs(np.mean(dur < 10) - _SHORT_CALL_P) < 0.01
+    assert abs(dur[dur >= 10].mean() / (10 + _MEAN_CALL_S) - 1) < 0.03
+
+    # competitor SMS are incoming, from a competitor contact; on a day
+    # without other SMS they are all of the day's SMS
+    sms_in = {}
+    for r, d in zip(rows, day.tolist()):
+        if r[3] == "SMS":
+            sms_in.setdefault((r[0], d), []).append(
+                r[4] == "IN" and r[6] == "COMPETITOR")
+    n_comp = 0
+    for ego in [e for e, churned in flags.items() if churned]:
+        _, _, sms, extra = drawn[ego]["poisson"]  # contacts, calls, ...
+        for d in np.flatnonzero(extra).tolist():
+            assert sum(sms_in[ego, d]) >= extra[d], (ego, d)
+            if sms[d] == 0:
+                assert sms_in[ego, d] == [True] * extra[d], (ego, d)
+                n_comp += extra[d]
+    assert n_comp > 100
+
+    # a churner's outgoing events of training month m go to the first
+    # ceil(n (1 - m _OUT_SHRINK)) of its n contacts, and its distinct
+    # outgoing contacts per month do not grow
+    months = WINDOW.month_ranges[:WINDOW.train_months]
+    out_by = {}
+    for r, d, out in zip(rows, day.tolist(), is_out.tolist()):
+        if out and flags[r[0]]:
+            m = next(m for m, (lo, hi) in enumerate(months) if lo <= d < hi)
+            contacts = drawn[r[0]]["choice"][0].tolist()
+            allowed = max(1, int(np.ceil(
+                len(contacts) * (1.0 - _OUT_SHRINK * m))))
+            assert int(r[1][1:]) in contacts[:allowed], (r, m)
+            out_by.setdefault(r[0], [set() for _ in months])[m].add(r[1])
+    degree = np.mean([[len(s) for s in sets] for sets in out_by.values()], 0)
+    assert np.all(np.diff(degree) <= 0), degree
+
+    churn_fraction = np.mean(list(flags.values()))
+    assert abs(churn_fraction - cfg.target_churn_fraction) < 0.06
